@@ -22,7 +22,6 @@ import numpy as np
 import scipy.sparse as sp
 
 from .balancing import BalancedRealization, HankelSpectrum
-from .config import check_dense_cap
 from .dense_stein import (
     DenseGramianPair,
     solve_cross_sylvester,
@@ -490,6 +489,8 @@ class BoundReport:
     prop23_sides_gap: float | None = None
     inf_horizon_sq: float | None = None
     inf_horizon_upper_sq: float | None = None
+    inf_horizon_gap: float | None = None
+    inf_horizon_backend: str | None = None     # 'dense' or 'low-rank'
     thm31_value: float | None = None
     thm31_terms: dict | None = None
     thm31_residual_term: float | None = None
@@ -527,6 +528,8 @@ class BoundReport:
             "inf_horizon": {
                 "value_sq": self.inf_horizon_sq,
                 "upper_sq": self.inf_horizon_upper_sq,
+                "sides_relative_gap": self.inf_horizon_gap,
+                "backend": self.inf_horizon_backend,
             },
             "thm31": {
                 "value": self.thm31_value,
@@ -558,16 +561,26 @@ class BoundReport:
                 self.thm32_total]
 
 
+def inf_horizon_applies(sys: DiscreteLTISystem, rom, tau) -> bool:
+    """Whether :func:`build_bound_report` adds the infinite-horizon error
+    norm at a finite window, for which it needs the system's
+    infinite-horizon Gramians: both the system and the model are stable."""
+    return (not math.isinf(tau) and rom.spectral_radius() < 1.0
+            and sys.spectral_radius() < 1.0)
+
+
 def build_bound_report(sys: DiscreteLTISystem, rom, tau,
-                       reach=None, obs=None,
+                       reach=None, obs=None, inf_reach=None, inf_obs=None,
                        bal: BalancedRealization | None = None,
                        bal_inf: BalancedRealization | None = None,
                        constants_method: str | None = None) -> BoundReport:
     """Assemble the bound report for one reduced model.
 
     ``rom`` is a ReducedOrderModel from the balancing module.  The general
-    output bound is always computed; the infinite-horizon expression is
-    added whenever both the system and the model are stable; the balanced
+    output bound is always computed, from the window Gramians
+    ``reach``/``obs``; the infinite-horizon error norm is added whenever
+    both the system and the model are stable, from ``inf_reach``/``inf_obs``
+    (dense or low-rank, computed densely when absent); the balanced
     expressions are added when dense balanced realizations are supplied
     (``bal`` at the window, ``bal_inf`` at infinite horizon for the
     simplified upper variant).
@@ -594,22 +607,26 @@ def build_bound_report(sys: DiscreteLTISystem, rom, tau,
         "rom_unstable": rho >= 1.0,
     }
 
-    if rho < 1.0 and not math.isinf(report.tau) and _is_stable_cached(sys):
+    ob_inf = ob if math.isinf(report.tau) else None
+    if inf_horizon_applies(sys, rom, tau):
         try:
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
-                ob_inf = bound_output_tl(sys, rsys, math.inf)
-            report.inf_horizon_sq = ob_inf.epsilon_squared
+                ob_inf = bound_output_tl(sys, rsys, math.inf, reach=inf_reach, obs=inf_obs)
         except SolvabilityError:
             pass
-    elif math.isinf(report.tau):
-        report.inf_horizon_sq = ob.epsilon_squared
+    if ob_inf is not None:
+        report.inf_horizon_sq = ob_inf.epsilon_squared
+        report.inf_horizon_gap = ob_inf.sides_relative_gap
+        report.inf_horizon_backend = "low-rank" if ob_inf.large_scale_approximate else "dense"
 
     if bal_inf is not None and bal_inf.tl_b is None and rom.r <= bal_inf.order:
         try:
             inf_expr = bound_inf_horizon(bal_inf, rom.r)
             report.inf_horizon_sq = inf_expr.value_sq
             report.inf_horizon_upper_sq = inf_expr.upper_sq
+            report.inf_horizon_gap = inf_expr.sides_relative_gap
+            report.inf_horizon_backend = "dense"
         except SolvabilityError:
             pass
 
@@ -633,11 +650,3 @@ def build_bound_report(sys: DiscreteLTISystem, rom, tau,
             }
     return report
 
-
-def _is_stable_cached(sys: DiscreteLTISystem) -> bool:
-    cached = sys.meta.get("_spectral_radius")
-    if cached is None:
-        check_dense_cap(sys.n, "stability check via dense eigensolve")
-        cached = sys.spectral_radius()
-        sys.meta["_spectral_radius"] = cached
-    return cached < 1.0

@@ -4,8 +4,18 @@ Subcommands: generate, gramian, reduce, bounds, simulate, pipeline.  The
 pipeline reproduces the experimental protocol end to end: build or load a
 system, approximate the (time-limited) Gramians, reduce by BT and/or TLBT,
 evaluate the error bounds, simulate, and emit plot-ready CSV files plus a
-JSON report.  Exit codes: 0 success, 2 configuration error, 3 solver
-failure, 4 I/O failure.
+JSON report.
+
+Exit codes:
+
+- 0: success;
+- 2: configuration error: bad flags or values (``ConfigError``,
+  ``ValueError``, ``DimensionMismatchError``) or a dense operation past
+  the size cap (``DenseCapError``);
+- 3: solver failure: ``ConvergenceError``, ``SolvabilityError``,
+  ``BreakdownError``, ``BalancingError``, ``EstimationError``,
+  ``SingularMassMatrixError``;
+- 4: I/O failure: ``SystemIOError``, ``OSError``.
 """
 from __future__ import annotations
 
@@ -24,9 +34,12 @@ import scipy.io as sio
 
 from . import balancing, bounds as bounds_mod, dense_stein, lowrank
 from .exceptions import (
+    BalancingError,
     BreakdownError,
     ConvergenceError,
-    ModelReductionError,
+    DenseCapError,
+    EstimationError,
+    SingularMassMatrixError,
     SolvabilityError,
     SystemIOError,
 )
@@ -192,22 +205,24 @@ def run_pipeline(cfg: JobConfig) -> ReportBundle:
     window = cfg.tau
     bundle = ReportBundle(system=system)
 
-    tl_reach = tl_obs = None
+    def solve_pair(tau, key):
+        """Both Gramians at one horizon; ``key`` 'tlbt' files the window
+        solves and 'bt' the infinite-horizon ones."""
+        pair = []
+        for side in ("reach", "obs"):
+            gram, records = compute_gramian(system, tau, side, cfg.solver, cfg)
+            bundle.convergence[(key, side)] = records
+            bundle.gramian_meta[(key, side)] = _solve_stats(gram, records)
+            pair.append(gram)
+        return pair
+
     inf_reach = inf_obs = None
-    if "tlbt" in cfg.methods or not math.isinf(window):
-        tl_reach, rec_r = compute_gramian(system, window, "reach", cfg.solver, cfg)
-        tl_obs, rec_o = compute_gramian(system, window, "obs", cfg.solver, cfg)
-        bundle.convergence[("tlbt", "reach")] = rec_r
-        bundle.convergence[("tlbt", "obs")] = rec_o
-        bundle.gramian_meta[("tlbt", "reach")] = _solve_stats(tl_reach, rec_r)
-        bundle.gramian_meta[("tlbt", "obs")] = _solve_stats(tl_obs, rec_o)
     if "bt" in cfg.methods:
-        inf_reach, rec_r = compute_gramian(system, math.inf, "reach", cfg.solver, cfg)
-        inf_obs, rec_o = compute_gramian(system, math.inf, "obs", cfg.solver, cfg)
-        bundle.convergence[("bt", "reach")] = rec_r
-        bundle.convergence[("bt", "obs")] = rec_o
-        bundle.gramian_meta[("bt", "reach")] = _solve_stats(inf_reach, rec_r)
-        bundle.gramian_meta[("bt", "obs")] = _solve_stats(inf_obs, rec_o)
+        inf_reach, inf_obs = solve_pair(math.inf, "bt")
+    if math.isinf(window):  # BT only: the window Gramians are the infinite-horizon ones
+        tl_reach, tl_obs = inf_reach, inf_obs
+    else:
+        tl_reach, tl_obs = solve_pair(window, "tlbt")
 
     for method in cfg.methods:
         if method == "bt":
@@ -218,9 +233,13 @@ def run_pipeline(cfg: JobConfig) -> ReportBundle:
             rom, _ = balancing.square_root_truncate(
                 tl_reach, tl_obs, system, window,
                 order=cfg.order, hsv_tol=cfg.hsv_tol, method="tlbt")
+        # TLBT only: solve the infinite-horizon pair once, if the report needs it
+        if inf_reach is None and bounds_mod.inf_horizon_applies(system, rom, window):
+            inf_reach, inf_obs = solve_pair(math.inf, "bt")
         bundle.roms[method] = rom
         bundle.reports[method] = bounds_mod.build_bound_report(
-            system, rom, window, reach=tl_reach, obs=tl_obs)
+            system, rom, window, reach=tl_reach, obs=tl_obs,
+            inf_reach=inf_reach, inf_obs=inf_obs)
 
     horizon = cfg.sim_horizon
     if horizon is None:
@@ -535,17 +554,16 @@ def _cmd_bounds(args) -> int:
         system=rom_sys, projector_v=np.eye(system.n, r), projector_w=np.eye(system.n, r),
         hsv=_spectrum_for_bounds(system, reach, obs, args.tau), r=r,
         horizon=args.tau if method == "tlbt" else math.inf, method=method)
-    bal = bal_inf = None
+    bal = bal_inf = inf_reach = inf_obs = None
     if args.balanced_expressions and not math.isinf(args.tau):
         bal = balancing.balance_dense(system, reach, obs, args.tau)
         if system.spectral_radius() < 1.0:
-            bal_inf = balancing.balance_dense(
-                system,
-                dense_stein.tl_gramian_dense(system, math.inf, "reach"),
-                dense_stein.tl_gramian_dense(system, math.inf, "obs"))
+            inf_reach = dense_stein.tl_gramian_dense(system, math.inf, "reach")
+            inf_obs = dense_stein.tl_gramian_dense(system, math.inf, "obs")
+            bal_inf = balancing.balance_dense(system, inf_reach, inf_obs)
     report = bounds_mod.build_bound_report(system, rom_model, args.tau,
-                                           reach=reach, obs=obs, bal=bal,
-                                           bal_inf=bal_inf,
+                                           reach=reach, obs=obs, inf_reach=inf_reach,
+                                           inf_obs=inf_obs, bal=bal, bal_inf=bal_inf,
                                            constants_method=args.constants)
     text = report.to_json() + "\n"
     if args.out:
@@ -613,18 +631,16 @@ def main(argv=None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return _COMMANDS[args.command](args)
-    except (ConfigError, ValueError) as exc:
+    except (ConfigError, ValueError, DenseCapError) as exc:
         print(f"configuration error: {exc}", file=_sys.stderr)
         return 2
-    except (ConvergenceError, SolvabilityError, BreakdownError) as exc:
+    except (ConvergenceError, SolvabilityError, BreakdownError, BalancingError,
+            EstimationError, SingularMassMatrixError) as exc:
         print(f"solver failure: {exc}", file=_sys.stderr)
         return 3
     except (SystemIOError, OSError) as exc:
         print(f"I/O failure: {exc}", file=_sys.stderr)
         return 4
-    except ModelReductionError as exc:
-        print(f"error: {exc}", file=_sys.stderr)
-        return 1
 
 
 if __name__ == "__main__":

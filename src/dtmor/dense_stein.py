@@ -163,7 +163,7 @@ def tl_gramian_dense(sys: DiscreteLTISystem, tau, side: str = "reach") -> DenseG
 
     B0 = work.input_map()
     if math.isinf(tau):
-        rho = work.spectral_radius()
+        rho = sys.spectral_radius()  # the adjoint shares it; sys keeps the memo
         if rho >= 1.0 - 1e-12:
             raise SolvabilityError(
                 f"infinite-horizon Gramian needs a stable pencil, spectral radius {rho:.6f}")

@@ -19,8 +19,10 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
+from .config import check_dense_cap
 from .exceptions import (
     DimensionMismatchError,
+    EstimationError,
     SingularMassMatrixError,
     SystemIOError,
 )
@@ -46,7 +48,8 @@ class DiscreteLTISystem:
     C (p x n) and optional mass matrix M (n x n, nonsingular).
 
     A and M may be scipy sparse matrices or dense arrays; B and C are dense.
-    Instances are immutable after construction and safe to share read-only.
+    Instances are immutable after construction and safe to share read-only;
+    the spectral radius is computed on first use and kept privately.
     """
 
     def __init__(self, A, B, C, M=None, meta: dict | None = None):
@@ -71,6 +74,7 @@ class DiscreteLTISystem:
         self.m = self.B.shape[1]
         self.p = self.C.shape[0]
         self._mass_solve = None
+        self._spectral_radius = None
         if self.M is not None:
             self._mass_solve = _factorize_nonsingular(self.M, "M")
 
@@ -102,7 +106,9 @@ class DiscreteLTISystem:
         MT = None
         if self.M is not None:
             MT = self.M.T.tocsr() if sp.issparse(self.M) else self.M.T.copy()
-        return DiscreteLTISystem(AT, self.C.T.copy(), self.B.T.copy(), MT)
+        adj = DiscreteLTISystem(AT, self.C.T.copy(), self.B.T.copy(), MT)
+        adj._spectral_radius = self._spectral_radius  # same spectrum
+        return adj
 
     def dense_dynamics(self) -> np.ndarray:
         """Dense standard-form state matrix M^{-1} A."""
@@ -117,8 +123,33 @@ class DiscreteLTISystem:
             self.dense_dynamics(), self.input_map(), self.C.copy(), meta=self.meta)
 
     def spectral_radius(self) -> float:
-        """Spectral radius of the (M, A) pencil, by dense eigensolve."""
-        return float(np.max(np.abs(np.linalg.eigvals(self.dense_dynamics()))))
+        """Spectral radius of the (M, A) pencil, computed once per instance.
+
+        Sparse A (n >= 3): ARPACK on M^{-1}A applied through
+        :meth:`apply_dynamics`, from a fixed start vector so that reruns
+        agree bit for bit; non-convergence raises :class:`EstimationError`.
+        Dense A: dense eigensolve, guarded by the dense cap.
+        """
+        if self._spectral_radius is None:
+            if sp.issparse(self.A) and self.n >= 3:
+                self._spectral_radius = self._arpack_radius()
+            else:
+                check_dense_cap(self.n, "dense spectral radius")
+                self._spectral_radius = float(
+                    np.max(np.abs(np.linalg.eigvals(self.dense_dynamics()))))
+        return self._spectral_radius
+
+    def _arpack_radius(self) -> float:
+        op = spla.LinearOperator((self.n, self.n), matvec=self.apply_dynamics,
+                                 dtype=float)
+        v0 = np.random.default_rng(0).standard_normal(self.n)
+        try:
+            vals = spla.eigs(op, k=1, which="LM", tol=0, v0=v0,
+                             return_eigenvectors=False)
+        except spla.ArpackNoConvergence as exc:
+            raise EstimationError(
+                f"ARPACK did not converge to the spectral radius (n={self.n})") from exc
+        return float(np.abs(vals[0]))
 
     def __repr__(self) -> str:
         tag = "generalized " if self.is_generalized else ""

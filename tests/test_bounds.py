@@ -9,6 +9,9 @@ import oracles
 from conftest import random_stable_system
 from dtmor import (
     EstimationError,
+    ExampleSpec,
+    ShiftStrategy,
+    SolverConfig,
     HankelSpectrum,
     asymptotic_constants,
     balance_dense,
@@ -18,9 +21,11 @@ from dtmor import (
     build_bound_report,
     build_system,
     error_expr_tlbt,
+    generate_example,
     hsv_tail_bound,
     impulse_sequence,
     numerical_radius,
+    rksm,
     simulate,
     square_root_truncate,
     tl_gramian_dense,
@@ -36,6 +41,17 @@ def _balanced(seed, n, m, p, tau, radius=0.8):
     bal = balance_dense(s, tl_gramian_dense(s, tau, "reach"),
                         tl_gramian_dense(s, tau, "obs"), tau)
     return s, bal
+
+
+def _lowrank_bt_jacobi():
+    """Jacobi N=20 (n=400), m=p=2, seed 1, with its low-rank
+    infinite-horizon Gramians and the BT model of order 10 built from them."""
+    s = generate_example(ExampleSpec(kind="jacobi", size=20, inputs=2, outputs=2, seed=1))
+    shifts = ShiftStrategy("alternating-pm1")
+    reach = rksm(s, "reach", math.inf, shifts, SolverConfig())
+    obs = rksm(s, "obs", math.inf, shifts, SolverConfig())
+    rom, _ = square_root_truncate(reach, obs, s, math.inf, order=10, method="bt")
+    return s, reach, obs, rom
 
 
 class TestH2InnerAndNorm:
@@ -185,6 +201,14 @@ class TestInfiniteHorizon:
         ref = oracles.h2_error_sq(bal.a, bal.b, bal.c,
                                   bal.a[:1, :1], bal.b[:1], bal.c[:, :1], 4000)
         assert ib.value_sq == pytest.approx(ref, rel=1e-10)
+
+
+    def test_lowrank_gramians_match_dense_oracle(self):
+        s, reach, obs, rom = _lowrank_bt_jacobi()
+        low = bound_output_tl(s, rom.system, math.inf, reach, obs)
+        dense = bound_output_tl(s, rom.system, math.inf)
+        assert low.large_scale_approximate and not dense.large_scale_approximate
+        assert low.epsilon_squared == pytest.approx(dense.epsilon_squared, rel=1e-4)
 
 
 class TestTlbtErrorExpression:
@@ -350,3 +374,20 @@ class TestBoundReport:
         bsys = build_system(bal.a, bal.b, bal.c)
         ob = bound_output_tl(bsys, bal.reduced_system(r), 15)
         assert ob.epsilon_squared == pytest.approx(expr.value, rel=1e-8)
+
+    def test_inf_horizon_reuses_given_gramians(self):
+        s, inf_reach, inf_obs, rom = _lowrank_bt_jacobi()
+        tau = 50
+        meta = dict(s.meta)
+        reach = tl_gramian_dense(s, tau, "reach")
+        obs = tl_gramian_dense(s, tau, "obs")
+        low = build_bound_report(s, rom, tau, reach=reach, obs=obs,
+                                 inf_reach=inf_reach, inf_obs=inf_obs)
+        ref = bound_output_tl(s, rom.system, math.inf, inf_reach, inf_obs)
+        assert low.inf_horizon_sq == ref.epsilon_squared
+        inf = low.to_dict()["inf_horizon"]
+        assert inf["backend"] == "low-rank"
+        assert inf["sides_relative_gap"] == ref.sides_relative_gap
+        dense = build_bound_report(s, rom, tau, reach=reach, obs=obs).to_dict()
+        assert dense["inf_horizon"]["backend"] == "dense"
+        assert s.meta == meta

@@ -1,9 +1,13 @@
 import json
+import math
 from pathlib import Path
 
+import numpy as np
 import pytest
+import scipy.io
 
 from dtmor import ExampleSpec, build_system, generate_example, read_system, write_system
+import dtmor.cli
 from dtmor.cli import (
     ConfigError,
     JobConfig,
@@ -57,6 +61,30 @@ class TestRunPipeline:
         assert rom.hsv_tail() <= 1e-2
         assert bundle.convergence[("tlbt", "reach")]
         assert bundle.reports["tlbt"].flags["large_scale_approximate"]
+
+
+    def test_tlbt_only_solves_inf_gramians_once_with_job_solver(self, monkeypatch):
+        # n=400 past a cap of 200: the report's infinite-horizon bound for the
+        # stable TLBT model must come from the run's own low-rank solves
+        monkeypatch.setenv("DTMOR_DENSE_CAP", "200")
+        calls = []
+        real = dtmor.cli.compute_gramian
+
+        def counting(system, tau, side, solver, cfg):
+            calls.append((tau, side))
+            return real(system, tau, side, solver, cfg)
+        monkeypatch.setattr(dtmor.cli, "compute_gramian", counting)
+        cfg = JobConfig(example=ExampleSpec(kind="jacobi", size=20, inputs=2,
+                                            outputs=2, seed=1),
+                        tau=50, methods=("tlbt",), order=10, solver="rksm-pm1")
+        bundle = run_pipeline(cfg)
+        report = bundle.reports["tlbt"]
+        assert report.rom_spectral_radius < 1.0
+        assert report.inf_horizon_backend == "low-rank"
+        assert report.inf_horizon_sq > 0
+        assert sorted(calls) == [(50, "obs"), (50, "reach"),
+                                 (math.inf, "obs"), (math.inf, "reach")]
+        assert bundle.gramian_meta[("bt", "reach")]["final_residual"] <= cfg.tol
 
 
 class TestErrorCsv:
@@ -158,6 +186,47 @@ class TestMainExitCodes:
                      "--out", str(tmp_path / "rom")])
         capsys.readouterr()
         assert code == 3
+
+    def test_dense_cap_exits_2(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("DTMOR_DENSE_CAP", "10")
+        code = main(["pipeline", "--kind", "random-stable", "--size", "12", "--tau", "10",
+                     "--order", "3", "--out", str(tmp_path / "j")])
+        capsys.readouterr()
+        assert code == 2
+
+    def test_balancing_error_exits_3(self, tmp_path, capsys):
+        # one input and two steps: the factor product has rank 2 < order 5
+        code = main(["reduce", "--kind", "jacobi", "--size", "3", "--tau", "2",
+                     "--order", "5", "--out", str(tmp_path / "rom")])
+        capsys.readouterr()
+        assert code == 3
+
+    def test_estimation_error_exits_3(self, tmp_path, capsys, monkeypatch):
+        def no_convergence(*args, **kwargs):
+            raise dtmor.system.spla.ArpackNoConvergence("no convergence", [], [])
+        monkeypatch.setattr(dtmor.system.spla, "eigs", no_convergence)
+        code = main(["pipeline", "--kind", "jacobi", "--size", "4", "--tau", "10",
+                     "--order", "3", "--out", str(tmp_path / "j")])
+        capsys.readouterr()
+        assert code == 3
+
+    def test_singular_mass_matrix_exits_3(self, tmp_path, capsys):
+        path = tmp_path / "sys"
+        write_system(generate_example(ExampleSpec(kind="jacobi", size=3)), path)
+        scipy.io.mmwrite(path / "M.mtx", np.diag([4.0] * 8 + [0.0]))
+        code = main(["pipeline", "--system", str(path), "--tau", "10",
+                     "--order", "3", "--out", str(tmp_path / "j")])
+        capsys.readouterr()
+        assert code == 3
+
+    @pytest.mark.parametrize("method,tau", [("both", "50"), ("tlbt", "50"), ("bt", "inf")])
+    def test_lowrank_pipeline_past_dense_cap(self, tmp_path, capsys, monkeypatch, method, tau):
+        monkeypatch.setenv("DTMOR_DENSE_CAP", "500")
+        code = main(["pipeline", "--kind", "jacobi", "--size", "40", "--solver", "rksm-pm1",
+                     "--tau", tau, "--order", "10", "--method", method,
+                     "--out", str(tmp_path / "j")])
+        capsys.readouterr()
+        assert code == 0
 
     def test_bad_flag_exits_2(self, capsys):
         assert main(["pipeline", "--tau", "banana"]) == 2

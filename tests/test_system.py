@@ -6,8 +6,11 @@ import scipy.sparse as sp
 
 import oracles
 from conftest import random_stable_system
+import dtmor.system
 from dtmor import (
+    DenseCapError,
     DimensionMismatchError,
+    EstimationError,
     ExampleSpec,
     SingularMassMatrixError,
     SystemIOError,
@@ -19,6 +22,46 @@ from dtmor import (
     simulate,
     write_system,
 )
+
+
+class TestSpectralRadius:
+    @pytest.mark.parametrize("kind", ["jacobi", "gauss-seidel", "laplacian-grid"])
+    def test_arpack_matches_dense_eigvals(self, kind):
+        s = generate_example(ExampleSpec(kind=kind, size=20, seed=1))
+        dense = np.max(np.abs(np.linalg.eigvals(s.dense_dynamics())))
+        assert s.spectral_radius() == pytest.approx(dense, rel=1e-12)
+
+    def test_fresh_systems_agree_bitwise(self):
+        spec = ExampleSpec(kind="gauss-seidel", size=15, seed=4)
+        assert generate_example(spec).spectral_radius() == \
+            generate_example(spec).spectral_radius()
+
+    def test_memo_and_dual_reuse(self, monkeypatch):
+        s = generate_example(ExampleSpec(kind="jacobi", size=10, seed=2))
+        rho = s.spectral_radius()
+
+        def fail(*args, **kwargs):
+            raise AssertionError("spectral radius recomputed")
+        monkeypatch.setattr(dtmor.system.spla, "eigs", fail)
+        monkeypatch.setattr(dtmor.system.np.linalg, "eigvals", fail)
+        assert s.spectral_radius() == rho
+        assert s.dual().spectral_radius() == rho
+        assert "_spectral_radius" not in s.meta
+
+    def test_arpack_failure_raises(self, monkeypatch):
+        def no_convergence(*args, **kwargs):
+            raise dtmor.system.spla.ArpackNoConvergence("no convergence", [], [])
+        monkeypatch.setattr(dtmor.system.spla, "eigs", no_convergence)
+        s = generate_example(ExampleSpec(kind="jacobi", size=5, seed=2))
+        with pytest.raises(EstimationError):
+            s.spectral_radius()
+
+    def test_dense_matrix_respects_cap(self, monkeypatch):
+        monkeypatch.setenv("DTMOR_DENSE_CAP", "10")
+        with pytest.raises(DenseCapError):
+            random_stable_system(3, 12).spectral_radius()
+        sparse = generate_example(ExampleSpec(kind="jacobi", size=5, seed=2))
+        assert sparse.spectral_radius() == pytest.approx(np.cos(np.pi / 6), rel=1e-12)
 
 
 class TestBuildSystem:
