@@ -67,8 +67,6 @@ class BalancedPartition:
     F2: np.ndarray | None
     G1: np.ndarray | None
     G2: np.ndarray | None
-    V: np.ndarray
-    W: np.ndarray
 
 
 @dataclass
@@ -111,8 +109,6 @@ class BalancedRealization:
             F2=None if self.tl_b is None else self.tl_b[r:],
             G1=None if self.tl_c is None else self.tl_c[:, :r],
             G2=None if self.tl_c is None else self.tl_c[:, r:],
-            V=self.transform_inv[:, :r],
-            W=self.transform[:r, :].T,
         )
 
     def reduced_system(self, r: int) -> DiscreteLTISystem:
@@ -135,13 +131,6 @@ class ReducedOrderModel:
     r: int
     horizon: float
     method: str
-
-    def tl_terms(self) -> tuple[np.ndarray | None, np.ndarray | None]:
-        """Reduced horizon terms (A^tau B, C A^tau); None at infinite horizon."""
-        if math.isinf(self.horizon):
-            return None, None
-        Ak = np.linalg.matrix_power(self.system.A, int(self.horizon))
-        return Ak @ self.system.B, self.system.C @ Ak
 
     def hsv_tail(self) -> float:
         return self.hsv.tail_sum(self.r)

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import json
 import math
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -59,33 +58,8 @@ def _trace_input_gram(B: np.ndarray, gram) -> float:
     return float(np.trace(B.T @ Q @ B))
 
 
-def _cross_direct_sum(sys: DiscreteLTISystem, rom: DiscreteLTISystem, tau: int,
-                      side: str) -> np.ndarray:
-    """Brute-force fallback for the mixed Stein-like solution."""
-    if side == "Z":
-        return _cross_direct_sum(sys.dual(), rom.dual(), tau, "Y")
-    X = sys.input_map()
-    Xh = rom.input_map()
-    Y = np.zeros((sys.n, rom.n))
-    for _ in range(int(tau)):
-        Y += X @ Xh.T
-        X = sys.apply_dynamics(X)
-        Xh = rom.apply_dynamics(Xh)
-    return Y
-
-
-def _cross_matrix(sys, rom, tau, side):
-    """Cross solution via the matrix equation, falling back to summation
-    when the equation is not uniquely solvable."""
-    try:
-        return solve_cross_sylvester(sys, rom, tau, side=side).matrix, False
-    except SolvabilityError:
-        if math.isinf(tau):
-            raise
-        warnings.warn(
-            "cross Stein-like equation not uniquely solvable; "
-            "falling back to direct summation", stacklevel=3)
-        return _cross_direct_sum(sys, rom, int(tau), side), True
+def _relative_gap(x: float, y: float) -> float:
+    return abs(x - y) / max(abs(x), abs(y), 1e-300)
 
 
 # ---------------------------------------------------------------------------
@@ -93,10 +67,10 @@ def _cross_matrix(sys, rom, tau, side):
 
 def tl_h2_inner(s1: DiscreteLTISystem, s2: DiscreteLTISystem, tau) -> float:
     """Time-limited h2 inner product sum_{j<=tau} trace(h1(j) h2(j)^T),
-    evaluated through the mixed matrix-equation solution."""
+    evaluated through the mixed cross Gramian."""
     if s1.m != s2.m or s1.p != s2.p:
         raise DimensionMismatchError("systems must share input and output counts")
-    Y, _ = _cross_matrix(s1, s2, tau, "Y")
+    Y = solve_cross_sylvester(s1, s2, tau, "Y").matrix
     return float(np.trace(s1.C @ Y @ s2.C.T))
 
 
@@ -128,7 +102,6 @@ class OutputErrorBound:
     averaged_sides: bool
     absolute_value_applied: bool
     large_scale_approximate: bool
-    used_direct_sum_fallback: bool
 
     @property
     def epsilon_squared(self) -> float:
@@ -168,8 +141,8 @@ def bound_output_tl(sys: DiscreteLTISystem, rom: DiscreteLTISystem, tau,
         obs = tl_gramian_dense(sys, tau, "obs")
     rom_reach = tl_gramian_dense(rom, tau, "reach")
     rom_obs = tl_gramian_dense(rom, tau, "obs")
-    Y, fb1 = _cross_matrix(sys, rom, tau, "Y")
-    Z, fb2 = _cross_matrix(sys, rom, tau, "Z")
+    Y = solve_cross_sylvester(sys, rom, tau, "Y").matrix
+    Z = solve_cross_sylvester(sys, rom, tau, "Z").matrix
 
     tc = (_trace_output_gram(sys.C, reach)
           + _trace_output_gram(rom.C, rom_reach)
@@ -177,15 +150,12 @@ def bound_output_tl(sys: DiscreteLTISystem, rom: DiscreteLTISystem, tau,
     tb = (_trace_input_gram(sys.B, obs)
           + _trace_input_gram(rom.B, rom_obs)
           - 2.0 * float(np.trace(sys.B.T @ Z @ rom.B)))
-    avg = 0.5 * (tc + tb)
-    gap = abs(tc - tb) / max(abs(tc), abs(tb), 1e-300)
     return OutputErrorBound(
-        epsilon=math.sqrt(abs(avg)),
+        epsilon=math.sqrt(abs(0.5 * (tc + tb))),
         horizon=float(tau) if not math.isinf(tau) else math.inf,
-        trace_c_side=tc, trace_b_side=tb, sides_relative_gap=gap,
+        trace_c_side=tc, trace_b_side=tb, sides_relative_gap=_relative_gap(tc, tb),
         averaged_sides=True, absolute_value_applied=True,
-        large_scale_approximate=approximate,
-        used_direct_sum_fallback=fb1 or fb2)
+        large_scale_approximate=approximate)
 
 
 # ---------------------------------------------------------------------------
@@ -204,12 +174,41 @@ class BalancedErrorExpression:
     sides_relative_gap: float
 
 
-def _partition_cross(bal: BalancedRealization, r: int, tau):
+def _balanced_error_terms(bal: BalancedRealization, r: int) -> tuple[dict, dict]:
+    """C-side and B-side trace terms of the squared error norm of truncating
+    ``bal`` at order r over its own horizon: the neglected block, the
+    coupling through the cross Gramians and the ROM-Gramian gap, plus the
+    horizon residual when ``bal`` is time-limited.  Each side sums to the
+    squared norm."""
+    tau = bal.horizon
+    part = bal.partition(r)
     full = DiscreteLTISystem(bal.a, bal.b, bal.c)
     rom = bal.reduced_system(r)
-    Y, _ = _cross_matrix(full, rom, tau, "Y")
-    Z, _ = _cross_matrix(full, rom, tau, "Z")
-    return full, rom, Y, Z
+    Y = solve_cross_sylvester(full, rom, tau, "Y").matrix
+    Z = solve_cross_sylvester(full, rom, tau, "Z").matrix
+    rom_reach = tl_gramian_dense(rom, tau, "reach")
+    rom_obs = tl_gramian_dense(rom, tau, "obs")
+
+    S1 = np.diag(part.sigma1)
+    c = {
+        "neglected_block": float(np.trace((part.C2 * part.sigma2) @ part.C2.T)),
+        "coupling": 2.0 * float(np.trace((part.A12 * part.sigma2) @ bal.a[:, r:].T @ Z)),
+        "rom_gramian_gap": float(np.trace(part.C1 @ (rom_reach.gramian - S1) @ part.C1.T)),
+    }
+    b = {
+        "neglected_block": float(np.trace(part.B2.T @ (part.sigma2[:, None] * part.B2))),
+        "coupling": 2.0 * float(np.trace(
+            part.A21.T @ (part.sigma2[:, None] * (bal.a[r:, :] @ Y)))),
+        "rom_gramian_gap": float(np.trace(part.B1.T @ (rom_obs.gramian - S1) @ part.B1)),
+    }
+    if bal.tl_b is not None:
+        Fh = rom_reach.tl_term          # Ahat^tau Bhat
+        Gh = rom_obs.tl_term.T          # Chat Ahat^tau, from the adjoint side
+        c["tl_residual"] = 2.0 * (float(np.trace(S1 @ part.G1.T @ Gh))
+                                  - float(np.trace(part.F1 @ bal.tl_b.T @ Z)))
+        b["tl_residual"] = 2.0 * (float(np.trace(S1 @ part.F1 @ Fh.T))
+                                  - float(np.trace(part.G1.T @ bal.tl_c @ Y)))
+    return c, b
 
 
 def error_expr_tlbt(bal: BalancedRealization, r: int) -> BalancedErrorExpression:
@@ -219,40 +218,13 @@ def error_expr_tlbt(bal: BalancedRealization, r: int) -> BalancedErrorExpression
     error; the equality is the module's central correctness test."""
     if bal.tl_b is None:
         raise ValueError("needs a time-limited balanced realization")
-    tau = bal.horizon
-    part = bal.partition(r)
-    full, rom, Y, Z = _partition_cross(bal, r, tau)
-
-    F, G = bal.tl_b, bal.tl_c
-    Fh = np.linalg.matrix_power(part.A11, int(tau)) @ part.B1
-    Gh = part.C1 @ np.linalg.matrix_power(part.A11, int(tau))
-    rom_reach = tl_gramian_dense(rom, tau, "reach").gramian
-    rom_obs = tl_gramian_dense(rom, tau, "obs").gramian
-
-    S1 = np.diag(part.sigma1)
-    t_neglected_c = float(np.trace((part.C2 * part.sigma2) @ part.C2.T))
-    t_coupling_c = 2.0 * float(np.trace((part.A12 * part.sigma2) @ bal.a[:, r:].T @ Z))
-    t_rom_gap_c = float(np.trace(part.C1 @ (rom_reach - S1) @ part.C1.T))
-    r_tau = 2.0 * (float(np.trace(S1 @ part.G1.T @ Gh)) - float(np.trace(part.F1 @ F.T @ Z)))
-
-    t_neglected_b = float(np.trace(part.B2.T @ (part.sigma2[:, None] * part.B2)))
-    t_coupling_b = 2.0 * float(np.trace(part.A21.T @ (part.sigma2[:, None] * (bal.a[r:, :] @ Y))))
-    t_rom_gap_b = float(np.trace(part.B1.T @ (rom_obs - S1) @ part.B1))
-    r_tau_dual = 2.0 * (float(np.trace(S1 @ part.F1 @ Fh.T)) - float(np.trace(part.G1.T @ G @ Y)))
-
-    c_side = t_neglected_c + t_coupling_c + t_rom_gap_c + r_tau
-    b_side = t_neglected_b + t_coupling_b + t_rom_gap_b + r_tau_dual
-    avg = 0.5 * (c_side + b_side)
-    terms = {
-        "neglected_block": 0.5 * (t_neglected_c + t_neglected_b),
-        "coupling": 0.5 * (t_coupling_c + t_coupling_b),
-        "rom_gramian_gap": 0.5 * (t_rom_gap_c + t_rom_gap_b),
-        "tl_residual": 0.5 * (r_tau + r_tau_dual),
-    }
+    c, b = _balanced_error_terms(bal, r)
+    c_side, b_side = sum(c.values()), sum(b.values())
     return BalancedErrorExpression(
-        value=abs(avg), c_side=c_side, b_side=b_side,
-        residual_term=r_tau, residual_term_dual=r_tau_dual, terms=terms,
-        sides_relative_gap=abs(c_side - b_side) / max(abs(c_side), abs(b_side), 1e-300))
+        value=abs(0.5 * (c_side + b_side)), c_side=c_side, b_side=b_side,
+        residual_term=c["tl_residual"], residual_term_dual=b["tl_residual"],
+        terms={name: 0.5 * (c[name] + b[name]) for name in c},
+        sides_relative_gap=_relative_gap(c_side, b_side))
 
 
 @dataclass
@@ -271,26 +243,13 @@ def bound_inf_horizon(bal: BalancedRealization, r: int) -> InfiniteHorizonBound:
     """Infinite-horizon error expression from the balanced blocks."""
     if bal.tl_b is not None:
         raise ValueError("needs an infinite-horizon balanced realization")
-    part = bal.partition(r)
-    full, rom, Y, Z = _partition_cross(bal, r, math.inf)
-    S1 = np.diag(part.sigma1)
-    rom_reach = solve_stein_dense(part.A11, part.B1 @ part.B1.T)
-    rom_obs = solve_stein_dense(part.A11.T, part.C1.T @ part.C1)
-
-    t1c = float(np.trace((part.C2 * part.sigma2) @ part.C2.T))
-    t2c = 2.0 * float(np.trace((part.A12 * part.sigma2) @ bal.a[:, r:].T @ Z))
-    t3c = float(np.trace(part.C1 @ (rom_reach - S1) @ part.C1.T))
-    t1b = float(np.trace(part.B2.T @ (part.sigma2[:, None] * part.B2)))
-    t2b = 2.0 * float(np.trace(part.A21.T @ (part.sigma2[:, None] * (bal.a[r:, :] @ Y))))
-    t3b = float(np.trace(part.B1.T @ (rom_obs - S1) @ part.B1))
-
-    c_side = t1c + t2c + t3c
-    b_side = t1b + t2b + t3b
-    avg = 0.5 * (c_side + b_side)
-    upper = 0.5 * ((t1c + t2c) + (t1b + t2b))
+    c, b = _balanced_error_terms(bal, r)
+    c_side, b_side = sum(c.values()), sum(b.values())
+    upper = 0.5 * ((c["neglected_block"] + c["coupling"])
+                   + (b["neglected_block"] + b["coupling"]))
     return InfiniteHorizonBound(
-        value_sq=abs(avg), upper_sq=abs(upper), c_side=c_side, b_side=b_side,
-        sides_relative_gap=abs(c_side - b_side) / max(abs(c_side), abs(b_side), 1e-300))
+        value_sq=abs(0.5 * (c_side + b_side)), upper_sq=abs(upper),
+        c_side=c_side, b_side=b_side, sides_relative_gap=_relative_gap(c_side, b_side))
 
 
 # ---------------------------------------------------------------------------
@@ -445,7 +404,7 @@ def bound_theorem32(bal: BalancedRealization, r: int, tau,
     else:
         full = DiscreteLTISystem(bal.a, bal.b, bal.c)
         rom = bal.reduced_system(r)
-        Z, _ = _cross_matrix(full, rom, tau, "Z")
+        Z = solve_cross_sylvester(full, rom, tau, "Z").matrix
         nZ = nrm(Z)
         if math.isinf(tau):
             rom_reach = solve_stein_dense(part.A11, part.B1 @ part.B1.T)
@@ -591,9 +550,7 @@ def build_bound_report(sys: DiscreteLTISystem, rom, tau,
         method=rom.method, tau=float(tau) if not math.isinf(tau) else math.inf,
         r=rom.r, rom_spectral_radius=rho, hsv_tail=rom.hsv_tail())
 
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        ob = bound_output_tl(sys, rsys, tau, reach=reach, obs=obs)
+    ob = bound_output_tl(sys, rsys, tau, reach=reach, obs=obs)
     report.prop23_epsilon = ob.epsilon
     report.prop23_trace_c = ob.trace_c_side
     report.prop23_trace_b = ob.trace_b_side
@@ -602,7 +559,6 @@ def build_bound_report(sys: DiscreteLTISystem, rom, tau,
         "averaged_sides": ob.averaged_sides,
         "absolute_value_applied": ob.absolute_value_applied,
         "large_scale_approximate": ob.large_scale_approximate,
-        "cross_solve_fallback": ob.used_direct_sum_fallback,
         "sides_disagree": ob.sides_disagree,
         "rom_unstable": rho >= 1.0,
     }
@@ -610,9 +566,7 @@ def build_bound_report(sys: DiscreteLTISystem, rom, tau,
     ob_inf = ob if math.isinf(report.tau) else None
     if inf_horizon_applies(sys, rom, tau):
         try:
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")
-                ob_inf = bound_output_tl(sys, rsys, math.inf, reach=inf_reach, obs=inf_obs)
+            ob_inf = bound_output_tl(sys, rsys, math.inf, reach=inf_reach, obs=inf_obs)
         except SolvabilityError:
             pass
     if ob_inf is not None:

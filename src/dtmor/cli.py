@@ -26,7 +26,7 @@ import os
 import shutil
 import sys as _sys
 import tempfile
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -62,7 +62,8 @@ class ConfigError(ValueError):
 @dataclass
 class JobConfig:
     """Everything one pipeline run depends on; two identical configs produce
-    byte-identical outputs."""
+    byte-identical outputs when run with the same BLAS thread count (the
+    trace sums round differently with another thread count)."""
     system_path: str | None = None
     example: ExampleSpec | None = None
     tau: float = 50
@@ -390,20 +391,11 @@ def _system_from_args(args) -> tuple[str | None, ExampleSpec | None]:
 
 def _add_solver_flags(p: argparse.ArgumentParser):
     p.add_argument("--solver", choices=SOLVERS, default="dense")
-    p.add_argument("--shifts", choices=("pm1", "disc"),
-                   help="override the rksm shift strategy")
     p.add_argument("--tol", type=float, default=1e-8)
     p.add_argument("--tl-tol", type=float,
                    help="horizon-term settling tolerance (default: min(tol, 1e-8))")
     p.add_argument("--cadence", type=int, default=5)
     p.add_argument("--max-iter", type=int, default=400)
-
-
-def _resolve_solver(args) -> str:
-    solver = args.solver
-    if args.shifts is not None:
-        solver = "rksm-pm1" if args.shifts == "pm1" else "rksm-disc"
-    return solver
 
 
 def _resolve_tl_tol(args) -> float:
@@ -485,7 +477,7 @@ def _cmd_gramian(args) -> int:
     path, spec = _system_from_args(args)
     system = read_system(path) if path else generate_example(spec)
     cfg = JobConfig(system_path=path, example=spec, tau=args.tau, order=1,
-                    solver=_resolve_solver(args), tol=args.tol,
+                    solver=args.solver, tol=args.tol,
                     tl_term_tol=_resolve_tl_tol(args), cadence=args.cadence,
                     max_iterations=args.max_iter)
     result, records = compute_gramian(system, args.tau, args.side, cfg.solver, cfg)
@@ -523,7 +515,7 @@ def _cmd_reduce(args) -> int:
     if (args.order is None) == (args.hsv_tol is None):
         raise ConfigError("exactly one of --order and --hsv-tol is required")
     cfg = JobConfig(system_path=path, example=spec, tau=args.tau, order=args.order,
-                    hsv_tol=args.hsv_tol, solver=_resolve_solver(args), tol=args.tol,
+                    hsv_tol=args.hsv_tol, solver=args.solver, tol=args.tol,
                     tl_term_tol=_resolve_tl_tol(args), cadence=args.cadence,
                     max_iterations=args.max_iter)
     tau = math.inf if args.method == "bt" else args.tau
@@ -546,22 +538,25 @@ def _cmd_bounds(args) -> int:
         manifest = json.load(fh)
     prov = manifest.get("provenance") or {}
     method = prov.get("method", "tlbt")
-    r = rom_sys.n
 
     reach = dense_stein.tl_gramian_dense(system, args.tau, "reach")
     obs = dense_stein.tl_gramian_dense(system, args.tau, "obs")
-    rom_model = balancing.ReducedOrderModel(
-        system=rom_sys, projector_v=np.eye(system.n, r), projector_w=np.eye(system.n, r),
-        hsv=_spectrum_for_bounds(system, reach, obs, args.tau), r=r,
-        horizon=args.tau if method == "tlbt" else math.inf, method=method)
-    bal = bal_inf = inf_reach = inf_obs = None
+    inf_reach, inf_obs = (reach, obs) if math.isinf(args.tau) else (None, None)
+    if inf_reach is None and (method == "bt" or (args.balanced_expressions
+                                                 and system.spectral_radius() < 1.0)):
+        inf_reach = dense_stein.tl_gramian_dense(system, math.inf, "reach")
+        inf_obs = dense_stein.tl_gramian_dense(system, math.inf, "obs")
+    # the Hankel spectrum of the model's own method, as `reduce` computes it
+    horizon = math.inf if method == "bt" else args.tau
+    own = (inf_reach, inf_obs) if method == "bt" else (reach, obs)
+    rom, _ = balancing.square_root_truncate(*own, system, horizon, order=rom_sys.n,
+                                            method=method)
+    bal = bal_inf = None
     if args.balanced_expressions and not math.isinf(args.tau):
         bal = balancing.balance_dense(system, reach, obs, args.tau)
-        if system.spectral_radius() < 1.0:
-            inf_reach = dense_stein.tl_gramian_dense(system, math.inf, "reach")
-            inf_obs = dense_stein.tl_gramian_dense(system, math.inf, "obs")
+        if inf_reach is not None:
             bal_inf = balancing.balance_dense(system, inf_reach, inf_obs)
-    report = bounds_mod.build_bound_report(system, rom_model, args.tau,
+    report = bounds_mod.build_bound_report(system, replace(rom, system=rom_sys), args.tau,
                                            reach=reach, obs=obs, inf_reach=inf_reach,
                                            inf_obs=inf_obs, bal=bal, bal_inf=bal_inf,
                                            constants_method=args.constants)
@@ -572,14 +567,6 @@ def _cmd_bounds(args) -> int:
     else:
         _sys.stdout.write(text)
     return 0
-
-
-def _spectrum_for_bounds(system, reach, obs, tau) -> balancing.HankelSpectrum:
-    ZP = balancing._as_factor(reach)
-    ZQ = balancing._as_factor(obs)
-    MZP = ZP if system.M is None else system.M @ ZP
-    svals = np.linalg.svd(ZQ.T @ MZP, compute_uv=False)
-    return balancing.HankelSpectrum(svals, float(tau) if not math.isinf(tau) else math.inf)
 
 
 def _cmd_simulate(args) -> int:
@@ -600,7 +587,7 @@ def _cmd_pipeline(args) -> int:
     methods = ("bt", "tlbt") if args.method == "both" else (args.method,)
     cfg = JobConfig(
         system_path=path, example=spec, tau=args.tau, methods=methods,
-        order=args.order, hsv_tol=args.hsv_tol, solver=_resolve_solver(args),
+        order=args.order, hsv_tol=args.hsv_tol, solver=args.solver,
         tol=args.tol, tl_term_tol=_resolve_tl_tol(args), cadence=args.cadence,
         max_iterations=args.max_iter, sim_horizon=args.sim_horizon,
         input_kind="impulse" if args.input == "impulse" else "seeded-random",

@@ -186,8 +186,12 @@ def solve_cross_sylvester(sys: DiscreteLTISystem, rom: DiscreteLTISystem,
     Side 'Y' solves  Abar Y Ahat^T - Y + Bbar Bhat^T - Fbar Fhat^T = 0 in
     standard form; side 'Z' is the same equation on the adjoint pair, whose
     solution satisfies trace(B^T Z Bhat) = <S, Shat> with the original B.
-    The reduced coefficient is Schur-decomposed and the full-order side is
-    only touched through r shifted solves, so sparse systems stay sparse.
+
+    Finite tau: the defining sum of Abar^j Bbar Bhat^T (Ahat^T)^j over
+    j < tau, which satisfies the equation identically and exists for every
+    pair of spectra.  tau = inf (the F terms absent): the reduced coefficient
+    is Schur-decomposed and the full-order side is only touched through r
+    shifted solves, so sparse systems stay sparse.
     """
     if side not in ("Y", "Z"):
         raise ValueError(f"side must be 'Y' or 'Z', got {side!r}")
@@ -199,22 +203,19 @@ def solve_cross_sylvester(sys: DiscreteLTISystem, rom: DiscreteLTISystem,
             f"input counts disagree: full {sys.m}, reduced {rom.m}")
     check_dense_cap(rom.n, "reduced coefficient in cross Sylvester solve")
 
+    X = sys.input_map()
+    Xh = rom.input_map()
+    if not math.isinf(tau):
+        Ymat = np.zeros((sys.n, rom.n))
+        for _ in range(int(tau)):
+            Ymat += X @ Xh.T
+            X = sys.apply_dynamics(X)
+            Xh = rom.apply_dynamics(Xh)
+        return CrossGramian(Ymat, float(int(tau)), "Y")
+
     r = rom.n
     Ahat = rom.dense_dynamics()
-    Bhat = rom.input_map()
-    Bbar = sys.input_map()
-
-    finite = not math.isinf(tau)
-    if finite:
-        tau = int(tau)
-        Fbar = Bbar.copy()
-        for _ in range(tau):
-            Fbar = sys.apply_dynamics(Fbar)
-        Fhat = np.linalg.matrix_power(Ahat, tau) @ Bhat
-        W = Bbar @ Bhat.T - Fbar @ Fhat.T
-    else:
-        W = Bbar @ Bhat.T
-
+    W = X @ Xh.T
     TB, V = sla.schur(Ahat.astype(complex), output="complex")
     Wt = W @ V.conj()
     n = sys.n
@@ -236,7 +237,7 @@ def solve_cross_sylvester(sys: DiscreteLTISystem, rom: DiscreteLTISystem,
         raise SolvabilityError(
             "cross Sylvester solve failed its residual check; "
             "likely a reciprocal eigenvalue pair near 1")
-    return CrossGramian(Ymat, float(tau) if finite else math.inf, "Y")
+    return CrossGramian(Ymat, math.inf, "Y")
 
 
 def _shifted_standard_solve(sys: DiscreteLTISystem, lam: complex, rhs: np.ndarray) -> np.ndarray:

@@ -83,18 +83,15 @@ class KrylovState:
     ``basis`` has orthonormal columns; ``projected`` is basis^T A basis in
     standard form; ``offspace_dir``/``offspace_coeff`` factor the part of
     A*basis that leaves the subspace, which is what the compressed residual
-    formula consumes.  ``orth_coeffs`` stores the per-step orthogonalization
-    coefficient columns.
+    formula consumes.
     """
     block_width: int
-    beta: np.ndarray | None = None
     basis: np.ndarray | None = None
     image: np.ndarray | None = None        # A @ basis, kept in sync
     projected: np.ndarray | None = None    # basis^T A basis
     offspace_dir: np.ndarray | None = None
     offspace_coeff: np.ndarray | None = None
     shifts: list = field(default_factory=list)
-    orth_coeffs: list = field(default_factory=list)
 
     @property
     def dimension(self) -> int:
@@ -496,13 +493,13 @@ def rksm(sys: DiscreteLTISystem, side: str, tau,
         if tau < 1:
             raise ValueError("tau must be >= 1 or inf")
 
-    q1, beta = _orth_columns(B0)
+    q1, _ = _orth_columns(B0)
     if q1.shape[1] == 0:
         z = np.zeros((op.n, 0))
         return GramianApprox(z, np.zeros((0, 0)), np.zeros((op.n, op.m)) if finite else None,
                              side, float(tau) if finite else math.inf, 0, 0.0, [], [])
 
-    state = KrylovState(block_width=q1.shape[1], beta=beta)
+    state = KrylovState(block_width=q1.shape[1])
     Q = q1
     W = op.apply(Q)
     H = Q.T @ W
@@ -526,8 +523,7 @@ def rksm(sys: DiscreteLTISystem, side: str, tau,
             # columns; mark the conjugate shift as consumed
             state.shifts.append(s.conjugate())
             cand = np.hstack([g.real, g.imag])
-        nb, hc, core = _gram_schmidt_block(Q, cand)
-        state.orth_coeffs.append((hc, core))
+        nb, _, _ = _gram_schmidt_block(Q, cand)
         deflated += cand.shape[1] - nb.shape[1]
         grew = nb.shape[1] > 0
         if grew:

@@ -141,17 +141,30 @@ class TestOutputBound:
 
     def test_direct_sum_fallback_on_reciprocal_pair(self):
         # alpha * beta = 1 between system and model spectra: the matrix
-        # equation has no unique solution, the sum still does
+        # equation has no unique solution, the finite-horizon sum still does
         sys_ = build_system(np.diag([2.0, 0.3]), np.ones((2, 1)), np.ones((1, 2)))
         rom = build_system([[0.5]], [[1.0]], [[1.0]])
         tau = 6
-        with pytest.warns(UserWarning):
-            ob = bound_output_tl(sys_, rom, tau)
-        assert ob.used_direct_sum_fallback
+        ob = bound_output_tl(sys_, rom, tau)
         h = oracles.impulse_seq(sys_.A, sys_.B, sys_.C, tau)
         hr = oracles.impulse_seq(rom.A, rom.B, rom.C, tau)
         ref = math.sqrt(float(np.sum((h - hr) ** 2)))
         assert ob.epsilon == pytest.approx(ref, rel=1e-10)
+
+    def test_desk_dense_epsilon_matches_impulse_sum(self):
+        # Gauss-Seidel N=20 (n=400), m=p=2, seed 1, tau=50, r=10, dense: the
+        # trace terms cancel to about 1e-4 of each, so cross Gramians that
+        # are not summed like the window Gramians show up in epsilon
+        from dtmor.cli import JobConfig, run_pipeline
+        cfg = JobConfig(example=ExampleSpec(kind="gauss-seidel", size=20, inputs=2,
+                                            outputs=2, seed=1),
+                        tau=50, methods=("bt", "tlbt"), order=10, solver="dense")
+        bundle = run_pipeline(cfg)
+        Ad, Bd, C = oracles.dense_standard(bundle.system)
+        for method, rom in bundle.roms.items():
+            r = rom.system
+            ref = math.sqrt(oracles.h2_error_sq(Ad, Bd, C, r.A, r.B, r.C, 50))
+            assert bundle.reports[method].prop23_epsilon == pytest.approx(ref, rel=1e-5)
 
     def test_large_scale_flag_with_lowrank_gramians(self):
         from dtmor import rksm, SolverConfig, ShiftStrategy

@@ -247,6 +247,31 @@ class TestMainExitCodes:
         assert summary["tau"] == 10 and summary["residual"] <= 1e-8
         capsys.readouterr()
 
+    def test_bounds_hsv_tail_matches_pipeline(self, tmp_path, capsys):
+        # the tail comes from the model's own Gramians: infinite-horizon
+        # ones for BT, window ones for TLBT
+        source = ["--kind", "gauss-seidel", "--size", "8", "--inputs", "2",
+                  "--outputs", "2", "--seed", "3"]
+        assert main(["pipeline", *source, "--tau", "20", "--order", "4", "--method", "both",
+                     "--solver", "dense", "--out", str(tmp_path / "job")]) == 0
+        doc = json.loads((tmp_path / "job" / "report.json").read_text())
+        for method in ("bt", "tlbt"):
+            out = tmp_path / f"{method}.json"
+            assert main(["bounds", *source, "--rom", str(tmp_path / "job" / f"rom_{method}"),
+                         "--tau", "20", "--out", str(out)]) == 0
+            tail = json.loads(out.read_text())["hsv_tail"]
+            assert tail == pytest.approx(doc["reports"][method]["hsv_tail"], rel=1e-10)
+        capsys.readouterr()
+
+    def test_bounds_rom_past_numerical_rank_exits_3(self, tmp_path, capsys):
+        # one input and two steps: the factor product has rank 2 < order 5
+        assert main(["generate", "--kind", "random-stable", "--size", "5",
+                     "--out", str(tmp_path / "rom")]) == 0
+        code = main(["bounds", "--kind", "jacobi", "--size", "3", "--tau", "2",
+                     "--rom", str(tmp_path / "rom"), "--out", str(tmp_path / "rep.json")])
+        capsys.readouterr()
+        assert code == 3
+
     def test_reduce_and_bounds_roundtrip(self, tmp_path, capsys):
         assert main(["generate", "--kind", "random-stable", "--size", "10",
                      "--inputs", "2", "--outputs", "2", "--seed", "4",

@@ -2,12 +2,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from conftest import random_stable_system
 from dtmor import (
     DenseCapError,
+    ExampleSpec,
     SolvabilityError,
+    build_system,
+    generate_example,
     solve_cross_sylvester,
     solve_projected_tl,
     solve_stein_dense,
@@ -168,6 +173,38 @@ class TestCrossSylvester:
         Y = solve_cross_sylvester(s, rom, math.inf, "Y").matrix
         ref = oracles.cross_sum(s.A, s.B, rom.A, rom.B, 400)
         assert np.linalg.norm(Y - ref) <= 1e-10 * np.linalg.norm(ref)
+
+    def test_infinite_horizon_reciprocal_pair_raises(self):
+        # 2 * 0.5 = 1: the infinite-horizon equation has no unique solution
+        s = build_system(np.diag([2.0, 0.3]), np.ones((2, 1)), np.ones((1, 2)))
+        rom = build_system([[0.5]], [[1.0]], [[1.0]])
+        with pytest.raises(SolvabilityError):
+            solve_cross_sylvester(s, rom, math.inf, "Y")
+
+    @given(seed=st.integers(0, 2 ** 16), n=st.integers(2, 12), r=st.integers(1, 4),
+           tau=st.integers(1, 40), radius=st.floats(0.3, 0.99),
+           generalized=st.booleans(), grid=st.integers(2, 3))
+    @settings(max_examples=40, deadline=None)
+    def test_finite_horizon_solves_stein_like_equation(self, seed, n, r, tau, radius,
+                                                       generalized, grid):
+        # a Gauss-Seidel pencil like gs_small, at N = 2 or 3 (n = 4 or 9)
+        if generalized:
+            s = generate_example(ExampleSpec(kind="gauss-seidel", size=grid,
+                                             inputs=2, outputs=2, seed=seed))
+        else:
+            s = random_stable_system(seed, n, 2, 2, radius)
+        rom = random_stable_system(seed + 1, r, 2, 2, radius)
+        for side, full, red in (("Y", s, rom), ("Z", s.dual(), rom.dual())):
+            X = solve_cross_sylvester(s, rom, tau, side).matrix
+            Ad, Bd, _ = oracles.dense_standard(full)
+            Ah, Bh = red.A, red.B
+            F = np.linalg.matrix_power(Ad, tau) @ Bd
+            Fh = np.linalg.matrix_power(Ah, tau) @ Bh
+            W = Bd @ Bh.T - F @ Fh.T
+            resid = Ad @ X @ Ah.T - X + W
+            assert np.linalg.norm(resid) <= 1e-10 * max(np.linalg.norm(X), np.linalg.norm(W))
+            ref = oracles.cross_sum(Ad, Bd, Ah, Bh, tau)
+            assert np.linalg.norm(X - ref) <= 1e-10 * np.linalg.norm(ref)
 
 
 class TestProjectedTl:
