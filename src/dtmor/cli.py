@@ -10,8 +10,9 @@ Exit codes:
 
 - 0: success;
 - 2: configuration error: bad flags or values (``ConfigError``,
-  ``ValueError``, ``DimensionMismatchError``) or a dense operation past
-  the size cap (``DenseCapError``);
+  ``ValueError``, ``DimensionMismatchError``), a dense operation past
+  the size cap (``DenseCapError``), or a ``bounds --tau`` that differs
+  from the window of a TLBT model;
 - 3: solver failure: ``ConvergenceError``, ``SolvabilityError``,
   ``BreakdownError``, ``BalancingError``, ``EstimationError``,
   ``SingularMassMatrixError``;
@@ -194,7 +195,9 @@ def _solve_stats(obj, records) -> dict:
         return {}
     built = records[-1].basis_columns if records else obj.rank
     return {"columns_built": built, "rank_after_truncation": obj.rank,
-            "final_residual": obj.residual, "iterations": obj.iterations}
+            "final_residual": obj.residual, "iterations": obj.iterations,
+            "deflated_columns": obj.deflated_columns,
+            "offspace_fallbacks": obj.offspace_fallbacks}
 
 
 def run_pipeline(cfg: JobConfig) -> ReportBundle:
@@ -538,6 +541,9 @@ def _cmd_bounds(args) -> int:
         manifest = json.load(fh)
     prov = manifest.get("provenance") or {}
     method = prov.get("method", "tlbt")
+    if method == "tlbt" and prov.get("tau") is not None and prov["tau"] != args.tau:
+        raise ConfigError(f"--tau {args.tau:g} differs from the window tau={prov['tau']} "
+                          f"that the TLBT model {args.rom} was reduced at")
 
     reach = dense_stein.tl_gramian_dense(system, args.tau, "reach")
     obs = dense_stein.tl_gramian_dense(system, args.tau, "obs")

@@ -9,7 +9,7 @@ through a rank-2m compressed form that never assembles an n x n matrix.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.linalg as sla
@@ -22,6 +22,7 @@ from .system import DiscreteLTISystem
 
 _DEFLATION_TOL = 1e-13
 _REAL_SHIFT_TOL = 1e-14
+_THIN_COLUMNS = 4   # widest block that _thin_product splits into gemv calls
 
 
 @dataclass
@@ -83,7 +84,9 @@ class KrylovState:
     ``basis`` has orthonormal columns; ``projected`` is basis^T A basis in
     standard form; ``offspace_dir``/``offspace_coeff`` factor the part of
     A*basis that leaves the subspace, which is what the compressed residual
-    formula consumes.
+    formula consumes.  Inside ``rksm``, ``basis`` and ``image`` are views of
+    the filled columns of the solver's growth buffers; columns are written
+    once, so a view stays valid, but it keeps its whole buffer alive.
     """
     block_width: int
     basis: np.ndarray | None = None
@@ -92,10 +95,6 @@ class KrylovState:
     offspace_dir: np.ndarray | None = None
     offspace_coeff: np.ndarray | None = None
     shifts: list = field(default_factory=list)
-
-    @property
-    def dimension(self) -> int:
-        return 0 if self.basis is None else self.basis.shape[1]
 
     def ritz_values(self) -> np.ndarray | None:
         if self.projected is None or self.projected.size == 0:
@@ -110,7 +109,8 @@ class GramianApprox:
     ``tl_term`` is the lifted horizon term (approximates the standard-form
     (M^{-1}A)^tau M^{-1}B on the solved side), None for infinite horizons.
     ``deflated_columns`` counts candidate basis directions dropped as
-    numerically dependent during the build.
+    numerically dependent during the build; ``offspace_fallbacks`` counts
+    the residual evaluations whose off-space factor needed the full QR.
     """
     basis: np.ndarray
     core: np.ndarray
@@ -122,6 +122,7 @@ class GramianApprox:
     shifts: list
     records: list
     deflated_columns: int = 0
+    offspace_fallbacks: int = 0
 
     @property
     def rank(self) -> int:
@@ -202,28 +203,48 @@ def _orth_columns(X: np.ndarray, tol: float = _DEFLATION_TOL, scale: float | Non
     return U, R
 
 
+def _thin_product(A: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """A @ X, one gemv per column when X is thin: a gemm with a handful of
+    columns runs several times below memory speed, a gemv at it."""
+    if not 0 < X.shape[1] <= _THIN_COLUMNS:
+        return A @ X
+    return np.column_stack([A @ X[:, j] for j in range(X.shape[1])])
+
+
+def _append_columns(buf: np.ndarray, used: int, X: np.ndarray):
+    """Write X after column ``used`` of the Fortran-ordered buffer ``buf``, doubling
+    its capacity if X does not fit; returns the buffer and its filled columns."""
+    need = used + X.shape[1]
+    if need > buf.shape[1]:
+        grown = np.empty((buf.shape[0], max(need, 2 * buf.shape[1])), order="F")
+        grown[:, :used] = buf[:, :used]
+        buf = grown
+    buf[:, used:need] = X
+    return buf, buf[:, :need]
+
+
 def _gram_schmidt_block(Q: np.ndarray | None, X: np.ndarray, tol: float = _DEFLATION_TOL):
     """Twice-iterated classical Gram-Schmidt of the block X against Q.
 
     Returns (new_block, coeffs, core) with X = Q @ coeffs + new_block @ core
     up to deflated directions, judged against the incoming block norm so a
-    fully represented block deflates away entirely.  Marginal survivors are
-    re-orthogonalized once more: a remainder many orders below the input
-    norm loses orthogonality under normalization otherwise.
+    fully represented block deflates away entirely.  Every surviving block
+    is orthogonalized against Q once more after normalization: a remainder
+    many orders below the input norm loses orthogonality otherwise.
     """
     scale = float(np.linalg.norm(X, 2)) if X.size else 0.0
     if Q is None or Q.shape[1] == 0:
         nb, core = _orth_columns(X, tol, scale)
         return nb, np.zeros((0, X.shape[1])), core
-    c1 = Q.T @ X
-    X = X - Q @ c1
-    c2 = Q.T @ X
-    X = X - Q @ c2
+    c1 = _thin_product(Q.T, X)
+    X = X - _thin_product(Q, c1)
+    c2 = _thin_product(Q.T, X)
+    X = X - _thin_product(Q, c2)
     nb, core = _orth_columns(X, tol, scale)
     coeffs = c1 + c2
     if nb.shape[1]:
-        c3 = Q.T @ nb
-        nb = nb - Q @ c3
+        c3 = _thin_product(Q.T, nb)
+        nb = nb - _thin_product(Q, c3)
         nb, fix = _orth_columns(nb, 1e-8)
         coeffs = coeffs + c3 @ core
         core = fix @ core
@@ -286,7 +307,7 @@ def stein_residual_norm(state: KrylovState, core: np.ndarray) -> float:
         return 0.0
     if Cf.shape[1] != core.shape[0]:
         raise ValueError("state and core dimensions disagree")
-    w = state.basis @ (state.projected @ (core @ Cf.T))
+    w = _thin_product(state.basis, state.projected @ (core @ Cf.T))
     k = U.shape[1]
     inner = np.block([
         [Cf @ core @ Cf.T, np.eye(k)],
@@ -297,28 +318,34 @@ def stein_residual_norm(state: KrylovState, core: np.ndarray) -> float:
 
 
 def _offspace_factor(Q: np.ndarray, W: np.ndarray, H: np.ndarray, m: int):
-    """Rank-revealing factorization of (I - QQ^T) A Q = U * C.
+    """Rank-revealing factorization G = (I - QQ^T) A Q = U C; returns (U, C, fell_back).
 
-    The out-of-space part has rank at most the block width; try the cheap
-    route through the first block column and fall back to a full QR when
-    roundoff says otherwise.
+    G = W - Q H has rank <= m on a rational Krylov basis, so U spans the sketch
+    G @ Omega, Omega a fixed-seed Gaussian of width m + 2.  Round-off (clustered
+    adaptive shifts) can add rank: the width doubles while U C misses G by more
+    than 1e-10 relative, up to the basis width k; then a full QR of G is the fallback.
     """
     G = W - Q @ H
     gnorm = float(np.linalg.norm(G))
     if gnorm == 0.0:
-        return np.zeros((Q.shape[0], 0)), np.zeros((0, Q.shape[1]))
-    lead = G[:, :m]
-    U, _ = _orth_columns(lead - Q @ (Q.T @ lead), tol=1e-12)
-    if U.shape[1]:
-        C = U.T @ W - (U.T @ Q) @ H
-        if np.linalg.norm(G - U @ C) <= 1e-10 * gnorm:
-            return U, C
+        return np.zeros((Q.shape[0], 0)), np.zeros((0, Q.shape[1])), False
+    rng = np.random.default_rng(0)
+    width = m + 2
+    while True:
+        sketch = _thin_product(G, rng.standard_normal((G.shape[1], width)))
+        U, _ = _orth_columns(sketch - _thin_product(Q, _thin_product(Q.T, sketch)), tol=1e-12)
+        C = _thin_product(W.T, U).T - _thin_product(Q.T, U).T @ H
+        if U.shape[1] and np.linalg.norm(G - U @ C) <= 1e-10 * gnorm:
+            return U, C, False
+        if width >= G.shape[1]:
+            break
+        width *= 2
     Qg, Rg = np.linalg.qr(G)
     Ur, svals, _ = np.linalg.svd(Rg)
     keep = svals > 1e-13 * svals[0]
     U = Qg @ Ur[:, keep]
     C = U.T @ W - (U.T @ Q) @ H
-    return U, C
+    return U, C, True
 
 
 def truncate_factor(approx: GramianApprox, tol: float | None = None) -> GramianApprox:
@@ -335,13 +362,7 @@ def truncate_factor(approx: GramianApprox, tol: float | None = None) -> GramianA
         keep = np.zeros_like(lam, dtype=bool)
     else:
         keep = lam > tol * lmax
-    basis = approx.basis @ U[:, keep]
-    core = np.diag(lam[keep])
-    return GramianApprox(
-        basis=basis, core=core, tl_term=approx.tl_term, side=approx.side,
-        horizon=approx.horizon, iterations=approx.iterations,
-        residual=approx.residual, shifts=approx.shifts, records=approx.records,
-        deflated_columns=approx.deflated_columns)
+    return replace(approx, basis=approx.basis @ U[:, keep], core=np.diag(lam[keep]))
 
 
 def _lifted_residual(op: _StandardOperator, Q: np.ndarray, Y: np.ndarray,
@@ -395,7 +416,7 @@ def smith_arnoldi(sys: DiscreteLTISystem, side: str, tau,
         return GramianApprox(z, np.zeros((0, 0)), np.zeros((op.n, op.m)) if finite else None,
                              side, float(tau) if finite else math.inf, 0, 0.0, [], [])
 
-    Q = q1
+    Qbuf, Q = _append_columns(np.empty((op.n, 0), order="F"), 0, q1)
     Hext = np.zeros((q1.shape[1], 0))   # grows to (dim(+ext)) x dim
     coeffs = [beta]                     # coeffs[i] represents (M^-1 A)^i B
     records: list[ConvergenceRecord] = []
@@ -422,7 +443,7 @@ def smith_arnoldi(sys: DiscreteLTISystem, side: str, tau,
             grown[:col.shape[0], old_cols:] = col
             Hext = grown
             if nb.shape[1]:
-                Q = np.hstack([Q, nb])
+                Qbuf, Q = _append_columns(Qbuf, Q.shape[1], nb)
             else:
                 saturated = True
         c_next = Hext @ _pad_rows(c_prev, Hext.shape[1])
@@ -500,8 +521,8 @@ def rksm(sys: DiscreteLTISystem, side: str, tau,
                              side, float(tau) if finite else math.inf, 0, 0.0, [], [])
 
     state = KrylovState(block_width=q1.shape[1])
-    Q = q1
-    W = op.apply(Q)
+    Qbuf, Q = _append_columns(np.empty((op.n, 0), order="F"), 0, q1)
+    Wbuf, W = _append_columns(np.empty((op.n, 0), order="F"), 0, op.apply(Q))
     H = Q.T @ W
     state.basis, state.image, state.projected = Q, W, H
 
@@ -509,7 +530,7 @@ def rksm(sys: DiscreteLTISystem, side: str, tau,
     fhat_prev: np.ndarray | None = None
     tl_settled = not finite
     fF: float | None = None
-    deflated = 0
+    deflated = fallbacks = 0
 
     for k in range(1, cfg.max_iterations + 1):
         s = next_shift(shifts, state)
@@ -528,9 +549,9 @@ def rksm(sys: DiscreteLTISystem, side: str, tau,
         grew = nb.shape[1] > 0
         if grew:
             Wn = op.apply(nb)
-            H = np.block([[H, Q.T @ Wn], [nb.T @ W, nb.T @ Wn]])
-            Q = np.hstack([Q, nb])
-            W = np.hstack([W, Wn])
+            H = np.block([[H, _thin_product(Q.T, Wn)], [_thin_product(W.T, nb).T, nb.T @ Wn]])
+            Qbuf, Q = _append_columns(Qbuf, Q.shape[1], nb)
+            Wbuf, W = _append_columns(Wbuf, W.shape[1], Wn)
         state.basis, state.image, state.projected = Q, W, H
 
         evaluate = (k % cfg.cadence == 0) or (k == cfg.max_iterations) or not grew
@@ -538,7 +559,7 @@ def rksm(sys: DiscreteLTISystem, side: str, tau,
             records.append(ConvergenceRecord(k, Q.shape[1], None, None, s))
             continue
 
-        Bk = Q.T @ B0
+        Bk = _thin_product(Q.T, B0)
         Fhat = None
         if finite:
             Fhat = np.linalg.matrix_power(H, tau) @ Bk
@@ -561,21 +582,22 @@ def rksm(sys: DiscreteLTISystem, side: str, tau,
                 raise BreakdownError("basis saturated with unsolvable projected problem")
             continue
 
-        state.offspace_dir, state.offspace_coeff = _offspace_factor(Q, W, H, op.m)
+        state.offspace_dir, state.offspace_coeff, fell_back = _offspace_factor(Q, W, H, op.m)
+        fallbacks += fell_back
         res_abs = stein_residual_norm(state, Y)
         scale_mat = Bk @ Bk.T if Fhat is None else Bk @ Bk.T - Fhat @ Fhat.T
         scale = max(float(np.linalg.norm(scale_mat, 2)), 1e-300)
         res = res_abs / scale
         if observer is not None:
-            observer(state, Y, None if Fhat is None else Q @ Fhat, res_abs)
+            observer(state, Y, None if Fhat is None else _thin_product(Q, Fhat), res_abs)
         records.append(ConvergenceRecord(k, Q.shape[1], res, fF, s))
 
         if res <= cfg.tol:
             approx = GramianApprox(
-                basis=Q, core=Y, tl_term=None if Fhat is None else Q @ Fhat,
+                basis=Q, core=Y, tl_term=None if Fhat is None else _thin_product(Q, Fhat),
                 side=side, horizon=float(tau) if finite else math.inf,
                 iterations=k, residual=res, shifts=list(state.shifts),
-                records=records, deflated_columns=deflated)
+                records=records, deflated_columns=deflated, offspace_fallbacks=fallbacks)
             return truncate_factor(approx, cfg.truncation_tol)
         if not grew:
             raise BreakdownError(

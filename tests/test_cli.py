@@ -87,6 +87,23 @@ class TestRunPipeline:
         assert bundle.gramian_meta[("bt", "reach")]["final_residual"] <= cfg.tol
 
 
+    def test_gramian_solves_record_deflation_and_fallbacks(self, tmp_path):
+        cfg = JobConfig(example=ExampleSpec(kind="gauss-seidel", size=10, inputs=2,
+                                            outputs=2, seed=1),
+                        tau=30, methods=("bt", "tlbt"), order=4, solver="rksm-pm1",
+                        out_dir=str(tmp_path / "job"))
+        bundle = run_pipeline(cfg)
+        solves = json.loads((write_bundle(bundle, cfg) / "report.json").read_text())
+        solves = solves["gramian_solves"]
+        assert sorted(solves) == ["bt_obs", "bt_reach", "tlbt_obs", "tlbt_reach"]
+        for key, stats in solves.items():
+            method, side = key.split("_")
+            gram, _ = dtmor.cli.compute_gramian(bundle.system, math.inf if method == "bt"
+                                                else cfg.tau, side, cfg.solver, cfg)
+            assert stats["deflated_columns"] == gram.deflated_columns
+            assert stats["offspace_fallbacks"] == gram.offspace_fallbacks == 0
+
+
 class TestErrorCsv:
     def test_identity_model_zero_error(self):
         s = generate_example(ExampleSpec(kind="laplacian-grid", size=4, seed=2))
@@ -261,6 +278,24 @@ class TestMainExitCodes:
                          "--tau", "20", "--out", str(out)]) == 0
             tail = json.loads(out.read_text())["hsv_tail"]
             assert tail == pytest.approx(doc["reports"][method]["hsv_tail"], rel=1e-10)
+        capsys.readouterr()
+
+    def test_bounds_tau_must_match_tlbt_window(self, tmp_path, capsys):
+        source = ["--kind", "gauss-seidel", "--size", "6", "--inputs", "2",
+                  "--outputs", "2", "--seed", "3"]
+        job = tmp_path / "job"
+        assert main(["pipeline", *source, "--tau", "20", "--order", "4", "--method", "both",
+                     "--solver", "dense", "--out", str(job)]) == 0
+        capsys.readouterr()
+        code = main(["bounds", *source, "--rom", str(job / "rom_tlbt"), "--tau", "40",
+                     "--out", str(tmp_path / "tl.json")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "--tau 40" in err and "tau=20" in err
+        assert not (tmp_path / "tl.json").exists()
+        # a BT model has no window of its own: any --tau bounds it
+        assert main(["bounds", *source, "--rom", str(job / "rom_bt"), "--tau", "40",
+                     "--out", str(tmp_path / "bt.json")]) == 0
         capsys.readouterr()
 
     def test_bounds_rom_past_numerical_rank_exits_3(self, tmp_path, capsys):

@@ -7,11 +7,13 @@ import oracles
 from conftest import random_stable_system
 from dtmor import (
     ConvergenceError,
+    ExampleSpec,
     GramianApprox,
     KrylovState,
     ShiftStrategy,
     SolverConfig,
     build_system,
+    generate_example,
     next_shift,
     rksm,
     smith_arnoldi,
@@ -125,6 +127,15 @@ class TestRksm:
         a = rksm(gs_small, "reach", tau, cfg=TIGHT)
         ref = tl_gramian_dense(gs_small, tau, "reach")
         assert np.linalg.norm(a.matrix() - ref.gramian) <= 1e-8 * np.linalg.norm(ref.gramian)
+
+    @pytest.mark.parametrize("kind", ["jacobi", "gauss-seidel"])
+    @pytest.mark.parametrize("strategy", ["alternating-pm1", "adaptive-disc"])
+    def test_offspace_factor_without_qr_fallback(self, kind, strategy):
+        s = generate_example(ExampleSpec(kind=kind, size=20, inputs=2, outputs=2, seed=1))
+        for side in ("reach", "obs"):
+            a = rksm(s, side, 50, ShiftStrategy(strategy))
+            assert a.residual <= SolverConfig().tol
+            assert a.offspace_fallbacks == 0
 
     def test_records_written(self):
         s = random_stable_system(43, 16, 2, 2)
@@ -302,3 +313,22 @@ class TestInvariants:
             SolverConfig(cadence=0)
         with pytest.raises(ValueError):
             ShiftStrategy("bogus")
+
+
+class TestGrowthBuffers:
+    def test_rerun_bitwise_and_basis_off_the_buffer(self):
+        # n=400 and 72 columns: the buffers regrow several times mid-solve
+        s = generate_example(ExampleSpec(kind="jacobi", size=20, inputs=2, outputs=2, seed=1))
+        seen = []
+
+        def observer(state, core, tl_term, res_abs):
+            Q, W = state.basis, state.image
+            seen.append((np.linalg.norm(Q.T @ Q - np.eye(Q.shape[1])),
+                         np.linalg.norm(s.apply_dynamics(Q) - W) / np.linalg.norm(W)))
+
+        a = rksm(s, "reach", 50, observer=observer)
+        b = rksm(s, "reach", 50)
+        assert seen and max(max(pair) for pair in seen) <= 1e-10
+        for x, y in ((a.basis, b.basis), (a.core, b.core), (a.tl_term, b.tl_term)):
+            assert np.array_equal(x, y)
+        assert a.basis.base is None
