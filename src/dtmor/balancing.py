@@ -15,7 +15,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .config import check_dense_cap
-from .dense_stein import DenseGramianPair
+from .dense_stein import DenseGramianPair, window_horizon
 from .exceptions import BalancingError, DimensionMismatchError
 from .lowrank import GramianApprox
 from .system import DiscreteLTISystem, write_system
@@ -269,14 +269,8 @@ def balance_dense(sys: DiscreteLTISystem, P, Q, tau=math.inf,
 
     tl_b = tl_c = None
     if not math.isinf(tau):
-        X = Bb.copy()
-        for _ in range(int(tau)):
-            X = Ab @ X
-        tl_b = X
-        Xc = Cb.copy()
-        for _ in range(int(tau)):
-            Xc = Xc @ Ab
-        tl_c = Xc
+        tl_b = window_horizon(lambda X: Ab @ X, Bb, tau)
+        tl_c = window_horizon(lambda X: X @ Ab, Cb, tau)
     return BalancedRealization(a=Ab, b=Bb, c=Cb, sigma=svals, transform=T,
                                transform_inv=Tinv, horizon=float(tau) if not math.isinf(tau) else math.inf,
                                tl_b=tl_b, tl_c=tl_c)

@@ -21,12 +21,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .balancing import BalancedRealization, HankelSpectrum
-from .dense_stein import (
-    DenseGramianPair,
-    solve_cross_sylvester,
-    solve_stein_dense,
-    tl_gramian_dense,
-)
+from .dense_stein import DenseGramianPair, solve_cross_sylvester, tl_gramian_dense
 from .exceptions import DimensionMismatchError, EstimationError, SolvabilityError
 from .lowrank import GramianApprox
 from .system import DiscreteLTISystem
@@ -368,7 +363,8 @@ def bound_theorem32(bal: BalancedRealization, r: int, tau,
 
     When either envelope rate reaches 1 the asymptotic form is invalid and
     an explicit variant is used instead, bounding the same trace terms with
-    computed norms of the cross solution and the ROM Gramian gap.
+    computed norms of the cross solution, the ROM Gramian gap and the
+    horizon terms; at tau = inf it needs a stable reduced block.
     """
     cf, cr = consts
     part = bal.partition(r)
@@ -378,7 +374,7 @@ def bound_theorem32(bal: BalancedRealization, r: int, tau,
     sigma_1 = float(bal.sigma[0])
 
     def nrm(X):
-        return float(np.linalg.norm(X, 2)) if X.size else 0.0
+        return float(np.linalg.norm(X, 2)) if X is not None and X.size else 0.0
 
     nA12, nAc2 = nrm(part.A12), nrm(bal.a[:, r:])
     nC, nC1, nC2 = nrm(bal.c), nrm(part.C1), nrm(part.C2)
@@ -404,19 +400,13 @@ def bound_theorem32(bal: BalancedRealization, r: int, tau,
     else:
         full = DiscreteLTISystem(bal.a, bal.b, bal.c)
         rom = bal.reduced_system(r)
-        Z = solve_cross_sylvester(full, rom, tau, "Z").matrix
-        nZ = nrm(Z)
-        if math.isinf(tau):
-            rom_reach = solve_stein_dense(part.A11, part.B1 @ part.B1.T)
-            nF1 = nF = nG1 = nGh = 0.0
-        else:
-            rom_reach = tl_gramian_dense(rom, tau, "reach").gramian
-            nF1, nF = nrm(part.F1), nrm(bal.tl_b)
-            nG1 = nrm(part.G1)
-            nGh = nrm(part.C1 @ np.linalg.matrix_power(part.A11, int(tau)))
+        nZ = nrm(solve_cross_sylvester(full, rom, tau, "Z").matrix)
+        rom_reach = tl_gramian_dense(rom, tau, "reach").gramian
+        Gh = tl_gramian_dense(rom, tau, "obs").tl_term   # (Chat Ahat^tau)^T, None at inf
         gap = nrm(rom_reach - np.diag(part.sigma1))
         j = p * nC2 ** 2 + 2.0 * r * nA12 * nAc2 * nZ
-        j_tl = p * nC1 ** 2 * gap + 2.0 * p * sigma_1 * nG1 * nGh + 2.0 * m * nZ * nF1 * nF
+        j_tl = (p * nC1 ** 2 * gap + 2.0 * p * sigma_1 * nrm(part.G1) * nrm(Gh)
+                + 2.0 * m * nZ * nrm(part.F1) * nrm(bal.tl_b))
         path = "explicit"
 
     return Theorem32Bound(j_term=j, j_tl_term=j_tl, total=j * sigma_next + j_tl,

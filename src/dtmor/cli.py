@@ -152,8 +152,8 @@ def _build_input(kind: str, m: int, horizon: int, seed: int) -> np.ndarray:
 def error_table(system: DiscreteLTISystem, roms: dict, u: np.ndarray,
                 horizon: int, tau, bound_levels: dict, hsv_levels: dict):
     """Rows k, window marker, per-method error/bound/HSV-level columns."""
-    for method, model in roms.items():
-        msys = model.system if hasattr(model, "system") else model
+    systems = {method: getattr(model, "system", model) for method, model in roms.items()}
+    for method, msys in systems.items():
         if msys.m != system.m or msys.p != system.p:
             raise ConfigError(f"model for {method} does not match system input/output counts")
     y = simulate(system, u, horizon).outputs
@@ -161,11 +161,8 @@ def error_table(system: DiscreteLTISystem, roms: dict, u: np.ndarray,
     header = ["k", "window_marker"]
     for method in methods:
         header += [f"error_{method}", f"bound_{method}", f"hsv_{method}"]
-    errs = {}
-    for method in methods:
-        msys = roms[method].system if hasattr(roms[method], "system") else roms[method]
-        yh = simulate(msys, u, horizon).outputs
-        errs[method] = np.linalg.norm(y - yh, axis=1)
+    errs = {method: np.linalg.norm(y - simulate(msys, u, horizon).outputs, axis=1)
+            for method, msys in systems.items()}
     rows = []
     tau_mark = None if math.isinf(tau) else int(tau)
     for k in range(horizon + 1):
@@ -249,11 +246,10 @@ def run_pipeline(cfg: JobConfig) -> ReportBundle:
     if horizon is None:
         horizon = 100 if math.isinf(window) else max(int(round(1.5 * window)), 1)
     u = _build_input(cfg.input_kind, system.m, horizon, cfg.input_seed)
+    energy = float(np.sqrt(np.sum(u[: None if math.isinf(window) else int(window) + 1] ** 2)))
     bound_levels, hsv_levels = {}, {}
     for method, report in bundle.reports.items():
         level = report.bound_level()
-        energy = float(np.sqrt(np.sum(
-            u[: None if math.isinf(window) else int(window) + 1] ** 2)))
         bound_levels[method] = None if level is None else level * energy
         hsv_levels[method] = report.hsv_tail
     header, rows, errs = error_table(system, bundle.roms, u, horizon, window,

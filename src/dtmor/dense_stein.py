@@ -2,8 +2,11 @@
 Sylvester equations.
 
 This is the oracle layer: every low-rank result in the package is checked
-against it at desk scale, and the Krylov solvers use :func:`solve_projected_tl`
-for their compressed problems.  Sizes are guarded by the dense cap.
+against it at desk scale.  Every finite-horizon quantity (dense, cross and
+projected Gramians and the horizon terms A^tau B) is the defining sum walked
+by :func:`window_sum` or :func:`window_horizon`; the Krylov solvers use
+:func:`solve_projected_tl` for their infinite-horizon compressed problems.
+Sizes are guarded by the dense cap.
 """
 from __future__ import annotations
 
@@ -135,15 +138,28 @@ def _smith_squared(A: np.ndarray, W: np.ndarray) -> np.ndarray:
     raise ConvergenceError("Smith doubling iteration failed to converge")
 
 
-def _accumulate_tl_sum(apply_dyn, B0: np.ndarray, tau: int):
-    """Direct summation of the time-limited Gramian plus its TL term."""
-    n = B0.shape[0]
-    P = np.zeros((n, n))
-    X = B0.copy()
-    for _ in range(tau):
-        P += X @ X.T
-        X = apply_dyn(X)
-    return P, X  # X = (dynamics)^tau B0
+def window_sum(apply, X: np.ndarray, tau: int, apply_hat=None, Xh: np.ndarray | None = None):
+    """Walk X_{j+1} = apply(X_j) and Xh_{j+1} = apply_hat(Xh_j) over the window.
+
+    Returns (sum_{j<tau} X_j Xh_j^T, X_tau, Xh_tau); without ``apply_hat``/``Xh``
+    the second sequence is X itself.  The sum satisfies the Stein-like equation
+    with the horizon terms X_tau, Xh_tau identically, for every spectrum.
+    """
+    same = apply_hat is None
+    S = np.zeros((X.shape[0], X.shape[0] if same else Xh.shape[0]))
+    for _ in range(int(tau)):
+        S += X @ (X if same else Xh).T
+        X = apply(X)
+        if not same:
+            Xh = apply_hat(Xh)
+    return S, X, X if same else Xh
+
+
+def window_horizon(apply, X: np.ndarray, tau: int) -> np.ndarray:
+    """The horizon term X_tau of the walk X_{j+1} = apply(X_j), without the sum."""
+    for _ in range(int(tau)):
+        X = apply(X)
+    return X
 
 
 def tl_gramian_dense(sys: DiscreteLTISystem, tau, side: str = "reach") -> DenseGramianPair:
@@ -175,7 +191,7 @@ def tl_gramian_dense(sys: DiscreteLTISystem, tau, side: str = "reach") -> DenseG
     tau = int(tau)
     if tau < 1:
         raise ValueError("tau must be >= 1 or inf")
-    P, F = _accumulate_tl_sum(work.apply_dynamics, B0, tau)
+    P, F, _ = window_sum(work.apply_dynamics, B0, tau)
     return DenseGramianPair(0.5 * (P + P.T), F, float(tau), side)
 
 
@@ -206,11 +222,7 @@ def solve_cross_sylvester(sys: DiscreteLTISystem, rom: DiscreteLTISystem,
     X = sys.input_map()
     Xh = rom.input_map()
     if not math.isinf(tau):
-        Ymat = np.zeros((sys.n, rom.n))
-        for _ in range(int(tau)):
-            Ymat += X @ Xh.T
-            X = sys.apply_dynamics(X)
-            Xh = rom.apply_dynamics(Xh)
+        Ymat, _, _ = window_sum(sys.apply_dynamics, X, tau, rom.apply_dynamics, Xh)
         return CrossGramian(Ymat, float(int(tau)), "Y")
 
     r = rom.n
@@ -255,8 +267,10 @@ def solve_projected_tl(H: np.ndarray, Bk: np.ndarray, Fk: np.ndarray | None = No
     """Galerkin-projected (time-limited) Stein equation
     H Y H^T - Y + Bk Bk^T - Fk Fk^T = 0, with the Fk term dropped when absent.
 
-    The infinite-horizon form (Fk absent) additionally requires H stable,
-    since the underlying series diverges otherwise.
+    The infinite-horizon form (Fk absent) requires H stable, since the
+    underlying series diverges otherwise, and is summed by squared Smith.
+    With Fk the equation is solved as given; at a finite window the defining
+    sum (:func:`window_sum` on H and Bk) is its solution and needs no solve.
     """
     H = np.atleast_2d(np.asarray(H, dtype=float))
     Bk = np.atleast_2d(np.asarray(Bk, dtype=float))
@@ -267,11 +281,10 @@ def solve_projected_tl(H: np.ndarray, Bk: np.ndarray, Fk: np.ndarray | None = No
             raise SolvabilityError(
                 f"projected infinite-horizon equation with unstable coefficient "
                 f"(spectral radius {rho:.6f})")
-        W = Bk @ Bk.T
+        Y = _smith_squared(H, Bk @ Bk.T)
     else:
         Fk = np.atleast_2d(np.asarray(Fk, dtype=float))
-        W = Bk @ Bk.T - Fk @ Fk.T
-    Y = solve_stein_dense(H, W)
+        Y = solve_stein_dense(H, Bk @ Bk.T - Fk @ Fk.T)
     return 0.5 * (Y + Y.T)
 
 

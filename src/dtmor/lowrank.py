@@ -16,7 +16,7 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .dense_stein import solve_projected_tl
+from .dense_stein import solve_projected_tl, window_sum
 from .exceptions import BreakdownError, ConvergenceError, SolvabilityError
 from .system import DiscreteLTISystem
 
@@ -491,11 +491,14 @@ def rksm(sys: DiscreteLTISystem, side: str, tau,
          observer=None) -> GramianApprox:
     """Rational Krylov subspace solver for (time-limited) Stein equations.
 
-    At every cadence point the projected equation is solved with the current
-    horizon-term approximation H^tau (Q^T B), computed by binary powering,
-    and the scaled residual is evaluated through the compressed formula.
-    The horizon term must settle (relative norm-wise change below
-    cfg.tl_term_tol) before projected solves begin.
+    At every cadence point the projected problem is solved and the scaled
+    residual is evaluated through the compressed formula.  For finite tau
+    one walk of H over the window (:func:`window_sum` on H and Q^T B) gives
+    both the projected solution and the horizon term H^tau (Q^T B), so no
+    projected Stein solve runs; the horizon term must settle (relative
+    norm-wise change below cfg.tl_term_tol) before the residual is checked.
+    For tau = inf the projected equation is solved by
+    :func:`solve_projected_tl`.
 
     ``observer``, when given, is called as observer(state, core, tl_term,
     absolute_residual) at every evaluation; it exists for diagnostics and
@@ -562,25 +565,25 @@ def rksm(sys: DiscreteLTISystem, side: str, tau,
         Bk = _thin_product(Q.T, B0)
         Fhat = None
         if finite:
-            Fhat = np.linalg.matrix_power(H, tau) @ Bk
+            Y, Fhat, _ = window_sum(lambda X: H @ X, Bk, tau)
             if fhat_prev is not None:
                 prev = _pad_rows(fhat_prev, Fhat.shape[0])
                 denom = max(float(np.linalg.norm(fhat_prev)) ** 2, 1e-300)
                 fF = float(np.linalg.norm(Fhat @ Fhat.T - prev @ prev.T, 2)) / denom
                 tl_settled = fF <= cfg.tl_term_tol
             fhat_prev = Fhat
-        if not tl_settled:
-            records.append(ConvergenceRecord(k, Q.shape[1], None, fF, s))
-            continue
-
-        try:
-            Y = solve_projected_tl(H, Bk, Fhat)
-        except SolvabilityError:
-            # transient: Ritz values can stick out of the disc early on
-            records.append(ConvergenceRecord(k, Q.shape[1], None, fF, s))
-            if not grew:
-                raise BreakdownError("basis saturated with unsolvable projected problem")
-            continue
+            if not tl_settled:
+                records.append(ConvergenceRecord(k, Q.shape[1], None, fF, s))
+                continue
+        else:
+            try:
+                Y = solve_projected_tl(H, Bk)
+            except SolvabilityError:
+                # transient: Ritz values can stick out of the disc early on
+                records.append(ConvergenceRecord(k, Q.shape[1], None, None, s))
+                if not grew:
+                    raise BreakdownError("basis saturated with unsolvable projected problem")
+                continue
 
         state.offspace_dir, state.offspace_coeff, fell_back = _offspace_factor(Q, W, H, op.m)
         fallbacks += fell_back

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -21,6 +21,7 @@ from dtmor import (
     tl_gramian_dense,
 )
 from dtmor.config import DENSE_CAP_ENV
+from dtmor.dense_stein import window_sum
 
 
 class TestSolveSteinDense:
@@ -219,3 +220,24 @@ class TestProjectedTl:
     def test_unstable_infinite_raises(self):
         with pytest.raises(SolvabilityError):
             solve_projected_tl(np.array([[1.1]]), np.array([[1.0]]))
+
+    @given(seed=st.integers(0, 2 ** 16), k=st.integers(1, 10), m=st.integers(1, 3),
+           tau=st.integers(1, 40), radius=st.floats(0.3, 1.3))
+    @settings(max_examples=60, deadline=None)
+    def test_window_walk_solves_projected_equation(self, seed, k, m, tau, radius):
+        # stable or not, the walked pair (Y, Fk) solves the projected equation,
+        # and it is the solution wherever that solution is unique
+        rng = np.random.default_rng(seed)
+        H = rng.standard_normal((k, k))
+        H *= radius / max(abs(np.linalg.eigvals(H)))
+        Bk = rng.standard_normal((k, m))
+        Y, Fk, _ = window_sum(lambda X: H @ X, Bk, tau)
+        W = Bk @ Bk.T - Fk @ Fk.T
+        resid = H @ Y @ H.T - Y + W
+        scale = np.linalg.norm(H, 2) ** 2 * np.linalg.norm(Y) + np.linalg.norm(W)
+        assert np.linalg.norm(resid) <= 1e-10 * scale
+        eigs = np.linalg.eigvals(H)
+        margin = float(np.abs(1.0 - np.outer(eigs, eigs)).min())
+        assume(margin > 1e-10)
+        ref = solve_projected_tl(H, Bk, Fk)
+        assert np.linalg.norm(Y - ref) <= 1e-10 * np.linalg.norm(Y) / min(margin, 1.0)

@@ -13,7 +13,9 @@ from dtmor import (
     ShiftStrategy,
     SolverConfig,
     build_system,
+    dense_stein,
     generate_example,
+    lowrank,
     next_shift,
     rksm,
     smith_arnoldi,
@@ -136,6 +138,26 @@ class TestRksm:
             a = rksm(s, side, 50, ShiftStrategy(strategy))
             assert a.residual <= SolverConfig().tol
             assert a.offspace_fallbacks == 0
+
+    @pytest.mark.parametrize("strategy", ["alternating-pm1", "adaptive-disc"])
+    def test_finite_window_runs_no_projected_solve(self, monkeypatch, strategy):
+        # the window walk gives the projected solution; only tau = inf solves
+        solve = lowrank.solve_projected_tl
+        calls = []
+
+        def refuse(*args):
+            raise AssertionError("projected Stein solve at a finite window")
+
+        monkeypatch.setattr(lowrank, "solve_projected_tl", refuse)
+        monkeypatch.setattr(dense_stein, "solve_stein_dense", refuse)
+        s = generate_example(ExampleSpec(kind="jacobi", size=20, inputs=2, outputs=2, seed=1))
+        for side in ("reach", "obs"):
+            a = rksm(s, side, 50, ShiftStrategy(strategy))
+            assert a.residual <= SolverConfig().tol
+        monkeypatch.setattr(lowrank, "solve_projected_tl",
+                            lambda *args: calls.append(args) or solve(*args))
+        a = rksm(s, "reach", math.inf, ShiftStrategy(strategy))
+        assert a.residual <= SolverConfig().tol and calls
 
     def test_records_written(self):
         s = random_stable_system(43, 16, 2, 2)
