@@ -6,10 +6,13 @@ expression for models produced by time-limited balancing, its asymptotic
 upper bound driven by matrix-power envelopes, and the doubled
 neglected-HSV sum.
 
-Trace expressions are always evaluated from both the reachability and the
-observability side; following the computing recipe used throughout, the two
-sides are averaged and an absolute value is applied before square roots,
-with the raw sides kept for cancellation diagnostics.
+The output bound over a finite window is the impulse-response sum of the
+error system, which has no cancellation and needs no Gramian.  The trace
+expressions (infinite horizon, and the balanced-realization expressions) are
+evaluated from both the reachability and the observability side; following
+the computing recipe used throughout, the two sides are averaged and an
+absolute value is applied before square roots, with the raw sides and the
+largest term kept for cancellation diagnostics.
 """
 from __future__ import annotations
 
@@ -24,7 +27,7 @@ from .balancing import BalancedRealization, HankelSpectrum
 from .dense_stein import DenseGramianPair, solve_cross_sylvester, tl_gramian_dense
 from .exceptions import DimensionMismatchError, EstimationError, SolvabilityError
 from .lowrank import GramianApprox
-from .system import DiscreteLTISystem
+from .system import DiscreteLTISystem, impulse_sequence
 
 CROUZEIX_PALENCIA = 1.0 + math.sqrt(2.0)
 _SIDE_AGREE_TOL = 1e-6
@@ -51,6 +54,11 @@ def _trace_input_gram(B: np.ndarray, gram) -> float:
         return float(np.trace(QB.T @ gram.core @ QB))
     Q = gram.gramian if isinstance(gram, DenseGramianPair) else gram
     return float(np.trace(B.T @ Q @ B))
+
+
+def _krylov_basis(gram) -> np.ndarray | None:
+    """The orthonormal basis of a low-rank Gramian, None for a dense one."""
+    return gram.basis if isinstance(gram, GramianApprox) else None
 
 
 def _relative_gap(x: float, y: float) -> float:
@@ -88,19 +96,28 @@ class OutputErrorBound:
     For any input, max_{k<=tau} ||y(k) - yhat(k)||_2 is bounded by
     ``epsilon`` times the root input energy over the window; the constant is
     the TL h2 norm of the error system and holds for unstable models too.
+
+    ``backend`` says how it was computed: 'summation' (finite tau, the
+    impulse-response sum; both trace fields hold that sum and the gap is 0),
+    'dense' or 'low-rank' (tau = inf, the trace form with dense or low-rank
+    full-order Gramians).  ``cancellation`` is the largest trace term's
+    magnitude over epsilon^2, 1 for the sum.
     """
     epsilon: float
     horizon: float
     trace_c_side: float
     trace_b_side: float
     sides_relative_gap: float
-    averaged_sides: bool
-    absolute_value_applied: bool
-    large_scale_approximate: bool
+    backend: str
+    cancellation: float
 
     @property
     def epsilon_squared(self) -> float:
         return self.epsilon ** 2
+
+    @property
+    def large_scale_approximate(self) -> bool:
+        return self.backend == "low-rank"
 
     @property
     def sides_disagree(self) -> bool:
@@ -117,40 +134,61 @@ class OutputErrorBound:
         return self.epsilon * self.input_energy(u)
 
 
+def _cancellation(terms, value_sq: float) -> float:
+    """Largest trace term's magnitude over the squared norm it sums to."""
+    return max(abs(t) for t in terms) / max(value_sq, 1e-300)
+
+
 def bound_output_tl(sys: DiscreteLTISystem, rom: DiscreteLTISystem, tau,
                     reach=None, obs=None) -> OutputErrorBound:
     """Output error bound for an arbitrary reduced-order model.
 
-    ``reach``/``obs`` may carry precomputed full-order Gramians (dense pairs
-    or low-rank approximations); when low-rank factors are used the result
-    is flagged approximate, since solver tolerances propagate into the
-    traces.  tau = inf is allowed for stable system/model pairs and yields
-    the infinite-horizon error norm.
+    Finite tau: epsilon^2 = sum_{k=1..tau} ||h(k) - hhat(k)||_F^2, one walk of
+    each system's impulse response; exact for every pair of spectra, and
+    ``reach``/``obs`` are not used.
+
+    tau = inf (stable system/model pairs): the trace form, evaluated from both
+    sides, averaged, with an absolute value applied before the square root.
+    ``reach``/``obs`` may carry the full-order infinite-horizon Gramians
+    (dense pairs or low-rank approximations, computed densely when absent).
+    A low-rank side also supplies the Krylov basis its cross Gramian is
+    projected onto, and the result is flagged approximate, since solver
+    tolerances propagate into the traces.
     """
     if rom.m != sys.m or rom.p != sys.p:
         raise DimensionMismatchError("reduced model must share input/output counts")
-    approximate = isinstance(reach, GramianApprox) or isinstance(obs, GramianApprox)
+    if not math.isinf(tau):
+        tau = int(tau)
+        if tau < 1:
+            raise ValueError("tau must be >= 1 or inf")
+        diff = impulse_sequence(sys, tau) - impulse_sequence(rom, tau)
+        eps_sq = float(np.sum(diff ** 2))
+        return OutputErrorBound(
+            epsilon=math.sqrt(eps_sq), horizon=float(tau), trace_c_side=eps_sq,
+            trace_b_side=eps_sq, sides_relative_gap=0.0, backend="summation",
+            cancellation=1.0)
+
+    low_rank = isinstance(reach, GramianApprox) or isinstance(obs, GramianApprox)
     if reach is None:
         reach = tl_gramian_dense(sys, tau, "reach")
     if obs is None:
         obs = tl_gramian_dense(sys, tau, "obs")
     rom_reach = tl_gramian_dense(rom, tau, "reach")
     rom_obs = tl_gramian_dense(rom, tau, "obs")
-    Y = solve_cross_sylvester(sys, rom, tau, "Y").matrix
-    Z = solve_cross_sylvester(sys, rom, tau, "Z").matrix
+    Y = solve_cross_sylvester(sys, rom, tau, "Y", _krylov_basis(reach)).matrix
+    Z = solve_cross_sylvester(sys, rom, tau, "Z", _krylov_basis(obs)).matrix
 
-    tc = (_trace_output_gram(sys.C, reach)
-          + _trace_output_gram(rom.C, rom_reach)
-          - 2.0 * float(np.trace(sys.C @ Y @ rom.C.T)))
-    tb = (_trace_input_gram(sys.B, obs)
-          + _trace_input_gram(rom.B, rom_obs)
-          - 2.0 * float(np.trace(sys.B.T @ Z @ rom.B)))
+    c_terms = (_trace_output_gram(sys.C, reach), _trace_output_gram(rom.C, rom_reach),
+               -2.0 * float(np.trace(sys.C @ Y @ rom.C.T)))
+    b_terms = (_trace_input_gram(sys.B, obs), _trace_input_gram(rom.B, rom_obs),
+               -2.0 * float(np.trace(sys.B.T @ Z @ rom.B)))
+    tc, tb = sum(c_terms), sum(b_terms)
+    eps_sq = abs(0.5 * (tc + tb))
     return OutputErrorBound(
-        epsilon=math.sqrt(abs(0.5 * (tc + tb))),
-        horizon=float(tau) if not math.isinf(tau) else math.inf,
+        epsilon=math.sqrt(eps_sq), horizon=math.inf,
         trace_c_side=tc, trace_b_side=tb, sides_relative_gap=_relative_gap(tc, tb),
-        averaged_sides=True, absolute_value_applied=True,
-        large_scale_approximate=approximate)
+        backend="low-rank" if low_rank else "dense",
+        cancellation=_cancellation(c_terms + b_terms, eps_sq))
 
 
 # ---------------------------------------------------------------------------
@@ -232,6 +270,7 @@ class InfiniteHorizonBound:
     c_side: float
     b_side: float
     sides_relative_gap: float
+    cancellation: float
 
 
 def bound_inf_horizon(bal: BalancedRealization, r: int) -> InfiniteHorizonBound:
@@ -242,9 +281,11 @@ def bound_inf_horizon(bal: BalancedRealization, r: int) -> InfiniteHorizonBound:
     c_side, b_side = sum(c.values()), sum(b.values())
     upper = 0.5 * ((c["neglected_block"] + c["coupling"])
                    + (b["neglected_block"] + b["coupling"]))
+    value_sq = abs(0.5 * (c_side + b_side))
     return InfiniteHorizonBound(
-        value_sq=abs(0.5 * (c_side + b_side)), upper_sq=abs(upper),
-        c_side=c_side, b_side=b_side, sides_relative_gap=_relative_gap(c_side, b_side))
+        value_sq=value_sq, upper_sq=abs(upper),
+        c_side=c_side, b_side=b_side, sides_relative_gap=_relative_gap(c_side, b_side),
+        cancellation=_cancellation([*c.values(), *b.values()], value_sq))
 
 
 # ---------------------------------------------------------------------------
@@ -436,10 +477,12 @@ class BoundReport:
     prop23_trace_c: float | None = None
     prop23_trace_b: float | None = None
     prop23_sides_gap: float | None = None
+    prop23_backend: str | None = None          # 'summation', 'dense' or 'low-rank'
     inf_horizon_sq: float | None = None
     inf_horizon_upper_sq: float | None = None
     inf_horizon_gap: float | None = None
     inf_horizon_backend: str | None = None     # 'dense' or 'low-rank'
+    inf_horizon_cancellation: float | None = None
     thm31_value: float | None = None
     thm31_terms: dict | None = None
     thm31_residual_term: float | None = None
@@ -473,12 +516,14 @@ class BoundReport:
                 "trace_c_side": self.prop23_trace_c,
                 "trace_b_side": self.prop23_trace_b,
                 "sides_relative_gap": self.prop23_sides_gap,
+                "backend": self.prop23_backend,
             },
             "inf_horizon": {
                 "value_sq": self.inf_horizon_sq,
                 "upper_sq": self.inf_horizon_upper_sq,
                 "sides_relative_gap": self.inf_horizon_gap,
                 "backend": self.inf_horizon_backend,
+                "cancellation": self.inf_horizon_cancellation,
             },
             "thm31": {
                 "value": self.thm31_value,
@@ -526,13 +571,14 @@ def build_bound_report(sys: DiscreteLTISystem, rom, tau,
     """Assemble the bound report for one reduced model.
 
     ``rom`` is a ReducedOrderModel from the balancing module.  The general
-    output bound is always computed, from the window Gramians
-    ``reach``/``obs``; the infinite-horizon error norm is added whenever
-    both the system and the model are stable, from ``inf_reach``/``inf_obs``
-    (dense or low-rank, computed densely when absent); the balanced
-    expressions are added when dense balanced realizations are supplied
-    (``bal`` at the window, ``bal_inf`` at infinite horizon for the
-    simplified upper variant).
+    output bound is always computed: at a finite window as the impulse
+    response sum, which needs no Gramian; at tau = inf from ``reach``/``obs``,
+    the system's infinite-horizon Gramians.  The infinite-horizon error norm
+    is added whenever both the system and the model are stable, from
+    ``inf_reach``/``inf_obs`` (dense or low-rank, computed densely when
+    absent); the balanced expressions are added when dense balanced
+    realizations are supplied (``bal`` at the window, ``bal_inf`` at
+    infinite horizon for the simplified upper variant).
     """
     rsys = rom.system
     rho = rom.spectral_radius()
@@ -545,9 +591,11 @@ def build_bound_report(sys: DiscreteLTISystem, rom, tau,
     report.prop23_trace_c = ob.trace_c_side
     report.prop23_trace_b = ob.trace_b_side
     report.prop23_sides_gap = ob.sides_relative_gap
+    report.prop23_backend = ob.backend
+    traced = ob.backend != "summation"  # the trace form averages and takes |.|
     report.flags = {
-        "averaged_sides": ob.averaged_sides,
-        "absolute_value_applied": ob.absolute_value_applied,
+        "averaged_sides": traced,
+        "absolute_value_applied": traced,
         "large_scale_approximate": ob.large_scale_approximate,
         "sides_disagree": ob.sides_disagree,
         "rom_unstable": rho >= 1.0,
@@ -562,7 +610,8 @@ def build_bound_report(sys: DiscreteLTISystem, rom, tau,
     if ob_inf is not None:
         report.inf_horizon_sq = ob_inf.epsilon_squared
         report.inf_horizon_gap = ob_inf.sides_relative_gap
-        report.inf_horizon_backend = "low-rank" if ob_inf.large_scale_approximate else "dense"
+        report.inf_horizon_backend = ob_inf.backend
+        report.inf_horizon_cancellation = ob_inf.cancellation
 
     if bal_inf is not None and bal_inf.tl_b is None and rom.r <= bal_inf.order:
         try:
@@ -571,6 +620,7 @@ def build_bound_report(sys: DiscreteLTISystem, rom, tau,
             report.inf_horizon_upper_sq = inf_expr.upper_sq
             report.inf_horizon_gap = inf_expr.sides_relative_gap
             report.inf_horizon_backend = "dense"
+            report.inf_horizon_cancellation = inf_expr.cancellation
         except SolvabilityError:
             pass
 

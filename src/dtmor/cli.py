@@ -21,6 +21,7 @@ Exit codes:
 from __future__ import annotations
 
 import argparse
+import ctypes
 import json
 import math
 import os
@@ -197,6 +198,17 @@ def _solve_stats(obj, records) -> dict:
             "offspace_fallbacks": obj.offspace_fallbacks}
 
 
+def blas_threads() -> int | None:
+    """Threads the scipy-openblas library bundled with numpy will use; None
+    when numpy carries no such library."""
+    for lib in sorted((Path(np.__file__).parent.parent / "numpy.libs").glob("*openblas*")):
+        fn = getattr(ctypes.CDLL(str(lib)), "scipy_openblas_get_num_threads64_", None)
+        if fn is not None:
+            fn.argtypes, fn.restype = [], ctypes.c_int
+            return fn()
+    return None
+
+
 def run_pipeline(cfg: JobConfig) -> ReportBundle:
     """Execute one reduction job in memory (no files written)."""
     cfg.validate()
@@ -217,12 +229,13 @@ def run_pipeline(cfg: JobConfig) -> ReportBundle:
             pair.append(gram)
         return pair
 
-    inf_reach = inf_obs = None
+    # the window Gramians feed only TLBT: a finite-window bound is summed
+    inf_reach = inf_obs = tl_reach = tl_obs = None
     if "bt" in cfg.methods:
         inf_reach, inf_obs = solve_pair(math.inf, "bt")
-    if math.isinf(window):  # BT only: the window Gramians are the infinite-horizon ones
+    if math.isinf(window):  # BT only: the report's Gramians are the infinite-horizon ones
         tl_reach, tl_obs = inf_reach, inf_obs
-    else:
+    elif "tlbt" in cfg.methods:
         tl_reach, tl_obs = solve_pair(window, "tlbt")
 
     for method in cfg.methods:
@@ -311,6 +324,7 @@ def write_bundle(bundle: ReportBundle, cfg: JobConfig) -> Path:
         for method, rom in bundle.roms.items():
             balancing.export_rom(rom, tmp / f"rom_{method}")
         report_doc = {
+            "blas_threads": blas_threads(),
             "config": _config_doc(cfg),
             "reports": {m: rep.to_dict() for m, rep in bundle.reports.items()},
             "e_max": {m: bundle.e_max[m] for m in sorted(bundle.e_max)},

@@ -5,8 +5,9 @@ This is the oracle layer: every low-rank result in the package is checked
 against it at desk scale.  Every finite-horizon quantity (dense, cross and
 projected Gramians and the horizon terms A^tau B) is the defining sum walked
 by :func:`window_sum` or :func:`window_horizon`; the Krylov solvers use
-:func:`solve_projected_tl` for their infinite-horizon compressed problems.
-Sizes are guarded by the dense cap.
+:func:`solve_projected_tl` for their infinite-horizon compressed problems,
+and infinite-horizon cross Gramians can be projected onto the same Krylov
+bases.  Sizes are guarded by the dense cap.
 """
 from __future__ import annotations
 
@@ -196,7 +197,7 @@ def tl_gramian_dense(sys: DiscreteLTISystem, tau, side: str = "reach") -> DenseG
 
 
 def solve_cross_sylvester(sys: DiscreteLTISystem, rom: DiscreteLTISystem,
-                          tau, side: str = "Y") -> CrossGramian:
+                          tau, side: str = "Y", basis: np.ndarray | None = None) -> CrossGramian:
     """Mixed Stein-like equation coupling a full-order and a reduced system.
 
     Side 'Y' solves  Abar Y Ahat^T - Y + Bbar Bhat^T - Fbar Fhat^T = 0 in
@@ -205,14 +206,20 @@ def solve_cross_sylvester(sys: DiscreteLTISystem, rom: DiscreteLTISystem,
 
     Finite tau: the defining sum of Abar^j Bbar Bhat^T (Ahat^T)^j over
     j < tau, which satisfies the equation identically and exists for every
-    pair of spectra.  tau = inf (the F terms absent): the reduced coefficient
-    is Schur-decomposed and the full-order side is only touched through r
-    shifted solves, so sparse systems stay sparse.
+    pair of spectra; ``basis`` is not used.  tau = inf (the F terms absent):
+    with ``basis``, an orthonormal n x k basis Q of the solved side's
+    reachable space (the basis of that side's infinite-horizon low-rank
+    Gramian), the Galerkin solution Y = Q Yk with
+    (Q^T Abar Q) Yk Ahat^T - Yk + Q^T Bbar Bhat^T = 0, a k x r dense solve.
+    Without it, the reduced coefficient is Schur-decomposed and the
+    full-order side is only touched through r shifted solves, so sparse
+    systems stay sparse.  Both infinite-horizon paths check the full-order
+    residual and raise :class:`SolvabilityError` when it is not small.
     """
     if side not in ("Y", "Z"):
         raise ValueError(f"side must be 'Y' or 'Z', got {side!r}")
     if side == "Z":
-        inner = solve_cross_sylvester(sys.dual(), rom.dual(), tau, side="Y")
+        inner = solve_cross_sylvester(sys.dual(), rom.dual(), tau, "Y", basis)
         return CrossGramian(inner.matrix, inner.horizon, "Z")
     if rom.m != sys.m:
         raise DimensionMismatchError(
@@ -225,25 +232,31 @@ def solve_cross_sylvester(sys: DiscreteLTISystem, rom: DiscreteLTISystem,
         Ymat, _, _ = window_sum(sys.apply_dynamics, X, tau, rom.apply_dynamics, Xh)
         return CrossGramian(Ymat, float(int(tau)), "Y")
 
-    r = rom.n
     Ahat = rom.dense_dynamics()
     W = X @ Xh.T
-    TB, V = sla.schur(Ahat.astype(complex), output="complex")
-    Wt = W @ V.conj()
-    n = sys.n
-    Y = np.zeros((n, r), dtype=complex)
-    try:
-        for j in range(r - 1, -1, -1):
-            rhs = -Wt[:, j] - sys.apply_dynamics(Y[:, j + 1:] @ TB[j, j + 1:])
-            Y[:, j] = _shifted_standard_solve(sys, TB[j, j], rhs)
-    except (np.linalg.LinAlgError, sla.LinAlgError, RuntimeError) as exc:
-        raise SolvabilityError(
-            f"shifted solve in the cross Sylvester recursion is singular "
-            f"(reciprocal eigenvalue pair): {exc}") from exc
-    Ymat = (Y @ V.T).real
+    if basis is not None:
+        AQ = sys.apply_dynamics(basis)
+        Yk = solve_stein_sylvester(basis.T @ AQ, Ahat, basis.T @ W)
+        Ymat = basis @ Yk
+        AY = AQ @ Yk
+    else:
+        r = rom.n
+        TB, V = sla.schur(Ahat.astype(complex), output="complex")
+        Wt = W @ V.conj()
+        Y = np.zeros((sys.n, r), dtype=complex)
+        try:
+            for j in range(r - 1, -1, -1):
+                rhs = -Wt[:, j] - sys.apply_dynamics(Y[:, j + 1:] @ TB[j, j + 1:])
+                Y[:, j] = _shifted_standard_solve(sys, TB[j, j], rhs)
+        except (np.linalg.LinAlgError, sla.LinAlgError, RuntimeError) as exc:
+            raise SolvabilityError(
+                f"shifted solve in the cross Sylvester recursion is singular "
+                f"(reciprocal eigenvalue pair): {exc}") from exc
+        Ymat = (Y @ V.T).real
+        AY = sys.apply_dynamics(Ymat)
 
-    # residual check doubles as the solvability guard for the sparse path
-    resid = sys.apply_dynamics(Ymat) @ Ahat.T - Ymat + W
+    # residual check doubles as the solvability guard
+    resid = AY @ Ahat.T - Ymat + W
     scale = max(float(np.linalg.norm(W)), 1e-300)
     if np.linalg.norm(resid) > 1e-8 * max(scale, float(np.linalg.norm(Ymat))):
         raise SolvabilityError(

@@ -166,6 +166,23 @@ class TestOutputBound:
             ref = math.sqrt(oracles.h2_error_sq(Ad, Bd, C, r.A, r.B, r.C, 50))
             assert bundle.reports[method].prop23_epsilon == pytest.approx(ref, rel=1e-5)
 
+    def test_finite_window_epsilon_is_impulse_sum_with_lowrank_gramians(self):
+        # the desk-dense system (Gauss-Seidel N=20, m=p=2, seed 1, tau=50,
+        # r=10) reduced from rksm Gramians: the window bound is summed, so
+        # solver tolerances do not reach it
+        from dtmor.cli import JobConfig, run_pipeline
+        cfg = JobConfig(example=ExampleSpec(kind="gauss-seidel", size=20, inputs=2,
+                                            outputs=2, seed=1),
+                        tau=50, methods=("bt", "tlbt"), order=10, solver="rksm-pm1")
+        bundle = run_pipeline(cfg)
+        Ad, Bd, C = oracles.dense_standard(bundle.system)
+        for method, rom in bundle.roms.items():
+            r = rom.system
+            ref = oracles.h2_error_sq(Ad, Bd, C, r.A, r.B, r.C, 50)
+            report = bundle.reports[method]
+            assert report.prop23_backend == "summation"
+            assert report.prop23_epsilon ** 2 == pytest.approx(ref, rel=1e-12)
+
     def test_large_scale_flag_with_lowrank_gramians(self):
         from dtmor import rksm, SolverConfig, ShiftStrategy
         s = random_stable_system(8, 30, 2, 2)
@@ -176,8 +193,8 @@ class TestOutputBound:
         rom, _ = square_root_truncate(reach, obs, s, tau, order=8)
         ob_lr = bound_output_tl(s, rom.system, tau, reach=reach, obs=obs)
         ob_dn = bound_output_tl(s, rom.system, tau)
-        assert ob_lr.large_scale_approximate and not ob_dn.large_scale_approximate
-        assert ob_lr.epsilon == pytest.approx(ob_dn.epsilon, rel=1e-6)
+        assert not ob_lr.large_scale_approximate and not ob_dn.large_scale_approximate
+        assert ob_lr.epsilon == pytest.approx(ob_dn.epsilon, rel=1e-12)
 
 
 class TestInfiniteHorizon:

@@ -60,7 +60,7 @@ class TestRunPipeline:
         rom = bundle.roms["tlbt"]
         assert rom.hsv_tail() <= 1e-2
         assert bundle.convergence[("tlbt", "reach")]
-        assert bundle.reports["tlbt"].flags["large_scale_approximate"]
+        assert not bundle.reports["tlbt"].flags["large_scale_approximate"]
 
 
     def test_tlbt_only_solves_inf_gramians_once_with_job_solver(self, monkeypatch):
@@ -86,6 +86,36 @@ class TestRunPipeline:
                                  (math.inf, "obs"), (math.inf, "reach")]
         assert bundle.gramian_meta[("bt", "reach")]["final_residual"] <= cfg.tol
 
+
+    def test_bt_only_window_run_solves_no_window_gramians(self, monkeypatch, tmp_path):
+        # n=400 past a cap of 200: the finite-window bound is summed, so a BT
+        # run solves only its infinite-horizon pair, and the report's cross
+        # Gramians come from those bases, not from shifted full-order solves
+        monkeypatch.setenv("DTMOR_DENSE_CAP", "200")
+        calls = []
+        real = dtmor.cli.compute_gramian
+
+        def counting(system, tau, side, solver, cfg):
+            calls.append((tau, side))
+            return real(system, tau, side, solver, cfg)
+
+        def refuse(*args):
+            raise AssertionError("shifted full-order solve in a low-rank run")
+        monkeypatch.setattr(dtmor.cli, "compute_gramian", counting)
+        monkeypatch.setattr(dtmor.dense_stein, "_shifted_standard_solve", refuse)
+        out = tmp_path / "job"
+        code = main(["pipeline", "--kind", "jacobi", "--size", "20", "--inputs", "2",
+                     "--outputs", "2", "--seed", "1", "--solver", "rksm-pm1",
+                     "--method", "bt", "--tau", "50", "--order", "10", "--out", str(out)])
+        assert code == 0
+        assert sorted(calls) == [(math.inf, "obs"), (math.inf, "reach")]
+        assert not list(out.glob("convergence_tlbt_*"))
+        doc = json.loads((out / "report.json").read_text())
+        assert sorted(doc["gramian_solves"]) == ["bt_obs", "bt_reach"]
+        bt = doc["reports"]["bt"]
+        assert bt["prop23"]["backend"] == "summation"
+        assert bt["inf_horizon"]["backend"] == "low-rank"
+        assert bt["inf_horizon"]["cancellation"] >= 1.0
 
     def test_gramian_solves_record_deflation_and_fallbacks(self, tmp_path):
         cfg = JobConfig(example=ExampleSpec(kind="gauss-seidel", size=10, inputs=2,
@@ -154,6 +184,12 @@ class TestWriteBundle:
         for value in (bt["inf_horizon"]["value_sq"], bt["prop23"]["epsilon"],
                       tl["prop23"]["epsilon"], bt["hsv_tail"], tl["hsv_tail"]):
             assert value is not None and value >= 0
+
+    def test_report_records_blas_threads(self, tmp_path):
+        doc = json.loads((self._run(tmp_path, "job") / "report.json").read_text())
+        threads = dtmor.cli.blas_threads()
+        assert doc["blas_threads"] == threads
+        assert threads is None or threads >= 1
 
     def test_byte_identical_rerun(self, tmp_path):
         out1 = self._run(tmp_path, "job1")

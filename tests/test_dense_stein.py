@@ -10,13 +10,16 @@ from conftest import random_stable_system
 from dtmor import (
     DenseCapError,
     ExampleSpec,
+    ShiftStrategy,
     SolvabilityError,
     build_system,
     generate_example,
+    rksm,
     solve_cross_sylvester,
     solve_projected_tl,
     solve_stein_dense,
     solve_stein_sylvester,
+    square_root_truncate,
     stein_residual_dense,
     tl_gramian_dense,
 )
@@ -174,6 +177,29 @@ class TestCrossSylvester:
         Y = solve_cross_sylvester(s, rom, math.inf, "Y").matrix
         ref = oracles.cross_sum(s.A, s.B, rom.A, rom.B, 400)
         assert np.linalg.norm(Y - ref) <= 1e-10 * np.linalg.norm(ref)
+
+    @pytest.mark.parametrize("shifts", ["alternating-pm1", "adaptive-disc"])
+    @pytest.mark.parametrize("kind", ["jacobi", "gauss-seidel"])
+    def test_galerkin_on_krylov_basis_matches_recursion(self, kind, shifts):
+        # N=20 (n=400), m=p=2, seed 1: the order-10 BT model of the run's own
+        # infinite-horizon low-rank Gramians, whose bases the cross Gramians
+        # are projected onto; the recursion solves the full-order equation
+        s = generate_example(ExampleSpec(kind=kind, size=20, inputs=2, outputs=2, seed=1))
+        strategy = ShiftStrategy(shifts)
+        reach = rksm(s, "reach", math.inf, strategy)
+        obs = rksm(s, "obs", math.inf, strategy)
+        rom = square_root_truncate(reach, obs, s, math.inf, order=10, method="bt")[0].system
+        Y = solve_cross_sylvester(s, rom, math.inf, "Y", reach.basis).matrix
+        Z = solve_cross_sylvester(s, rom, math.inf, "Z", obs.basis).matrix
+        Yr = solve_cross_sylvester(s, rom, math.inf, "Y").matrix
+        Zr = solve_cross_sylvester(s, rom, math.inf, "Z").matrix
+        assert np.trace(s.C @ Y @ rom.C.T) == pytest.approx(np.trace(s.C @ Yr @ rom.C.T),
+                                                             rel=1e-10)
+        assert np.trace(s.B.T @ Z @ rom.B) == pytest.approx(np.trace(s.B.T @ Zr @ rom.B),
+                                                             rel=1e-10)
+        W = s.input_map() @ rom.input_map().T
+        resid = s.apply_dynamics(Y) @ rom.dense_dynamics().T - Y + W
+        assert np.linalg.norm(resid) <= 1e-8 * max(np.linalg.norm(W), np.linalg.norm(Y))
 
     def test_infinite_horizon_reciprocal_pair_raises(self):
         # 2 * 0.5 = 1: the infinite-horizon equation has no unique solution
