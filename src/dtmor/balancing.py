@@ -1,5 +1,5 @@
 """Square-root balanced truncation from Gramian factors, dense balancing
-with the full transform, adaptive order selection, and the time-limited
+at the numerical rank, adaptive order selection, and the time-limited
 stability certificate.
 
 Generalized systems are balanced through their standard form: the factor
@@ -15,7 +15,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .config import check_dense_cap
-from .dense_stein import DenseGramianPair, window_horizon
+from .dense_stein import DenseGramianPair
 from .exceptions import BalancingError, DimensionMismatchError
 from .lowrank import GramianApprox
 from .system import DiscreteLTISystem, write_system
@@ -71,11 +71,13 @@ class BalancedPartition:
 
 @dataclass
 class BalancedRealization:
-    """Fully balanced standard-form realization with its transform.
+    """Balanced standard-form realization of the numerically nonzero Hankel
+    singular values, with its projectors.
 
     ``a``, ``b``, ``c`` are the balanced coefficient matrices, ``sigma`` the
-    Hankel singular values, and ``tl_b``/``tl_c`` the horizon terms
-    A^tau B and C A^tau of the balanced system (None at infinite horizon).
+    kept Hankel singular values, and ``tl_b``/``tl_c`` the horizon terms
+    A^tau B and C A^tau of the original system in the balanced coordinates
+    (None at infinite horizon).
     """
     a: np.ndarray
     b: np.ndarray
@@ -90,9 +92,6 @@ class BalancedRealization:
     @property
     def order(self) -> int:
         return self.a.shape[0]
-
-    def spectrum(self) -> HankelSpectrum:
-        return HankelSpectrum(self.sigma.copy(), self.horizon)
 
     def partition(self, r: int) -> BalancedPartition:
         n = self.order
@@ -195,6 +194,8 @@ def square_root_truncate(ZP, ZQ, sys: DiscreteLTISystem, tau,
     V = Vt.T
     U, V = _fix_svd_signs(U, V)
     rank = int(np.sum(svals > _KERNEL_TOL * max(svals[0], 1e-300)))
+    if rank == 0:
+        raise BalancingError("zero Gramian factor product")
     horizon = float(tau) if not math.isinf(tau) else math.inf
     spectrum = HankelSpectrum(svals.copy(), horizon)
 
@@ -226,41 +227,31 @@ def square_root_truncate(ZP, ZQ, sys: DiscreteLTISystem, tau,
 
 def balance_dense(sys: DiscreteLTISystem, P, Q, tau=math.inf,
                   verify_tol: float = 1e-8) -> BalancedRealization:
-    """Compute the full balancing transform of a dense system from a pair of
-    dense Gramians, verify both diagonalization identities, and attach the
-    horizon terms of the balanced coordinates.
+    """Balanced realization of a dense system at the numerical rank k of its
+    Gramian pair, verified by both diagonalization identities.
 
-    P and Q must be symmetric positive definite up to the kernel-removal
-    threshold; a singular product beyond it raises BalancingError.
+    :func:`square_root_truncate` on psd_factor(P) and psd_factor(Q) keeps
+    every Hankel singular value above the kernel threshold of ``reduce``, so
+    a non-minimal pair (P_tau has rank at most tau*m) is balanced at rank k
+    (Tombs & Postlethwaite, Int. J. Control 46 (1987)); ``transform`` and
+    ``transform_inv`` are that model's k x n and n x k projectors.  A finite
+    ``tau`` needs DenseGramianPairs: the horizon terms are their A^tau B and
+    C A^tau projected into the balanced coordinates.
     """
     check_dense_cap(sys.n, "dense balancing")
-    std = sys.to_standard()
     Pm = P.gramian if isinstance(P, DenseGramianPair) else np.asarray(P, dtype=float)
-    Qm = Q.gramian if isinstance(Q, DenseGramianPair) else np.asarray(Q, dtype=float)
+    Qadj = Q.gramian if isinstance(Q, DenseGramianPair) else np.asarray(Q, dtype=float)
+    # hsv_tol=0 keeps every singular value above the kernel threshold
+    rom, spectrum = square_root_truncate(psd_factor(Pm), psd_factor(Qadj), sys, tau, hsv_tol=0.0)
+    T, Tinv = rom.projector_w.T, rom.projector_v
+    Qm, M = Qadj, None
     if sys.is_generalized:
-        # the observability-side solution is mass-adjusted; undo for the
-        # standard coordinates used here
+        # the observability-side solution is mass-adjusted; undo it for the
+        # standard coordinates of the identities
         M = sys.M.toarray() if sp.issparse(sys.M) else sys.M
-        Qm = M.T @ Qm @ M
-
-    ZP = psd_factor(Pm)
-    ZQ = psd_factor(Qm)
-    U, svals, Vt = np.linalg.svd(ZQ.T @ ZP, full_matrices=False)
-    V = Vt.T
-    U, V = _fix_svd_signs(U, V)
-    if svals.size < sys.n or svals[-1] <= _KERNEL_TOL * svals[0]:
-        raise BalancingError(
-            "Gramian product is numerically singular; remove unreachable/unobservable "
-            "states before dense balancing")
-
-    scale = svals ** -0.5
-    T = (U * scale).T @ ZQ.T
-    Tinv = ZP @ (V * scale)
-    Ab = T @ std.A @ Tinv
-    Bb = T @ std.B
-    Cb = std.C @ Tinv
+        Qm = M.T @ Qadj @ M
+    svals = spectrum.values[:rom.r]
     Sig = np.diag(svals)
-
     err_p = np.linalg.norm(T @ Pm @ T.T - Sig, 2) / svals[0]
     err_q = np.linalg.norm(Tinv.T @ Qm @ Tinv - Sig, 2) / svals[0]
     if max(err_p, err_q) > verify_tol:
@@ -269,11 +260,12 @@ def balance_dense(sys: DiscreteLTISystem, P, Q, tau=math.inf,
 
     tl_b = tl_c = None
     if not math.isinf(tau):
-        tl_b = window_horizon(lambda X: Ab @ X, Bb, tau)
-        tl_c = window_horizon(lambda X: X @ Ab, Cb, tau)
-    return BalancedRealization(a=Ab, b=Bb, c=Cb, sigma=svals, transform=T,
-                               transform_inv=Tinv, horizon=float(tau) if not math.isinf(tau) else math.inf,
-                               tl_b=tl_b, tl_c=tl_c)
+        tl_b = T @ P.tl_term
+        G = Q.tl_term.T if M is None else Q.tl_term.T @ M   # C A^tau, standard form
+        tl_c = G @ Tinv
+    bal = rom.system
+    return BalancedRealization(a=bal.A, b=bal.B, c=bal.C, sigma=svals, transform=T,
+                               transform_inv=Tinv, horizon=rom.horizon, tl_b=tl_b, tl_c=tl_c)
 
 
 @dataclass(frozen=True)

@@ -24,7 +24,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .balancing import BalancedRealization, HankelSpectrum
-from .dense_stein import DenseGramianPair, solve_cross_sylvester, tl_gramian_dense
+from .dense_stein import solve_cross_sylvester, solve_projected_tl, tl_gramian_dense
 from .exceptions import DimensionMismatchError, EstimationError, SolvabilityError
 from .lowrank import GramianApprox
 from .system import DiscreteLTISystem, impulse_sequence
@@ -41,8 +41,7 @@ def _trace_output_gram(C: np.ndarray, gram) -> float:
     if isinstance(gram, GramianApprox):
         CQ = C @ gram.basis
         return float(np.trace(CQ @ gram.core @ CQ.T))
-    P = gram.gramian if isinstance(gram, DenseGramianPair) else gram
-    return float(np.trace(C @ P @ C.T))
+    return float(np.trace(C @ gram.gramian @ C.T))
 
 
 def _trace_input_gram(B: np.ndarray, gram) -> float:
@@ -52,8 +51,7 @@ def _trace_input_gram(B: np.ndarray, gram) -> float:
     if isinstance(gram, GramianApprox):
         QB = gram.basis.T @ B
         return float(np.trace(QB.T @ gram.core @ QB))
-    Q = gram.gramian if isinstance(gram, DenseGramianPair) else gram
-    return float(np.trace(B.T @ Q @ B))
+    return float(np.trace(B.T @ gram.gramian @ B))
 
 
 def _krylov_basis(gram) -> np.ndarray | None:
@@ -212,27 +210,36 @@ def _balanced_error_terms(bal: BalancedRealization, r: int) -> tuple[dict, dict]
     ``bal`` at order r over its own horizon: the neglected block, the
     coupling through the cross Gramians and the ROM-Gramian gap, plus the
     horizon residual when ``bal`` is time-limited.  Each side sums to the
-    squared norm."""
+    squared norm.
+
+    At infinite horizon the ROM-Gramian gaps P^ - Sigma1 and Q^ - Sigma1
+    solve the Stein equations driven by -A12 Sigma2 A12^T and
+    -A21^T Sigma2 A21 (the leading block of the balanced Lyapunov
+    equations), so they are not formed by subtracting Sigma1."""
     tau = bal.horizon
     part = bal.partition(r)
     full = DiscreteLTISystem(bal.a, bal.b, bal.c)
     rom = bal.reduced_system(r)
     Y = solve_cross_sylvester(full, rom, tau, "Y").matrix
     Z = solve_cross_sylvester(full, rom, tau, "Z").matrix
-    rom_reach = tl_gramian_dense(rom, tau, "reach")
-    rom_obs = tl_gramian_dense(rom, tau, "obs")
-
     S1 = np.diag(part.sigma1)
+    if bal.tl_b is None:
+        gap_p = -solve_projected_tl(rom.A, part.A12 * np.sqrt(part.sigma2))
+        gap_q = -solve_projected_tl(rom.A.T, part.A21.T * np.sqrt(part.sigma2))
+    else:
+        rom_reach = tl_gramian_dense(rom, tau, "reach")
+        rom_obs = tl_gramian_dense(rom, tau, "obs")
+        gap_p, gap_q = rom_reach.gramian - S1, rom_obs.gramian - S1
     c = {
         "neglected_block": float(np.trace((part.C2 * part.sigma2) @ part.C2.T)),
         "coupling": 2.0 * float(np.trace((part.A12 * part.sigma2) @ bal.a[:, r:].T @ Z)),
-        "rom_gramian_gap": float(np.trace(part.C1 @ (rom_reach.gramian - S1) @ part.C1.T)),
+        "rom_gramian_gap": float(np.trace(part.C1 @ gap_p @ part.C1.T)),
     }
     b = {
         "neglected_block": float(np.trace(part.B2.T @ (part.sigma2[:, None] * part.B2))),
         "coupling": 2.0 * float(np.trace(
             part.A21.T @ (part.sigma2[:, None] * (bal.a[r:, :] @ Y)))),
-        "rom_gramian_gap": float(np.trace(part.B1.T @ (rom_obs.gramian - S1) @ part.B1)),
+        "rom_gramian_gap": float(np.trace(part.B1.T @ gap_q @ part.B1)),
     }
     if bal.tl_b is not None:
         Fh = rom_reach.tl_term          # Ahat^tau Bhat
@@ -271,6 +278,11 @@ class InfiniteHorizonBound:
     b_side: float
     sides_relative_gap: float
     cancellation: float
+    backend = "dense"
+
+    @property
+    def epsilon_squared(self) -> float:
+        return self.value_sq
 
 
 def bound_inf_horizon(bal: BalancedRealization, r: int) -> InfiniteHorizonBound:
@@ -566,19 +578,21 @@ def inf_horizon_applies(sys: DiscreteLTISystem, rom, tau) -> bool:
 def build_bound_report(sys: DiscreteLTISystem, rom, tau,
                        reach=None, obs=None, inf_reach=None, inf_obs=None,
                        bal: BalancedRealization | None = None,
-                       bal_inf: BalancedRealization | None = None,
                        constants_method: str | None = None) -> BoundReport:
     """Assemble the bound report for one reduced model.
 
     ``rom`` is a ReducedOrderModel from the balancing module.  The general
     output bound is always computed: at a finite window as the impulse
     response sum, which needs no Gramian; at tau = inf from ``reach``/``obs``,
-    the system's infinite-horizon Gramians.  The infinite-horizon error norm
-    is added whenever both the system and the model are stable, from
-    ``inf_reach``/``inf_obs`` (dense or low-rank, computed densely when
-    absent); the balanced expressions are added when dense balanced
-    realizations are supplied (``bal`` at the window, ``bal_inf`` at
-    infinite horizon for the simplified upper variant).
+    the system's infinite-horizon Gramians.
+
+    ``bal``, when given, is the model's own dense balanced realization.  A
+    time-limited one adds the exact expression thm31 and, with
+    ``constants_method``, the Theorem-3.2 bound.  An infinite-horizon one
+    gives the infinite-horizon error norm and its upper variant from the
+    balanced blocks.  Otherwise that norm is the trace form, added whenever
+    both the system and the model are stable, from ``inf_reach``/``inf_obs``
+    (dense or low-rank, computed densely when absent).
     """
     rsys = rom.system
     rho = rom.spectral_radius()
@@ -601,28 +615,20 @@ def build_bound_report(sys: DiscreteLTISystem, rom, tau,
         "rom_unstable": rho >= 1.0,
     }
 
-    ob_inf = ob if math.isinf(report.tau) else None
-    if inf_horizon_applies(sys, rom, tau):
-        try:
-            ob_inf = bound_output_tl(sys, rsys, math.inf, reach=inf_reach, obs=inf_obs)
-        except SolvabilityError:
-            pass
-    if ob_inf is not None:
-        report.inf_horizon_sq = ob_inf.epsilon_squared
-        report.inf_horizon_gap = ob_inf.sides_relative_gap
-        report.inf_horizon_backend = ob_inf.backend
-        report.inf_horizon_cancellation = ob_inf.cancellation
-
-    if bal_inf is not None and bal_inf.tl_b is None and rom.r <= bal_inf.order:
-        try:
-            inf_expr = bound_inf_horizon(bal_inf, rom.r)
-            report.inf_horizon_sq = inf_expr.value_sq
-            report.inf_horizon_upper_sq = inf_expr.upper_sq
-            report.inf_horizon_gap = inf_expr.sides_relative_gap
-            report.inf_horizon_backend = "dense"
-            report.inf_horizon_cancellation = inf_expr.cancellation
-        except SolvabilityError:
-            pass
+    inf = ob if math.isinf(report.tau) else None
+    try:
+        if bal is not None and bal.tl_b is None:
+            inf = bound_inf_horizon(bal, rom.r)
+            report.inf_horizon_upper_sq = inf.upper_sq
+        elif inf_horizon_applies(sys, rom, tau):
+            inf = bound_output_tl(sys, rsys, math.inf, reach=inf_reach, obs=inf_obs)
+    except SolvabilityError:
+        pass
+    if inf is not None:
+        report.inf_horizon_sq = inf.epsilon_squared
+        report.inf_horizon_gap = inf.sides_relative_gap
+        report.inf_horizon_backend = inf.backend
+        report.inf_horizon_cancellation = inf.cancellation
 
     if bal is not None and bal.tl_b is not None:
         expr = error_expr_tlbt(bal, rom.r)

@@ -449,7 +449,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_system_source(bd)
     bd.add_argument("--rom", required=True, help="reduced model directory")
     bd.add_argument("--tau", type=_parse_tau, required=True)
-    bd.add_argument("--constants", choices=("eigen", "numerical-radius"))
+    bd.add_argument("--constants", choices=("eigen", "numerical-radius"),
+                    help="envelope constants of the thm32 bound (needs --balanced-expressions)")
     bd.add_argument("--balanced-expressions", action="store_true",
                     help="also evaluate the balanced-realization expressions (dense)")
     bd.add_argument("--out", help="write the report JSON here (default stdout)")
@@ -555,26 +556,25 @@ def _cmd_bounds(args) -> int:
         raise ConfigError(f"--tau {args.tau:g} differs from the window tau={prov['tau']} "
                           f"that the TLBT model {args.rom} was reduced at")
 
-    reach = dense_stein.tl_gramian_dense(system, args.tau, "reach")
-    obs = dense_stein.tl_gramian_dense(system, args.tau, "obs")
-    inf_reach, inf_obs = (reach, obs) if math.isinf(args.tau) else (None, None)
-    if inf_reach is None and (method == "bt" or (args.balanced_expressions
-                                                 and system.spectral_radius() < 1.0)):
+    if args.constants and not args.balanced_expressions:
+        raise ConfigError("--constants needs --balanced-expressions")
+    # the model's own dense pair: the window pair for TLBT, the tau=inf pair for BT
+    horizon = math.inf if method == "bt" else args.tau
+    reach = dense_stein.tl_gramian_dense(system, horizon, "reach")
+    obs = dense_stein.tl_gramian_dense(system, horizon, "obs")
+    # the Hankel spectrum of the model's own method, as `reduce` computes it
+    rom, _ = balancing.square_root_truncate(reach, obs, system, horizon, order=rom_sys.n,
+                                            method=method)
+    rom = replace(rom, system=rom_sys)
+    inf_reach, inf_obs = (reach, obs) if math.isinf(horizon) else (None, None)
+    if inf_reach is None and bounds_mod.inf_horizon_applies(system, rom, args.tau):
         inf_reach = dense_stein.tl_gramian_dense(system, math.inf, "reach")
         inf_obs = dense_stein.tl_gramian_dense(system, math.inf, "obs")
-    # the Hankel spectrum of the model's own method, as `reduce` computes it
-    horizon = math.inf if method == "bt" else args.tau
-    own = (inf_reach, inf_obs) if method == "bt" else (reach, obs)
-    rom, _ = balancing.square_root_truncate(*own, system, horizon, order=rom_sys.n,
-                                            method=method)
-    bal = bal_inf = None
-    if args.balanced_expressions and not math.isinf(args.tau):
-        bal = balancing.balance_dense(system, reach, obs, args.tau)
-        if inf_reach is not None:
-            bal_inf = balancing.balance_dense(system, inf_reach, inf_obs)
-    report = bounds_mod.build_bound_report(system, replace(rom, system=rom_sys), args.tau,
-                                           reach=reach, obs=obs, inf_reach=inf_reach,
-                                           inf_obs=inf_obs, bal=bal, bal_inf=bal_inf,
+    bal = None
+    if args.balanced_expressions:
+        bal = balancing.balance_dense(system, reach, obs, horizon)
+    report = bounds_mod.build_bound_report(system, rom, args.tau, reach=reach, obs=obs,
+                                           inf_reach=inf_reach, inf_obs=inf_obs, bal=bal,
                                            constants_method=args.constants)
     text = report.to_json() + "\n"
     if args.out:

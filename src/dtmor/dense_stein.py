@@ -4,7 +4,7 @@ Sylvester equations.
 This is the oracle layer: every low-rank result in the package is checked
 against it at desk scale.  Every finite-horizon quantity (dense, cross and
 projected Gramians and the horizon terms A^tau B) is the defining sum walked
-by :func:`window_sum` or :func:`window_horizon`; the Krylov solvers use
+by :func:`window_sum`; the Krylov solvers use
 :func:`solve_projected_tl` for their infinite-horizon compressed problems,
 and infinite-horizon cross Gramians can be projected onto the same Krylov
 bases.  Sizes are guarded by the dense cap.
@@ -154,13 +154,6 @@ def window_sum(apply, X: np.ndarray, tau: int, apply_hat=None, Xh: np.ndarray | 
         if not same:
             Xh = apply_hat(Xh)
     return S, X, X if same else Xh
-
-
-def window_horizon(apply, X: np.ndarray, tau: int) -> np.ndarray:
-    """The horizon term X_tau of the walk X_{j+1} = apply(X_j), without the sum."""
-    for _ in range(int(tau)):
-        X = apply(X)
-    return X
 
 
 def tl_gramian_dense(sys: DiscreteLTISystem, tau, side: str = "reach") -> DenseGramianPair:

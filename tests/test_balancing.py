@@ -152,11 +152,21 @@ class TestBalanceDense:
         assert np.allclose(bal.tl_b, ref_b, atol=1e-12)
         assert np.allclose(bal.tl_c, ref_c, atol=1e-12)
 
-    def test_singular_product_rejected(self, scalar_system):
-        # rank-deficient Q makes the product singular
-        with pytest.raises(BalancingError):
-            balance_dense(build_system(np.diag([0.5, 0.4]), np.ones((2, 1)), np.ones((1, 2))),
-                          np.eye(2), np.diag([1.0, 0.0]), math.inf)
+    def test_singular_product_balanced_at_its_rank(self):
+        # rank-deficient Q: the pair is balanced at the numerical rank 1
+        s = build_system(np.diag([0.5, 0.4]), np.ones((2, 1)), np.ones((1, 2)))
+        P, Q = np.eye(2), np.diag([1.0, 0.0])
+        bal = balance_dense(s, P, Q, math.inf)
+        assert bal.order == 1 and bal.sigma == pytest.approx([1.0], rel=1e-12)
+        T, Ti = bal.transform, bal.transform_inv
+        assert T.shape == (1, 2) and Ti.shape == (2, 1)
+        Sig = np.diag(bal.sigma)
+        assert np.linalg.norm(T @ P @ T.T - Sig) <= 1e-12
+        assert np.linalg.norm(Ti.T @ Q @ Ti - Sig) <= 1e-12
+        # a zero Gramian, and Gramians with orthogonal ranges, leave nothing to balance
+        for P0, Q0 in ((P, np.zeros((2, 2))), (Q, np.diag([0.0, 1.0]))):
+            with pytest.raises(BalancingError):
+                balance_dense(s, P0, Q0, math.inf)
 
     def test_hsv_tail_vs_frequency_grid(self):
         # twice the neglected HSV sum dominates the error transfer norm on a

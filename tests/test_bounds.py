@@ -211,6 +211,22 @@ class TestInfiniteHorizon:
                                   bal.a[:r, :r], bal.b[:r], bal.c[:, :r], 2000)
         assert ib.value_sq == pytest.approx(ref, rel=1e-9)
 
+    def test_rank_deficient_grid_matches_impulse_sum(self):
+        # Gauss-Seidel N=20 (n=400), m=p=2, seed 1, BT at r=10: the pair is
+        # balanced at its numerical rank, and the ROM-Gramian gap must not be
+        # formed against sigma_1 ~ 1.7e3 when the error is 6.8e-5
+        s = generate_example(ExampleSpec(kind="gauss-seidel", size=20, inputs=2,
+                                         outputs=2, seed=1))
+        reach = tl_gramian_dense(s, math.inf, "reach")
+        obs = tl_gramian_dense(s, math.inf, "obs")
+        bal = balance_dense(s, reach, obs)
+        assert bal.order < s.n
+        rom, _ = square_root_truncate(reach, obs, s, math.inf, order=10, method="bt")
+        Ad, Bd, C = oracles.dense_standard(s)
+        r = rom.system
+        ref = oracles.h2_error_sq(Ad, Bd, C, r.A, r.B, r.C, 3000)
+        assert bound_inf_horizon(bal, 10).value_sq == pytest.approx(ref, rel=1e-8)
+
     def test_upper_variant_dominates(self):
         for seed in range(15):
             try:

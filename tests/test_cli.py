@@ -6,8 +6,11 @@ import numpy as np
 import pytest
 import scipy.io
 
-from dtmor import ExampleSpec, build_system, generate_example, read_system, write_system
+from dtmor import (ExampleSpec, build_system, generate_example, impulse_sequence,
+                   read_system, write_system)
+import dtmor.bounds
 import dtmor.cli
+import dtmor.dense_stein
 from dtmor.cli import (
     ConfigError,
     JobConfig,
@@ -347,15 +350,85 @@ class TestMainExitCodes:
         assert main(["generate", "--kind", "random-stable", "--size", "10",
                      "--inputs", "2", "--outputs", "2", "--seed", "4",
                      "--out", str(tmp_path / "sys")]) == 0
-        assert main(["reduce", "--system", str(tmp_path / "sys"), "--tau", "20",
-                     "--method", "tlbt", "--order", "4", "--solver", "dense",
-                     "--out", str(tmp_path / "rom")]) == 0
-        assert main(["bounds", "--system", str(tmp_path / "sys"),
-                     "--rom", str(tmp_path / "rom"), "--tau", "20",
-                     "--balanced-expressions", "--constants", "eigen",
-                     "--out", str(tmp_path / "rep.json")]) == 0
-        capsys.readouterr()
-        doc = json.loads((tmp_path / "rep.json").read_text())
+        for method in ("tlbt", "bt"):
+            assert main(["reduce", "--system", str(tmp_path / "sys"), "--tau", "20",
+                         "--method", method, "--order", "4", "--solver", "dense",
+                         "--out", str(tmp_path / f"rom_{method}")]) == 0
+
+        def bounds(method, *flags):
+            out = tmp_path / f"{method}{len(flags)}.json"
+            assert main(["bounds", "--system", str(tmp_path / "sys"),
+                         "--rom", str(tmp_path / f"rom_{method}"), "--tau", "20",
+                         *flags, "--out", str(out)]) == 0
+            return json.loads(out.read_text())
+
+        doc = bounds("tlbt", "--balanced-expressions", "--constants", "eigen")
         assert doc["thm32"]["total"] >= doc["thm31"]["value"] >= 0
+        # the flag leaves a TLBT model's infinite-horizon norm to the trace form
+        assert doc["inf_horizon"]["value_sq"] == bounds("tlbt")["inf_horizon"]["value_sq"]
+        doc = bounds("bt", "--balanced-expressions")
         assert doc["inf_horizon"]["value_sq"] is not None
         assert doc["inf_horizon"]["upper_sq"] >= doc["inf_horizon"]["value_sq"] * (1 - 1e-9)
+        capsys.readouterr()
+
+    def test_bounds_balanced_expressions_on_rank_deficient_window(self, tmp_path, capsys):
+        # desk-scale Gauss-Seidel grid: tau*m = 100 < n = 400, so the window
+        # pair is balanced at its numerical rank
+        source = ["--kind", "gauss-seidel", "--size", "20", "--inputs", "2",
+                  "--outputs", "2", "--seed", "1"]
+        job = tmp_path / "job"
+        assert main(["pipeline", *source, "--tau", "50", "--order", "10", "--method", "both",
+                     "--solver", "dense", "--out", str(job)]) == 0
+        docs = {}
+        for method in ("tlbt", "bt"):
+            out = tmp_path / f"{method}.json"
+            assert main(["bounds", *source, "--rom", str(job / f"rom_{method}"), "--tau", "50",
+                         "--balanced-expressions", "--constants", "eigen",
+                         "--out", str(out)]) == 0
+            docs[method] = json.loads(out.read_text())
+        capsys.readouterr()
+        tl = docs["tlbt"]
+        assert tl["thm31"]["value"] == pytest.approx(tl["prop23"]["epsilon"] ** 2, rel=1e-4)
+        assert tl["thm32"]["total"] >= tl["thm31"]["value"]
+        bt = docs["bt"]
+        assert bt["thm31"]["value"] is None and bt["thm32"]["total"] is None
+        s = generate_example(ExampleSpec(kind="gauss-seidel", size=20, inputs=2,
+                                         outputs=2, seed=1))
+        diff = impulse_sequence(s, 3000) - impulse_sequence(read_system(job / "rom_bt"), 3000)
+        inf = bt["inf_horizon"]
+        assert inf["value_sq"] == pytest.approx(float(np.sum(diff ** 2)), rel=1e-5)
+        assert inf["upper_sq"] >= inf["value_sq"]
+
+    def test_bounds_bt_model_solves_only_infinite_horizon_gramians(self, tmp_path, capsys,
+                                                                   monkeypatch):
+        source = ["--kind", "gauss-seidel", "--size", "6", "--inputs", "2",
+                  "--outputs", "2", "--seed", "3"]
+        job = tmp_path / "job"
+        assert main(["pipeline", *source, "--tau", "20", "--order", "4", "--method", "bt",
+                     "--solver", "dense", "--out", str(job)]) == 0
+        taus = []
+        original = dtmor.dense_stein.tl_gramian_dense
+
+        def recording(system, tau, side="reach"):
+            taus.append(tau)
+            return original(system, tau, side)
+        monkeypatch.setattr(dtmor.dense_stein, "tl_gramian_dense", recording)
+        monkeypatch.setattr(dtmor.bounds, "tl_gramian_dense", recording)
+        for flags in ([], ["--balanced-expressions"]):
+            taus.clear()
+            assert main(["bounds", *source, "--rom", str(job / "rom_bt"), "--tau", "20",
+                         *flags, "--out", str(tmp_path / "rep.json")]) == 0
+            assert taus and all(math.isinf(t) for t in taus)
+        capsys.readouterr()
+
+    def test_bounds_constants_need_balanced_expressions(self, tmp_path, capsys):
+        source = ["--kind", "gauss-seidel", "--size", "6", "--inputs", "2",
+                  "--outputs", "2", "--seed", "3"]
+        job = tmp_path / "job"
+        assert main(["pipeline", *source, "--tau", "20", "--order", "4", "--method", "tlbt",
+                     "--solver", "dense", "--out", str(job)]) == 0
+        capsys.readouterr()
+        assert main(["bounds", *source, "--rom", str(job / "rom_tlbt"), "--tau", "20",
+                     "--constants", "eigen", "--out", str(tmp_path / "rep.json")]) == 2
+        assert "--balanced-expressions" in capsys.readouterr().err
+        assert not (tmp_path / "rep.json").exists()
