@@ -469,8 +469,6 @@ def bound_theorem32(bal: BalancedRealization, r: int, tau,
 
 def hsv_tail_bound(spectrum: HankelSpectrum, r: int) -> float:
     """Twice the sum of the neglected (time-limited) Hankel singular values."""
-    if r >= len(spectrum.values):
-        return 0.0
     return spectrum.tail_sum(r)
 
 

@@ -28,7 +28,7 @@ import os
 import shutil
 import sys as _sys
 import tempfile
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -350,26 +350,9 @@ def write_bundle(bundle: ReportBundle, cfg: JobConfig) -> Path:
 
 
 def _config_doc(cfg: JobConfig) -> dict:
-    doc = {
-        "system_path": cfg.system_path,
-        "example": None if cfg.example is None else {
-            "kind": cfg.example.kind, "size": cfg.example.size,
-            "inputs": cfg.example.inputs, "outputs": cfg.example.outputs,
-            "seed": cfg.example.seed, "target_radius": cfg.example.target_radius,
-        },
-        "tau": "inf" if math.isinf(cfg.tau) else int(cfg.tau),
-        "methods": list(cfg.methods),
-        "order": cfg.order,
-        "hsv_tol": cfg.hsv_tol,
-        "solver": cfg.solver,
-        "tol": cfg.tol,
-        "tl_term_tol": cfg.tl_term_tol,
-        "cadence": cfg.cadence,
-        "max_iterations": cfg.max_iterations,
-        "sim_horizon": cfg.sim_horizon,
-        "input_kind": cfg.input_kind,
-        "input_seed": cfg.input_seed,
-    }
+    doc = asdict(cfg)
+    del doc["out_dir"], doc["force"]
+    doc["tau"] = "inf" if math.isinf(cfg.tau) else int(cfg.tau)
     return doc
 
 
@@ -525,9 +508,11 @@ def _cmd_gramian(args) -> int:
 
 def _cmd_reduce(args) -> int:
     path, spec = _system_from_args(args)
-    system = read_system(path) if path else generate_example(spec)
     if (args.order is None) == (args.hsv_tol is None):
         raise ConfigError("exactly one of --order and --hsv-tol is required")
+    if args.method == "tlbt" and math.isinf(args.tau):
+        raise ConfigError("time-limited reduction needs a finite --tau")
+    system = read_system(path) if path else generate_example(spec)
     cfg = JobConfig(system_path=path, example=spec, tau=args.tau, order=args.order,
                     hsv_tol=args.hsv_tol, solver=args.solver, tol=args.tol,
                     tl_term_tol=_resolve_tl_tol(args), cadence=args.cadence,
@@ -588,8 +573,7 @@ def _cmd_bounds(args) -> int:
 def _cmd_simulate(args) -> int:
     path, spec = _system_from_args(args)
     system = read_system(path) if path else generate_example(spec)
-    u = _build_input("impulse" if args.input == "impulse" else "seeded-random",
-                     system.m, args.horizon, args.input_seed)
+    u = _build_input(args.input, system.m, args.horizon, args.input_seed)
     trace = simulate(system, u, args.horizon)
     header = ["k"] + [f"u{i}" for i in range(system.m)] + [f"y{i}" for i in range(system.p)]
     rows = [[k, *trace.inputs[k], *trace.outputs[k]] for k in range(args.horizon + 1)]
@@ -606,8 +590,7 @@ def _cmd_pipeline(args) -> int:
         order=args.order, hsv_tol=args.hsv_tol, solver=args.solver,
         tol=args.tol, tl_term_tol=_resolve_tl_tol(args), cadence=args.cadence,
         max_iterations=args.max_iter, sim_horizon=args.sim_horizon,
-        input_kind="impulse" if args.input == "impulse" else "seeded-random",
-        input_seed=args.input_seed, out_dir=args.out, force=args.force)
+        input_kind=args.input, input_seed=args.input_seed, out_dir=args.out, force=args.force)
     bundle = run_pipeline(cfg)
     out = write_bundle(bundle, cfg)
     for row in bundle.summary_rows:

@@ -1,8 +1,10 @@
 """Low-rank Gramian approximation for (time-limited) Stein equations.
 
-Two solvers are provided.  The Smith-Arnoldi method accumulates the block
-Krylov sum directly and is exact for finite horizons after tau+1 block
-steps.  The rational Krylov subspace method expands a shifted-inverse basis,
+Two solvers are provided.  The Smith-Arnoldi method walks the polynomial
+block Krylov sequence B, AB, A^2 B, ... and orthonormalizes the stacked walk
+once; for a finite horizon tau its first tau blocks are an exact Gramian
+factor and the next block is the exact horizon term.  The rational Krylov
+subspace method expands a shifted-inverse basis,
 solves compressed Galerkin problems, and monitors the equation residual
 through a rank-2m compressed form that never assembles an n x n matrix.
 """
@@ -390,13 +392,17 @@ def _lifted_residual(op: _StandardOperator, Q: np.ndarray, Y: np.ndarray,
 
 def smith_arnoldi(sys: DiscreteLTISystem, side: str, tau,
                   cfg: SolverConfig | None = None) -> GramianApprox:
-    """Block-Krylov (Smith) accumulation of a (time-limited) Gramian.
+    """Polynomial block-Krylov (Smith) factor of a (time-limited) Gramian.
 
-    For finite tau the method runs tau+1 block steps (fewer if the Krylov
-    space saturates) and is exact up to round-off, with the horizon term
-    read off the final coefficient column.  For tau = inf it accumulates
-    until the scaled truncation residual drops below cfg.tol; convergence
-    follows the spectral radius, so it is monitored rather than assumed.
+    With X_j = (M^{-1}A)^j M^{-1}B the window Gramian is the sum of
+    X_j X_j^T over j < tau, so the stacked walk Z = [X_0, ..., X_{tau-1}]
+    is an exact factor and X_tau is the exact horizon term.  For finite tau
+    the walk takes tau steps; for tau = inf it stops once the truncation
+    residual of the partial sum, ||X_k||_2^2 / ||B B^T||_2, drops below
+    cfg.tol, which follows the spectral radius, so it is monitored rather
+    than assumed.  Z is orthonormalized once, Z = Q R, giving the basis Q
+    and the core R R^T; the walk columns that orthonormalization drops are
+    ``deflated_columns``.
     """
     if side not in ("reach", "obs"):
         raise ValueError(f"side must be 'reach' or 'obs', got {side!r}")
@@ -410,70 +416,31 @@ def smith_arnoldi(sys: DiscreteLTISystem, side: str, tau,
         if tau < 1:
             raise ValueError("tau must be >= 1 or inf")
 
-    q1, beta = _orth_columns(B0)
-    if q1.shape[1] == 0:
-        z = np.zeros((op.n, 0))
-        return GramianApprox(z, np.zeros((0, 0)), np.zeros((op.n, op.m)) if finite else None,
-                             side, float(tau) if finite else math.inf, 0, 0.0, [], [])
-
-    Qbuf, Q = _append_columns(np.empty((op.n, 0), order="F"), 0, q1)
-    Hext = np.zeros((q1.shape[1], 0))   # grows to (dim(+ext)) x dim
-    coeffs = [beta]                     # coeffs[i] represents (M^-1 A)^i B
+    blocks = [B0]
     records: list[ConvergenceRecord] = []
-    bb_norm = float(np.linalg.norm(beta @ beta.T, 2))
-    saturated = False
-    deflated = 0
-    steps = 0
-    max_steps = tau if finite else cfg.max_iterations
-
-    while steps < max_steps:
-        steps += 1
-        c_prev = coeffs[-1]
-        if not saturated:
-            last_width = c_prev.shape[0] - Hext.shape[1] if Hext.size else Q.shape[1]
-            last_block = Q[:, Q.shape[1] - last_width:] if last_width else Q[:, :0]
-            w = op.apply(last_block)
-            nb, hc, core = _gram_schmidt_block(Q, w)
-            deflated += last_width - nb.shape[1]
-            col = np.vstack([hc, core]) if nb.shape[1] else hc
-            # grow Hext: new rows of zeros for the new block, then the column
-            old_rows, old_cols = Hext.shape
-            grown = np.zeros((Q.shape[1] + nb.shape[1], old_cols + last_width))
-            grown[:old_rows, :old_cols] = Hext
-            grown[:col.shape[0], old_cols:] = col
-            Hext = grown
-            if nb.shape[1]:
-                Qbuf, Q = _append_columns(Qbuf, Q.shape[1], nb)
-            else:
-                saturated = True
-        c_next = Hext @ _pad_rows(c_prev, Hext.shape[1])
-        coeffs.append(c_next)
-        if finite:
-            records.append(ConvergenceRecord(steps, Q.shape[1], None, None, None))
-        else:
-            # truncation residual of the partial sum is ||A^k B||^2
-            res = float(np.linalg.norm(c_next, 2) ** 2) / max(bb_norm, 1e-300)
-            records.append(ConvergenceRecord(steps, Q.shape[1], res, None, None))
-            if res <= cfg.tol:
-                break
+    bb_norm = float(np.linalg.norm(B0, 2)) ** 2
+    for steps in range(1, (tau if finite else cfg.max_iterations) + 1):
+        X = op.apply(blocks[-1])
+        res = None if finite else float(np.linalg.norm(X, 2)) ** 2 / max(bb_norm, 1e-300)
+        records.append(ConvergenceRecord(steps, steps * op.m, res, None, None))
+        if (steps == tau) if finite else (res <= cfg.tol):
+            break
+        blocks.append(X)
     else:
-        if not finite:
-            raise ConvergenceError(
-                f"Smith accumulation hit {cfg.max_iterations} steps above tolerance; "
-                f"spectral radius is likely too close to 1")
+        raise ConvergenceError(
+            f"Smith accumulation hit {cfg.max_iterations} steps above tolerance; "
+            f"spectral radius is likely too close to 1")
 
-    dim = Q.shape[1]
-    used = coeffs[:tau] if finite else coeffs[:-1]
-    Cmat = np.hstack([_pad_rows(c, dim) for c in used])
-    Y = Cmat @ Cmat.T
-    F = Q @ _pad_rows(coeffs[tau], dim) if finite else None
-
+    Z = np.hstack(blocks)
+    Q, R = _orth_columns(Z)
+    Y = R @ R.T
+    F = X if finite else None
     res_abs, res_scale = _lifted_residual(op, Q, Y, B0, F)
     approx = GramianApprox(
         basis=Q, core=Y, tl_term=F, side=side,
         horizon=float(tau) if finite else math.inf,
         iterations=steps, residual=res_abs / max(res_scale, 1e-300),
-        shifts=[], records=records, deflated_columns=deflated)
+        shifts=[], records=records, deflated_columns=Z.shape[1] - Q.shape[1])
     return truncate_factor(approx, cfg.truncation_tol)
 
 

@@ -243,6 +243,15 @@ class TestMainExitCodes:
         capsys.readouterr()
         assert code == 3
 
+    def test_reduce_tlbt_needs_finite_tau(self, tmp_path, capsys):
+        # a window-less TLBT model would escape the window check of `bounds`
+        code = main(["reduce", "--kind", "jacobi", "--size", "6", "--inputs", "2",
+                     "--outputs", "2", "--tau", "inf", "--method", "tlbt", "--order", "3",
+                     "--out", str(tmp_path / "rom")])
+        assert code == 2
+        assert "finite --tau" in capsys.readouterr().err
+        assert not (tmp_path / "rom").exists()
+
     def test_dense_cap_exits_2(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("DTMOR_DENSE_CAP", "10")
         code = main(["pipeline", "--kind", "random-stable", "--size", "12", "--tau", "10",
@@ -281,6 +290,14 @@ class TestMainExitCodes:
         code = main(["pipeline", "--kind", "jacobi", "--size", "40", "--solver", "rksm-pm1",
                      "--tau", tau, "--order", "10", "--method", method,
                      "--out", str(tmp_path / "j")])
+        capsys.readouterr()
+        assert code == 0
+
+    def test_smith_gramian_past_dense_cap(self, tmp_path, capsys, monkeypatch):
+        # the window walk does no dense full-order work
+        monkeypatch.setenv("DTMOR_DENSE_CAP", "500")
+        code = main(["gramian", "--kind", "jacobi", "--size", "40", "--side", "reach",
+                     "--tau", "50", "--solver", "smith", "--out", str(tmp_path / "g")])
         capsys.readouterr()
         assert code == 0
 

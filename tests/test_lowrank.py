@@ -87,6 +87,43 @@ class TestSmithArnoldi:
         Q = a.basis
         assert np.linalg.norm(Q.T @ Q - np.eye(Q.shape[1])) <= 1e-10
 
+    @pytest.mark.parametrize("side", ["reach", "obs"])
+    def test_generalized_pencil_matches_dense_oracle(self, side):
+        s = generate_example(ExampleSpec(kind="gauss-seidel", size=20, inputs=2,
+                                         outputs=2, seed=1))
+        assert s.M is not None
+        a = smith_arnoldi(s, side, 50)
+        ref = tl_gramian_dense(s, 50, side)
+        assert np.linalg.norm(a.matrix() - ref.gramian) <= 1e-10 * np.linalg.norm(ref.gramian)
+        assert np.linalg.norm(a.tl_term - ref.tl_term) <= 1e-12 * np.linalg.norm(ref.tl_term)
+        # the walk width is steps * m, and the one orthonormalization drops the rest
+        assert a.records[-1].basis_columns == 50 * 2
+        assert 0 < a.deflated_columns <= 50 * 2 - a.rank
+        # rho(M^-1 A) ~ 0.978 needs about 400 steps to reach the default tolerance
+        a = smith_arnoldi(s, side, math.inf, SolverConfig(max_iterations=800))
+        ref = tl_gramian_dense(s, math.inf, side)
+        assert np.linalg.norm(a.matrix() - ref.gramian) <= 1e-7 * np.linalg.norm(ref.gramian)
+
+    @pytest.mark.parametrize("tau", [7, math.inf])
+    def test_zero_input_gives_empty_basis(self, tau):
+        s = build_system(np.diag([0.5, -0.3, 0.2]), np.zeros((3, 2)), np.ones((1, 3)))
+        a = smith_arnoldi(s, "reach", tau)
+        assert a.basis.shape == (3, 0) and a.core.shape == (0, 0)
+        assert a.residual == 0.0
+        if math.isinf(tau):
+            assert a.tl_term is None
+        else:
+            assert a.tl_term.shape == (3, 2) and not a.tl_term.any()
+
+    def test_bitwise_reproducible(self, jacobi_small):
+        for tau in (12, math.inf):
+            a = smith_arnoldi(jacobi_small, "reach", tau)
+            b = smith_arnoldi(jacobi_small, "reach", tau)
+            assert np.array_equal(a.basis, b.basis) and np.array_equal(a.core, b.core)
+            assert a.residual == b.residual
+            if a.tl_term is not None:
+                assert np.array_equal(a.tl_term, b.tl_term)
+
 
 class TestRksm:
     def test_scalar_infinite(self, scalar_system):
