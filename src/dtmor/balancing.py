@@ -21,6 +21,7 @@ from .lowrank import GramianApprox
 from .system import DiscreteLTISystem, write_system
 
 _KERNEL_TOL = 1e-12
+_VERIFY_TOL = 1e-8   # relative diagonalization error balance_dense accepts
 
 
 @dataclass(frozen=True)
@@ -56,7 +57,6 @@ class BalancedPartition:
     A11: np.ndarray
     A12: np.ndarray
     A21: np.ndarray
-    A22: np.ndarray
     B1: np.ndarray
     B2: np.ndarray
     C1: np.ndarray
@@ -64,9 +64,7 @@ class BalancedPartition:
     sigma1: np.ndarray
     sigma2: np.ndarray
     F1: np.ndarray | None
-    F2: np.ndarray | None
     G1: np.ndarray | None
-    G2: np.ndarray | None
 
 
 @dataclass
@@ -100,14 +98,12 @@ class BalancedRealization:
         return BalancedPartition(
             r=r,
             A11=self.a[:r, :r], A12=self.a[:r, r:],
-            A21=self.a[r:, :r], A22=self.a[r:, r:],
+            A21=self.a[r:, :r],
             B1=self.b[:r], B2=self.b[r:],
             C1=self.c[:, :r], C2=self.c[:, r:],
             sigma1=self.sigma[:r], sigma2=self.sigma[r:],
             F1=None if self.tl_b is None else self.tl_b[:r],
-            F2=None if self.tl_b is None else self.tl_b[r:],
             G1=None if self.tl_c is None else self.tl_c[:, :r],
-            G2=None if self.tl_c is None else self.tl_c[:, r:],
         )
 
     def reduced_system(self, r: int) -> DiscreteLTISystem:
@@ -225,8 +221,7 @@ def square_root_truncate(ZP, ZQ, sys: DiscreteLTISystem, tau,
     return rom, spectrum
 
 
-def balance_dense(sys: DiscreteLTISystem, P, Q, tau=math.inf,
-                  verify_tol: float = 1e-8) -> BalancedRealization:
+def balance_dense(sys: DiscreteLTISystem, P, Q, tau=math.inf) -> BalancedRealization:
     """Balanced realization of a dense system at the numerical rank k of its
     Gramian pair, verified by both diagonalization identities.
 
@@ -254,7 +249,7 @@ def balance_dense(sys: DiscreteLTISystem, P, Q, tau=math.inf,
     Sig = np.diag(svals)
     err_p = np.linalg.norm(T @ Pm @ T.T - Sig, 2) / svals[0]
     err_q = np.linalg.norm(Tinv.T @ Qm @ Tinv - Sig, 2) / svals[0]
-    if max(err_p, err_q) > verify_tol:
+    if max(err_p, err_q) > _VERIFY_TOL:
         raise BalancingError(
             f"balancing verification failed: diagonalization errors {err_p:.2e}, {err_q:.2e}")
 
@@ -279,9 +274,6 @@ class CertificateResult:
     holds: bool
     q_min_eigenvalue: float
     reach_rank: int
-    rank_required: int
-    psd_tol: float
-    rank_tol: float
     spectral_radius: float
     consistent: bool
 
@@ -324,8 +316,7 @@ def stability_certificate(bal: BalancedRealization, r: int,
     rho = float(np.max(np.abs(np.linalg.eigvals(part.A11)))) if r else 0.0
     holds = bool(psd_ok and ctrb_ok)
     return CertificateResult(
-        holds=holds, q_min_eigenvalue=lmin, reach_rank=rank, rank_required=r,
-        psd_tol=psd_tol, rank_tol=rank_tol, spectral_radius=rho,
+        holds=holds, q_min_eigenvalue=lmin, reach_rank=rank, spectral_radius=rho,
         consistent=(not holds) or rho < 1.0)
 
 

@@ -24,6 +24,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .balancing import BalancedRealization, HankelSpectrum
+from .config import check_dense_cap
 from .dense_stein import solve_cross_sylvester, solve_projected_tl, tl_gramian_dense
 from .exceptions import DimensionMismatchError, EstimationError, SolvabilityError
 from .lowrank import GramianApprox
@@ -31,32 +32,20 @@ from .system import DiscreteLTISystem, impulse_sequence
 
 CROUZEIX_PALENCIA = 1.0 + math.sqrt(2.0)
 _SIDE_AGREE_TOL = 1e-6
+_NUMERICAL_RADIUS_TOL = 1e-6
 
 
 # ---------------------------------------------------------------------------
 # trace helpers, polymorphic over dense pairs and low-rank approximations
 
 def _trace_output_gram(C: np.ndarray, gram) -> float:
-    """trace(C P C^T) for a reachability-side Gramian."""
+    """trace(C P C^T) for a reachability-side Gramian.  An observability-side
+    Gramian is the reachability Gramian of the adjoint system, whose C is
+    B^T (the mass-adjusted Gramian makes the original B correct here)."""
     if isinstance(gram, GramianApprox):
         CQ = C @ gram.basis
         return float(np.trace(CQ @ gram.core @ CQ.T))
     return float(np.trace(C @ gram.gramian @ C.T))
-
-
-def _trace_input_gram(B: np.ndarray, gram) -> float:
-    """trace(B^T Q B) for an observability-side Gramian (mass-adjusted for
-    generalized systems, which is exactly what makes the original B correct
-    here)."""
-    if isinstance(gram, GramianApprox):
-        QB = gram.basis.T @ B
-        return float(np.trace(QB.T @ gram.core @ QB))
-    return float(np.trace(B.T @ gram.gramian @ B))
-
-
-def _krylov_basis(gram) -> np.ndarray | None:
-    """The orthonormal basis of a low-rank Gramian, None for a dense one."""
-    return gram.basis if isinstance(gram, GramianApprox) else None
 
 
 def _relative_gap(x: float, y: float) -> float:
@@ -80,7 +69,7 @@ def tl_h2_norm(sys: DiscreteLTISystem, tau) -> float:
     reach = tl_gramian_dense(sys, tau, "reach")
     obs = tl_gramian_dense(sys, tau, "obs")
     tc = _trace_output_gram(sys.C, reach)
-    tb = _trace_input_gram(sys.B, obs)
+    tb = _trace_output_gram(sys.B.T, obs)
     return math.sqrt(abs(0.5 * (tc + tb)))
 
 
@@ -137,6 +126,21 @@ def _cancellation(terms, value_sq: float) -> float:
     return max(abs(t) for t in terms) / max(value_sq, 1e-300)
 
 
+def _inf_horizon_terms(sys: DiscreteLTISystem, rom: DiscreteLTISystem, reach):
+    """The C-side terms trace(C P C^T), trace(Chat Phat Chat^T) and
+    -2 trace(C Y Chat^T) of the infinite-horizon squared error norm.  P is
+    ``reach``, solved densely when absent; Y is projected on its Krylov basis
+    when it has one.  On the adjoint pair (sys.dual(), rom.dual(), obs) the
+    same terms are the B side."""
+    if reach is None:
+        reach = tl_gramian_dense(sys, math.inf, "reach")
+    rom_reach = tl_gramian_dense(rom, math.inf, "reach")
+    basis = reach.basis if isinstance(reach, GramianApprox) else None
+    Y = solve_cross_sylvester(sys, rom, math.inf, "Y", basis).matrix
+    return (_trace_output_gram(sys.C, reach), _trace_output_gram(rom.C, rom_reach),
+            -2.0 * float(np.trace(sys.C @ Y @ rom.C.T)))
+
+
 def bound_output_tl(sys: DiscreteLTISystem, rom: DiscreteLTISystem, tau,
                     reach=None, obs=None) -> OutputErrorBound:
     """Output error bound for an arbitrary reduced-order model.
@@ -167,19 +171,10 @@ def bound_output_tl(sys: DiscreteLTISystem, rom: DiscreteLTISystem, tau,
             cancellation=1.0)
 
     low_rank = isinstance(reach, GramianApprox) or isinstance(obs, GramianApprox)
-    if reach is None:
-        reach = tl_gramian_dense(sys, tau, "reach")
-    if obs is None:
-        obs = tl_gramian_dense(sys, tau, "obs")
-    rom_reach = tl_gramian_dense(rom, tau, "reach")
-    rom_obs = tl_gramian_dense(rom, tau, "obs")
-    Y = solve_cross_sylvester(sys, rom, tau, "Y", _krylov_basis(reach)).matrix
-    Z = solve_cross_sylvester(sys, rom, tau, "Z", _krylov_basis(obs)).matrix
-
-    c_terms = (_trace_output_gram(sys.C, reach), _trace_output_gram(rom.C, rom_reach),
-               -2.0 * float(np.trace(sys.C @ Y @ rom.C.T)))
-    b_terms = (_trace_input_gram(sys.B, obs), _trace_input_gram(rom.B, rom_obs),
-               -2.0 * float(np.trace(sys.B.T @ Z @ rom.B)))
+    c_terms = _inf_horizon_terms(sys, rom, reach)
+    # the adjoints are built after the C side, so they share the spectral
+    # radii it memoized
+    b_terms = _inf_horizon_terms(sys.dual(), rom.dual(), obs)
     tc, tb = sum(c_terms), sum(b_terms)
     eps_sq = abs(0.5 * (tc + tb))
     return OutputErrorBound(
@@ -200,7 +195,6 @@ class BalancedErrorExpression:
     c_side: float
     b_side: float
     residual_term: float          # time-limited residual term, C-side form
-    residual_term_dual: float
     terms: dict
     sides_relative_gap: float
 
@@ -262,7 +256,7 @@ def error_expr_tlbt(bal: BalancedRealization, r: int) -> BalancedErrorExpression
     c_side, b_side = sum(c.values()), sum(b.values())
     return BalancedErrorExpression(
         value=abs(0.5 * (c_side + b_side)), c_side=c_side, b_side=b_side,
-        residual_term=c["tl_residual"], residual_term_dual=b["tl_residual"],
+        residual_term=c["tl_residual"],
         terms={name: 0.5 * (c[name] + b[name]) for name in c},
         sides_relative_gap=_relative_gap(c_side, b_side))
 
@@ -274,8 +268,6 @@ class InfiniteHorizonBound:
     because that term is nonpositive for stable systems)."""
     value_sq: float
     upper_sq: float
-    c_side: float
-    b_side: float
     sides_relative_gap: float
     cancellation: float
     backend = "dense"
@@ -296,43 +288,26 @@ def bound_inf_horizon(bal: BalancedRealization, r: int) -> InfiniteHorizonBound:
     value_sq = abs(0.5 * (c_side + b_side))
     return InfiniteHorizonBound(
         value_sq=value_sq, upper_sq=abs(upper),
-        c_side=c_side, b_side=b_side, sides_relative_gap=_relative_gap(c_side, b_side),
+        sides_relative_gap=_relative_gap(c_side, b_side),
         cancellation=_cancellation([*c.values(), *b.values()], value_sq))
 
 
 # ---------------------------------------------------------------------------
 # Matrix power envelopes
 
-def numerical_radius(A, tol: float = 1e-6) -> float:
+def numerical_radius(A) -> float:
     """Largest modulus over the field of values, via the largest eigenvalue
-    of the Hermitian part of exp(i theta) A over a refined angle grid.
-
-    Dense inputs below the iterative threshold use full Hermitian
-    eigensolves; large or sparse inputs fall back to a Lanczos extreme
-    eigenvalue per angle, so the matrix is only touched through products.
+    of the Hermitian part of exp(i theta) A over a refined angle grid, one
+    dense Hermitian eigensolve per angle; a sparse A is densified, and the
+    size is guarded by the dense cap.  The refinement stops once the maximum
+    settles to 1e-6 relative on an angle width below 1e-8.
     """
-    dense = not sp.issparse(A) and A.shape[0] <= 400
-    if dense:
-        Ad = np.asarray(A)
+    check_dense_cap(A.shape[0], "numerical radius")
+    Ad = A.toarray() if sp.issparse(A) else np.asarray(A)
 
-        def lam_max(theta: float) -> float:
-            H = 0.5 * (np.exp(1j * theta) * Ad + np.exp(-1j * theta) * Ad.conj().T)
-            return float(np.linalg.eigvalsh(H)[-1])
-    else:
-        import scipy.sparse.linalg as spla
-
-        n = A.shape[0]
-        AH = A.conj().T
-
-        def lam_max(theta: float) -> float:
-            phase = np.exp(1j * theta)
-
-            def mv(v):
-                return 0.5 * (phase * (A @ v) + np.conj(phase) * (AH @ v))
-            op = spla.LinearOperator((n, n), matvec=mv, dtype=complex)
-            val = spla.eigsh(op, k=1, which="LA", return_eigenvectors=False,
-                             tol=1e-9)
-            return float(val[0].real)
+    def lam_max(theta: float) -> float:
+        H = 0.5 * (np.exp(1j * theta) * Ad + np.exp(-1j * theta) * Ad.conj().T)
+        return float(np.linalg.eigvalsh(H)[-1])
 
     count = 64
     thetas = np.linspace(0.0, 2.0 * np.pi, count, endpoint=False)
@@ -346,7 +321,7 @@ def numerical_radius(A, tol: float = 1e-6) -> float:
         new_best = float(lv.max())
         center = float(local[int(np.argmax(lv))])
         width /= 4.0
-        if new_best <= best * (1.0 + tol) and width < 1e-8:
+        if new_best <= best * (1.0 + _NUMERICAL_RADIUS_TOL) and width < 1e-8:
             return max(best, new_best)
         best = max(best, new_best)
 
@@ -397,10 +372,7 @@ class Theorem32Bound:
     j_term: float
     j_tl_term: float
     total: float
-    sigma_next: float
     path: str                      # 'asymptotic' or 'explicit'
-    full_constants: AsymptoticConstants
-    reduced_constants: AsymptoticConstants
 
 
 def _pow_or_zero(x: float, tau) -> float:
@@ -462,9 +434,7 @@ def bound_theorem32(bal: BalancedRealization, r: int, tau,
                 + 2.0 * m * nZ * nrm(part.F1) * nrm(bal.tl_b))
         path = "explicit"
 
-    return Theorem32Bound(j_term=j, j_tl_term=j_tl, total=j * sigma_next + j_tl,
-                          sigma_next=sigma_next, path=path,
-                          full_constants=cf, reduced_constants=cr)
+    return Theorem32Bound(j_term=j, j_tl_term=j_tl, total=j * sigma_next + j_tl, path=path)
 
 
 def hsv_tail_bound(spectrum: HankelSpectrum, r: int) -> float:

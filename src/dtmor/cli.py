@@ -88,12 +88,18 @@ class JobConfig:
             raise ConfigError("exactly one of a system path or an example spec is required")
         if (self.order is None) == (self.hsv_tol is None):
             raise ConfigError("exactly one of --order and --hsv-tol is required")
+        if self.order is not None and self.order < 1:
+            raise ConfigError(f"order must be >= 1, got {self.order}")
         if self.solver not in SOLVERS:
             raise ConfigError(f"solver must be one of {SOLVERS}")
         if not self.methods or any(m not in ("bt", "tlbt") for m in self.methods):
             raise ConfigError("methods must be a nonempty subset of {'bt','tlbt'}")
         if not math.isinf(self.tau) and int(self.tau) < 1:
             raise ConfigError("tau must be >= 1")
+        if "tlbt" in self.methods and math.isinf(self.tau):
+            raise ConfigError("time-limited reduction needs a finite --tau")
+        if self.sim_horizon is not None and self.sim_horizon < 0:
+            raise ConfigError(f"simulation horizon must be >= 0, got {self.sim_horizon}")
         if self.input_kind not in ("impulse", "seeded-random"):
             raise ConfigError("input kind must be 'impulse' or 'seeded-random'")
 
@@ -212,8 +218,6 @@ def blas_threads() -> int | None:
 def run_pipeline(cfg: JobConfig) -> ReportBundle:
     """Execute one reduction job in memory (no files written)."""
     cfg.validate()
-    if "tlbt" in cfg.methods and math.isinf(cfg.tau):
-        raise ConfigError("time-limited reduction needs a finite --tau")
     system = _load_system(cfg)
     window = cfg.tau
     bundle = ReportBundle(system=system)
@@ -483,19 +487,16 @@ def _cmd_gramian(args) -> int:
     if isinstance(result, lowrank.GramianApprox):
         sio.mmwrite(out / "basis.mtx", result.basis, precision=17)
         sio.mmwrite(out / "core.mtx", result.core, precision=17)
-        if result.tl_term is not None:
-            sio.mmwrite(out / "tl_term.mtx", result.tl_term, precision=17)
-        summary = {"side": result.side, "rank": result.rank,
-                   "iterations": result.iterations, "residual": result.residual,
-                   "deflated_columns": result.deflated_columns,
-                   "tau": "inf" if math.isinf(result.horizon) else int(result.horizon)}
+        summary = {"rank": result.rank, "iterations": result.iterations,
+                   "residual": result.residual, "deflated_columns": result.deflated_columns}
     else:
         sio.mmwrite(out / "gramian.mtx", result.gramian, precision=17)
-        if result.tl_term is not None:
-            sio.mmwrite(out / "tl_term.mtx", result.tl_term, precision=17)
-        summary = {"side": result.side, "rank": int(result.gramian.shape[0]),
-                   "iterations": None, "residual": dense_stein.stein_residual_dense(system, result),
-                   "tau": "inf" if math.isinf(result.horizon) else int(result.horizon)}
+        summary = {"rank": int(result.gramian.shape[0]), "iterations": None,
+                   "residual": dense_stein.stein_residual_dense(system, result)}
+    if result.tl_term is not None:
+        sio.mmwrite(out / "tl_term.mtx", result.tl_term, precision=17)
+    summary.update(side=result.side,
+                   tau="inf" if math.isinf(result.horizon) else int(result.horizon))
     with open(out / "summary.json", "w", encoding="utf-8") as fh:
         json.dump(summary, fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -508,15 +509,12 @@ def _cmd_gramian(args) -> int:
 
 def _cmd_reduce(args) -> int:
     path, spec = _system_from_args(args)
-    if (args.order is None) == (args.hsv_tol is None):
-        raise ConfigError("exactly one of --order and --hsv-tol is required")
-    if args.method == "tlbt" and math.isinf(args.tau):
-        raise ConfigError("time-limited reduction needs a finite --tau")
-    system = read_system(path) if path else generate_example(spec)
-    cfg = JobConfig(system_path=path, example=spec, tau=args.tau, order=args.order,
-                    hsv_tol=args.hsv_tol, solver=args.solver, tol=args.tol,
+    cfg = JobConfig(system_path=path, example=spec, tau=args.tau, methods=(args.method,),
+                    order=args.order, hsv_tol=args.hsv_tol, solver=args.solver, tol=args.tol,
                     tl_term_tol=_resolve_tl_tol(args), cadence=args.cadence,
                     max_iterations=args.max_iter)
+    cfg.validate()
+    system = _load_system(cfg)
     tau = math.inf if args.method == "bt" else args.tau
     reach, _ = compute_gramian(system, tau, "reach", cfg.solver, cfg)
     obs, _ = compute_gramian(system, tau, "obs", cfg.solver, cfg)
@@ -571,6 +569,8 @@ def _cmd_bounds(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
+    if args.horizon < 0:
+        raise ConfigError(f"--horizon must be >= 0, got {args.horizon}")
     path, spec = _system_from_args(args)
     system = read_system(path) if path else generate_example(spec)
     u = _build_input(args.input, system.m, args.horizon, args.input_seed)

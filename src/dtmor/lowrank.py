@@ -33,15 +33,13 @@ class SolverConfig:
 
     ``tol`` is the scaled-residual target, ``tl_term_tol`` the relative
     norm-wise change below which the horizon term is considered settled,
-    ``cadence`` how often (in iterations) the projected problem is solved,
-    and ``truncation_tol`` the relative eigenvalue threshold used when
-    compressing the returned factors.
+    and ``cadence`` how often (in iterations) the projected problem is
+    solved.  The returned factors are compressed by :func:`truncate_factor`.
     """
     tol: float = 1e-8
     tl_term_tol: float = 1e-8
     cadence: int = 5
     max_iterations: int = 400
-    truncation_tol: float = 1e-12
 
     def __post_init__(self):
         if not (0.0 < self.tl_term_tol <= self.tol < 1.0):
@@ -142,29 +140,23 @@ class GramianApprox:
 
 
 class _StandardOperator:
-    """Implicit standard form of a (possibly generalized) system: applies
-    M^{-1}A and solves (M^{-1}A - s I) x = b as (A - s M) x = M b, caching
-    one sparse/dense factorization per distinct shift."""
+    """Shifted solves (M^{-1}A - s I) x = b of a (possibly generalized)
+    system as (A - s M) x = M b, caching one sparse/dense factorization per
+    distinct shift."""
 
     def __init__(self, sys: DiscreteLTISystem):
         self.sys = sys
-        self.n = sys.n
-        self.m = sys.m
-        self.rhs = sys.input_map()
         self._factors: dict[complex, object] = {}
-
-    def apply(self, X: np.ndarray) -> np.ndarray:
-        return self.sys.apply_dynamics(X)
 
     def _factorize(self, s: complex):
         sys = self.sys
         is_complex = abs(s.imag) > _REAL_SHIFT_TOL
         shift = s if is_complex else s.real
         if sp.issparse(sys.A):
-            M = sys.M if sys.M is not None else sp.identity(self.n, format="csr")
+            M = sys.M if sys.M is not None else sp.identity(sys.n, format="csr")
             mat = (sys.A - shift * M).tocsc()
             return ("sparse", spla.splu(mat), M, is_complex)
-        M = sys.M if sys.M is not None else np.eye(self.n)
+        M = sys.M if sys.M is not None else np.eye(sys.n)
         return ("dense", sla.lu_factor(sys.A - shift * M), M, is_complex)
 
     def solve_shifted(self, s: complex, rhs: np.ndarray) -> np.ndarray:
@@ -350,28 +342,22 @@ def _offspace_factor(Q: np.ndarray, W: np.ndarray, H: np.ndarray, m: int):
     return U, C, True
 
 
-def truncate_factor(approx: GramianApprox, tol: float | None = None) -> GramianApprox:
+def truncate_factor(approx: GramianApprox, tol: float = 1e-12) -> GramianApprox:
     """Compress a factored approximation by dropping eigenpairs of the core
     below ``tol`` times the largest eigenvalue (negatives included)."""
-    if tol is None:
-        tol = 1e-12
     Y = 0.5 * (approx.core + approx.core.T)
     if Y.size == 0:
         return approx
     lam, U = np.linalg.eigh(Y)
-    lmax = float(lam.max(initial=0.0))
-    if lmax <= 0.0:
-        keep = np.zeros_like(lam, dtype=bool)
-    else:
-        keep = lam > tol * lmax
+    keep = lam > tol * float(lam.max(initial=0.0))   # none kept when no eigenvalue is positive
     return replace(approx, basis=approx.basis @ U[:, keep], core=np.diag(lam[keep]))
 
 
-def _lifted_residual(op: _StandardOperator, Q: np.ndarray, Y: np.ndarray,
+def _lifted_residual(work: DiscreteLTISystem, Q: np.ndarray, Y: np.ndarray,
                      B0: np.ndarray, F: np.ndarray | None):
     """Exact residual norm of A P A^T - P + B B^T - F F^T for P = Q Y Q^T,
     computed inside the orthonormal extension of [Q, A Q, B, F]."""
-    W = op.apply(Q)
+    W = work.apply_dynamics(Q)
     extras = [W, B0] + ([F] if F is not None else [])
     E = np.hstack(extras)
     U, _, _ = _gram_schmidt_block(Q, E)
@@ -408,8 +394,7 @@ def smith_arnoldi(sys: DiscreteLTISystem, side: str, tau,
         raise ValueError(f"side must be 'reach' or 'obs', got {side!r}")
     cfg = cfg or SolverConfig()
     work = sys if side == "reach" else sys.dual()
-    op = _StandardOperator(work)
-    B0 = op.rhs
+    B0 = work.input_map()
     finite = not math.isinf(tau)
     if finite:
         tau = int(tau)
@@ -420,9 +405,9 @@ def smith_arnoldi(sys: DiscreteLTISystem, side: str, tau,
     records: list[ConvergenceRecord] = []
     bb_norm = float(np.linalg.norm(B0, 2)) ** 2
     for steps in range(1, (tau if finite else cfg.max_iterations) + 1):
-        X = op.apply(blocks[-1])
+        X = work.apply_dynamics(blocks[-1])
         res = None if finite else float(np.linalg.norm(X, 2)) ** 2 / max(bb_norm, 1e-300)
-        records.append(ConvergenceRecord(steps, steps * op.m, res, None, None))
+        records.append(ConvergenceRecord(steps, steps * work.m, res, None, None))
         if (steps == tau) if finite else (res <= cfg.tol):
             break
         blocks.append(X)
@@ -435,13 +420,13 @@ def smith_arnoldi(sys: DiscreteLTISystem, side: str, tau,
     Q, R = _orth_columns(Z)
     Y = R @ R.T
     F = X if finite else None
-    res_abs, res_scale = _lifted_residual(op, Q, Y, B0, F)
+    res_abs, res_scale = _lifted_residual(work, Q, Y, B0, F)
     approx = GramianApprox(
         basis=Q, core=Y, tl_term=F, side=side,
         horizon=float(tau) if finite else math.inf,
         iterations=steps, residual=res_abs / max(res_scale, 1e-300),
         shifts=[], records=records, deflated_columns=Z.shape[1] - Q.shape[1])
-    return truncate_factor(approx, cfg.truncation_tol)
+    return truncate_factor(approx)
 
 
 def _pad_rows(c: np.ndarray, rows: int) -> np.ndarray:
@@ -477,7 +462,7 @@ def rksm(sys: DiscreteLTISystem, side: str, tau,
     cfg = cfg or SolverConfig()
     work = sys if side == "reach" else sys.dual()
     op = _StandardOperator(work)
-    B0 = op.rhs
+    B0 = work.input_map()
     finite = not math.isinf(tau)
     if finite:
         tau = int(tau)
@@ -486,13 +471,13 @@ def rksm(sys: DiscreteLTISystem, side: str, tau,
 
     q1, _ = _orth_columns(B0)
     if q1.shape[1] == 0:
-        z = np.zeros((op.n, 0))
-        return GramianApprox(z, np.zeros((0, 0)), np.zeros((op.n, op.m)) if finite else None,
+        z = np.zeros((work.n, 0))
+        return GramianApprox(z, np.zeros((0, 0)), np.zeros((work.n, work.m)) if finite else None,
                              side, float(tau) if finite else math.inf, 0, 0.0, [], [])
 
     state = KrylovState(block_width=q1.shape[1])
-    Qbuf, Q = _append_columns(np.empty((op.n, 0), order="F"), 0, q1)
-    Wbuf, W = _append_columns(np.empty((op.n, 0), order="F"), 0, op.apply(Q))
+    Qbuf, Q = _append_columns(np.empty((work.n, 0), order="F"), 0, q1)
+    Wbuf, W = _append_columns(np.empty((work.n, 0), order="F"), 0, work.apply_dynamics(Q))
     H = Q.T @ W
     state.basis, state.image, state.projected = Q, W, H
 
@@ -505,7 +490,7 @@ def rksm(sys: DiscreteLTISystem, side: str, tau,
     for k in range(1, cfg.max_iterations + 1):
         s = next_shift(shifts, state)
         state.shifts.append(s)
-        rhs = Q[:, -min(op.m, Q.shape[1]):]
+        rhs = Q[:, -min(work.m, Q.shape[1]):]
         g = op.solve_shifted(s, rhs)
         if abs(s.imag) <= _REAL_SHIFT_TOL:
             cand = np.real(g)
@@ -518,7 +503,7 @@ def rksm(sys: DiscreteLTISystem, side: str, tau,
         deflated += cand.shape[1] - nb.shape[1]
         grew = nb.shape[1] > 0
         if grew:
-            Wn = op.apply(nb)
+            Wn = work.apply_dynamics(nb)
             H = np.block([[H, _thin_product(Q.T, Wn)], [_thin_product(W.T, nb).T, nb.T @ Wn]])
             Qbuf, Q = _append_columns(Qbuf, Q.shape[1], nb)
             Wbuf, W = _append_columns(Wbuf, W.shape[1], Wn)
@@ -552,7 +537,7 @@ def rksm(sys: DiscreteLTISystem, side: str, tau,
                     raise BreakdownError("basis saturated with unsolvable projected problem")
                 continue
 
-        state.offspace_dir, state.offspace_coeff, fell_back = _offspace_factor(Q, W, H, op.m)
+        state.offspace_dir, state.offspace_coeff, fell_back = _offspace_factor(Q, W, H, work.m)
         fallbacks += fell_back
         res_abs = stein_residual_norm(state, Y)
         scale_mat = Bk @ Bk.T if Fhat is None else Bk @ Bk.T - Fhat @ Fhat.T
@@ -568,7 +553,7 @@ def rksm(sys: DiscreteLTISystem, side: str, tau,
                 side=side, horizon=float(tau) if finite else math.inf,
                 iterations=k, residual=res, shifts=list(state.shifts),
                 records=records, deflated_columns=deflated, offspace_fallbacks=fallbacks)
-            return truncate_factor(approx, cfg.truncation_tol)
+            return truncate_factor(approx)
         if not grew:
             raise BreakdownError(
                 f"basis saturated at dimension {Q.shape[1]} with residual {res:.3e} "

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -324,6 +325,11 @@ class TestAsymptoticConstants:
         for k in range(1, 101):
             assert np.linalg.norm(X, 2) <= c.power_bound(k) * (1 + 1e-12)
             X = X @ A
+
+    def test_numerical_radius_of_sparse_equals_dense_copy(self):
+        A = generate_example(ExampleSpec(kind="gauss-seidel", size=5, seed=1)).A
+        assert sp.issparse(A)
+        assert numerical_radius(A) == numerical_radius(A.toarray())
 
     def test_numerical_radius_brackets(self):
         rng = np.random.default_rng(17)

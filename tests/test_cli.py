@@ -449,3 +449,66 @@ class TestMainExitCodes:
                      "--constants", "eigen", "--out", str(tmp_path / "rep.json")]) == 2
         assert "--balanced-expressions" in capsys.readouterr().err
         assert not (tmp_path / "rep.json").exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["pipeline", "--sim-horizon", "-1", "--tau", "10", "--order", "3"],
+        ["pipeline", "--tau", "10", "--order", "0"],
+        ["reduce", "--tau", "10", "--order", "-1"],
+        ["reduce", "--tau", "10", "--method", "bt", "--order", "0"],
+        ["simulate", "--horizon", "-1"],
+    ])
+    def test_negative_horizon_and_order_below_one_exit_2(self, tmp_path, capsys, monkeypatch,
+                                                         argv):
+        # rejected as configuration before any Gramian solve or input is built
+        monkeypatch.setattr(dtmor.cli, "compute_gramian",
+                            lambda *args: pytest.fail("a Gramian was solved"))
+        code = main([*argv, "--kind", "jacobi", "--size", "4", "--inputs", "2",
+                     "--outputs", "2", "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "configuration error" in err and ("horizon" in err or "order" in err)
+        assert not (tmp_path / "out").exists()
+
+    def test_job_config_rejects_negative_sim_horizon_and_order_below_one(self):
+        spec = ExampleSpec(kind="jacobi", size=4)
+        JobConfig(example=spec, tau=10, order=1, sim_horizon=0).validate()
+        with pytest.raises(ConfigError, match="horizon"):
+            JobConfig(example=spec, tau=10, order=1, sim_horizon=-1).validate()
+        with pytest.raises(ConfigError, match="order"):
+            JobConfig(example=spec, tau=10, order=0).validate()
+
+
+class TestUncoveredCommandPaths:
+    def test_seeded_random_pipeline_bounds_and_reruns(self, tmp_path, capsys):
+        argv = ["pipeline", "--kind", "jacobi", "--size", "6", "--inputs", "2",
+                "--outputs", "2", "--seed", "1", "--tau", "12", "--order", "3",
+                "--method", "both", "--input", "seeded-random", "--input-seed", "5"]
+        assert main([*argv, "--out", str(tmp_path / "a")]) == 0
+        assert main([*argv, "--out", str(tmp_path / "b")]) == 0
+        capsys.readouterr()
+        names = sorted(p.relative_to(tmp_path / "a") for p in (tmp_path / "a").rglob("*")
+                       if p.is_file())
+        assert names == sorted(p.relative_to(tmp_path / "b")
+                               for p in (tmp_path / "b").rglob("*") if p.is_file())
+        for name in names:
+            assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+        lines = (tmp_path / "a" / "errors.csv").read_text().strip().splitlines()
+        header = lines[0].split(",")
+        rows = [dict(zip(header, line.split(","))) for line in lines[1:]]
+        in_window = [row for row in rows if int(row["k"]) <= 12]
+        assert len(in_window) == 13 and any(float(row["error_bt"]) > 0 for row in in_window)
+        for row in in_window:
+            for method in ("bt", "tlbt"):
+                assert float(row[f"bound_{method}"]) >= float(row[f"error_{method}"])
+
+    def test_dense_gramian_command(self, tmp_path, capsys):
+        out = tmp_path / "g"
+        assert main(["gramian", "--kind", "gauss-seidel", "--size", "5", "--inputs", "2",
+                     "--outputs", "2", "--seed", "3", "--side", "obs", "--tau", "12",
+                     "--solver", "dense", "--out", str(out)]) == 0
+        capsys.readouterr()
+        assert scipy.io.mmread(out / "gramian.mtx").shape == (25, 25)
+        assert scipy.io.mmread(out / "tl_term.mtx").shape == (25, 2)
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["side"] == "obs" and summary["tau"] == 12
+        assert summary["residual"] <= 1e-12

@@ -167,6 +167,32 @@ class TestRksm:
         ref = tl_gramian_dense(gs_small, tau, "reach")
         assert np.linalg.norm(a.matrix() - ref.gramian) <= 1e-8 * np.linalg.norm(ref.gramian)
 
+    def test_dense_mass_matrix_matches_sparse(self, gs_small):
+        # a dense M runs the dense solve closure of the mass factorization
+        # and the dense shifted factorizations
+        dense = build_system(gs_small.A.toarray(), gs_small.B, gs_small.C,
+                             gs_small.M.toarray())
+        tau = 25
+        ref = tl_gramian_dense(gs_small, tau, "reach")
+        got = tl_gramian_dense(dense, tau, "reach")
+        assert np.linalg.norm(got.gramian - ref.gramian) <= 1e-13 * np.linalg.norm(ref.gramian)
+        assert np.linalg.norm(got.tl_term - ref.tl_term) <= 1e-13 * np.linalg.norm(ref.tl_term)
+        for t in (tau, math.inf):
+            P = rksm(gs_small, "reach", t, cfg=TIGHT).matrix()
+            Pd = rksm(dense, "reach", t, cfg=TIGHT).matrix()
+            assert np.linalg.norm(Pd - P) <= 1e-12 * np.linalg.norm(P)
+
+    @pytest.mark.parametrize("tau", [20, math.inf])
+    def test_zero_input_gives_empty_basis(self, tau):
+        s = build_system(np.diag([0.5, -0.3, 0.2]), np.zeros((3, 2)), np.ones((1, 3)))
+        a = rksm(s, "reach", tau)
+        assert a.basis.shape == (3, 0) and a.core.shape == (0, 0)
+        assert a.residual == 0.0
+        if math.isinf(tau):
+            assert a.tl_term is None
+        else:
+            assert a.tl_term.shape == (3, 2) and not a.tl_term.any()
+
     @pytest.mark.parametrize("kind", ["jacobi", "gauss-seidel"])
     @pytest.mark.parametrize("strategy", ["alternating-pm1", "adaptive-disc"])
     def test_offspace_factor_without_qr_fallback(self, kind, strategy):
