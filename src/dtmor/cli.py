@@ -90,6 +90,8 @@ class JobConfig:
             raise ConfigError("exactly one of --order and --hsv-tol is required")
         if self.order is not None and self.order < 1:
             raise ConfigError(f"order must be >= 1, got {self.order}")
+        if self.hsv_tol is not None and not self.hsv_tol >= 0:
+            raise ConfigError(f"hsv tolerance must be >= 0, got {self.hsv_tol}")
         if self.solver not in SOLVERS:
             raise ConfigError(f"solver must be one of {SOLVERS}")
         if not self.methods or any(m not in ("bt", "tlbt") for m in self.methods):
@@ -137,10 +139,8 @@ def compute_gramian(system: DiscreteLTISystem, tau, side: str, solver: str,
     return approx, approx.records
 
 
-def _load_system(cfg: JobConfig) -> DiscreteLTISystem:
-    if cfg.system_path is not None:
-        return read_system(cfg.system_path)
-    return generate_example(cfg.example)
+def _load_system(path: str | None, spec: ExampleSpec | None) -> DiscreteLTISystem:
+    return read_system(path) if path is not None else generate_example(spec)
 
 
 def _impulse_input(m: int, horizon: int) -> np.ndarray:
@@ -218,7 +218,7 @@ def blas_threads() -> int | None:
 def run_pipeline(cfg: JobConfig) -> ReportBundle:
     """Execute one reduction job in memory (no files written)."""
     cfg.validate()
-    system = _load_system(cfg)
+    system = _load_system(cfg.system_path, cfg.example)
     window = cfg.tau
     bundle = ReportBundle(system=system)
 
@@ -476,7 +476,7 @@ def _cmd_generate(args) -> int:
 
 def _cmd_gramian(args) -> int:
     path, spec = _system_from_args(args)
-    system = read_system(path) if path else generate_example(spec)
+    system = _load_system(path, spec)
     cfg = JobConfig(system_path=path, example=spec, tau=args.tau, order=1,
                     solver=args.solver, tol=args.tol,
                     tl_term_tol=_resolve_tl_tol(args), cadence=args.cadence,
@@ -514,7 +514,7 @@ def _cmd_reduce(args) -> int:
                     tl_term_tol=_resolve_tl_tol(args), cadence=args.cadence,
                     max_iterations=args.max_iter)
     cfg.validate()
-    system = _load_system(cfg)
+    system = _load_system(path, spec)
     tau = math.inf if args.method == "bt" else args.tau
     reach, _ = compute_gramian(system, tau, "reach", cfg.solver, cfg)
     obs, _ = compute_gramian(system, tau, "obs", cfg.solver, cfg)
@@ -528,8 +528,7 @@ def _cmd_reduce(args) -> int:
 
 
 def _cmd_bounds(args) -> int:
-    path, spec = _system_from_args(args)
-    system = read_system(path) if path else generate_example(spec)
+    system = _load_system(*_system_from_args(args))
     rom_sys = read_system(args.rom)
     with open(Path(args.rom) / "manifest.json", encoding="utf-8") as fh:
         manifest = json.load(fh)
@@ -571,8 +570,7 @@ def _cmd_bounds(args) -> int:
 def _cmd_simulate(args) -> int:
     if args.horizon < 0:
         raise ConfigError(f"--horizon must be >= 0, got {args.horizon}")
-    path, spec = _system_from_args(args)
-    system = read_system(path) if path else generate_example(spec)
+    system = _load_system(*_system_from_args(args))
     u = _build_input(args.input, system.m, args.horizon, args.input_seed)
     trace = simulate(system, u, args.horizon)
     header = ["k"] + [f"u{i}" for i in range(system.m)] + [f"y{i}" for i in range(system.p)]

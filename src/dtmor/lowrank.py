@@ -4,8 +4,8 @@ Two solvers are provided.  The Smith-Arnoldi method walks the polynomial
 block Krylov sequence B, AB, A^2 B, ... and orthonormalizes the stacked walk
 once; for a finite horizon tau its first tau blocks are an exact Gramian
 factor and the next block is the exact horizon term.  The rational Krylov
-subspace method expands a shifted-inverse basis,
-solves compressed Galerkin problems, and monitors the equation residual
+subspace method expands a shifted-inverse basis by the system's pencil
+solves, solves compressed Galerkin problems, and monitors the equation residual
 through a rank-2m compressed form that never assembles an n x n matrix.
 """
 from __future__ import annotations
@@ -14,9 +14,6 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-import scipy.linalg as sla
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .dense_stein import solve_projected_tl, window_sum
 from .exceptions import BreakdownError, ConvergenceError, SolvabilityError
@@ -46,6 +43,8 @@ class SolverConfig:
             raise ValueError("need 0 < tl_term_tol <= tol < 1")
         if self.cadence < 1:
             raise ValueError("cadence must be >= 1")
+        if self.max_iterations < 1:
+            raise ValueError(f"max_iterations must be >= 1, got {self.max_iterations}")
 
 
 @dataclass
@@ -139,44 +138,16 @@ class GramianApprox:
         return self.basis @ self.core @ self.basis.T
 
 
-class _StandardOperator:
-    """Shifted solves (M^{-1}A - s I) x = b of a (possibly generalized)
-    system as (A - s M) x = M b, caching one sparse/dense factorization per
-    distinct shift."""
-
-    def __init__(self, sys: DiscreteLTISystem):
-        self.sys = sys
-        self._factors: dict[complex, object] = {}
-
-    def _factorize(self, s: complex):
-        sys = self.sys
-        is_complex = abs(s.imag) > _REAL_SHIFT_TOL
-        shift = s if is_complex else s.real
-        if sp.issparse(sys.A):
-            M = sys.M if sys.M is not None else sp.identity(sys.n, format="csr")
-            mat = (sys.A - shift * M).tocsc()
-            return ("sparse", spla.splu(mat), M, is_complex)
-        M = sys.M if sys.M is not None else np.eye(sys.n)
-        return ("dense", sla.lu_factor(sys.A - shift * M), M, is_complex)
-
-    def solve_shifted(self, s: complex, rhs: np.ndarray) -> np.ndarray:
-        s = complex(s)
-        if s not in self._factors:
-            try:
-                self._factors[s] = self._factorize(s)
-            except (RuntimeError, sla.LinAlgError):
-                # shift hit an eigenvalue; retry once with a tiny perturbation
-                try:
-                    self._factors[s] = self._factorize(s * (1.0 + 1e-8) + 1e-8j)
-                except (RuntimeError, sla.LinAlgError) as exc:
-                    raise BreakdownError(
-                        f"shifted solve at {s} is singular even after "
-                        f"perturbation: {exc}") from exc
-        kind, fac, M, is_complex = self._factors[s]
-        b = np.asarray(M @ rhs, dtype=complex if is_complex else float)
-        if kind == "sparse":
-            return fac.solve(b)
-        return sla.lu_solve(fac, b)
+def _shift_solver(work: DiscreteLTISystem, s: complex):
+    """Solve closure b -> (M^{-1}A - s I)^{-1} b; a shift that hits an
+    eigenvalue is retried once at s(1 + 1e-8) + 1e-8j."""
+    for shift in (s.real if abs(s.imag) <= _REAL_SHIFT_TOL else s, s * (1.0 + 1e-8) + 1e-8j):
+        try:
+            return work.pencil_solver(1.0, shift)
+        except np.linalg.LinAlgError as exc:
+            error = exc
+    raise BreakdownError(
+        f"shifted solve at {s} is singular even after perturbation: {error}") from error
 
 
 def _orth_columns(X: np.ndarray, tol: float = _DEFLATION_TOL, scale: float | None = None):
@@ -461,7 +432,7 @@ def rksm(sys: DiscreteLTISystem, side: str, tau,
     shifts = shifts or ShiftStrategy()
     cfg = cfg or SolverConfig()
     work = sys if side == "reach" else sys.dual()
-    op = _StandardOperator(work)
+    solvers: dict[complex, object] = {}   # shift -> its solve closure
     B0 = work.input_map()
     finite = not math.isinf(tau)
     if finite:
@@ -491,7 +462,9 @@ def rksm(sys: DiscreteLTISystem, side: str, tau,
         s = next_shift(shifts, state)
         state.shifts.append(s)
         rhs = Q[:, -min(work.m, Q.shape[1]):]
-        g = op.solve_shifted(s, rhs)
+        if s not in solvers:
+            solvers[s] = _shift_solver(work, s)
+        g = solvers[s](rhs)
         if abs(s.imag) <= _REAL_SHIFT_TOL:
             cand = np.real(g)
         else:

@@ -3,8 +3,9 @@
 A system is ``M x(k+1) = A x(k) + B u(k)``, ``y(k) = C x(k)`` with ``x(0) = 0``
 and nonsingular mass matrix ``M`` (identity when absent).  All computations
 reduce the generalized form to the standard one implicitly through a cached
-factorization of ``M``; ``M`` is never inverted densely unless the caller asks
-for an explicit standard-form conversion.
+factorization of ``M``, and every pencil solve goes through :func:`factorize`;
+``M`` is never inverted densely unless the caller asks for an explicit
+standard-form conversion.
 """
 from __future__ import annotations
 
@@ -76,7 +77,10 @@ class DiscreteLTISystem:
         self._mass_solve = None
         self._spectral_radius = None
         if self.M is not None:
-            self._mass_solve = _factorize_nonsingular(self.M, "M")
+            try:
+                self._mass_solve = factorize(self.M, rel_pivot=1e-14)
+            except np.linalg.LinAlgError as exc:
+                raise SingularMassMatrixError(f"M is numerically singular: {exc}") from exc
 
     @property
     def is_generalized(self) -> bool:
@@ -91,6 +95,16 @@ class DiscreteLTISystem:
     def apply_dynamics(self, X: np.ndarray) -> np.ndarray:
         """Apply the standard-form state map M^{-1} A to the columns of X."""
         return self.mass_solve(self.A @ X)
+
+    def pencil_solver(self, alpha, beta):
+        """Solve closure b -> (alpha A - beta M)^{-1} M b = (alpha M^{-1}A - beta I)^{-1} b
+        (M = I when absent) from one :func:`factorize` of the pencil; raises
+        ``np.linalg.LinAlgError`` if the pencil is exactly singular."""
+        M = self.M
+        if M is None:
+            M = sp.identity(self.n, format="csr") if sp.issparse(self.A) else np.eye(self.n)
+        solve = factorize(alpha * self.A - beta * M)
+        return lambda b: solve(M @ b)
 
     def input_map(self) -> np.ndarray:
         """Standard-form input matrix M^{-1} B."""
@@ -156,36 +170,39 @@ class DiscreteLTISystem:
         return f"DiscreteLTISystem({tag}n={self.n}, m={self.m}, p={self.p})"
 
 
-def _factorize_nonsingular(M, name: str):
-    """Return a solve closure for M, raising if M is numerically singular."""
-    if sp.issparse(M):
+def factorize(mat, rel_pivot: float = 0.0):
+    """Solve closure X -> mat^{-1} X from one LU of a sparse (SuperLU) or dense
+    (LAPACK), real or complex matrix; a complex X against a real sparse factor
+    is solved as its real and imaginary parts.  A pivot |U_ii| at most
+    rel_pivot * max(max |U_ii|, 1) raises ``np.linalg.LinAlgError``; the
+    default 0 rejects only an exactly zero pivot.
+    """
+    dtype = complex if mat.dtype.kind == "c" else float
+    if sp.issparse(mat):
         try:
-            lu = spla.splu(M.tocsc())
+            lu = spla.splu(mat.tocsc())
         except RuntimeError as exc:
-            raise SingularMassMatrixError(f"sparse factorization of {name} failed: {exc}") from exc
-        udiag = np.abs(lu.U.diagonal())
-        if udiag.size == 0 or udiag.min() <= 1e-14 * max(udiag.max(), 1.0):
-            raise SingularMassMatrixError(f"{name} is numerically singular")
+            raise np.linalg.LinAlgError(f"sparse LU failed: {exc}") from exc
+        # SuperLU rejects an exactly zero pivot itself: U is read for the relative rule only
+        udiag = lu.U.diagonal() if rel_pivot else np.ones(1)
 
         def solve(X):
             X = np.asarray(X)
-            if np.iscomplexobj(X):
+            if np.iscomplexobj(X) and dtype is float:
                 return lu.solve(X.real) + 1j * lu.solve(X.imag)
-            return lu.solve(np.asarray(X, dtype=float))
-        return solve
+            return lu.solve(np.asarray(X, dtype=dtype))
+    else:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # zero pivots are detected below
+            lu, piv = sla.lu_factor(mat)
+        udiag = np.diag(lu)
 
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # singular pivots are detected below
-        lu, piv = sla.lu_factor(M)
-    udiag = np.abs(np.diag(lu))
-    if udiag.min() <= 1e-14 * max(udiag.max(), 1.0):
-        raise SingularMassMatrixError(f"{name} is numerically singular")
-
-    def solve(X):
-        X = np.asarray(X)
-        if not np.iscomplexobj(X):
-            X = X.astype(float)
-        return sla.lu_solve((lu, piv), X)
+        def solve(X):
+            X = np.asarray(X)
+            return sla.lu_solve((lu, piv), X if np.iscomplexobj(X) else X.astype(dtype))
+    udiag = np.abs(udiag)
+    if udiag.size == 0 or udiag.min() <= rel_pivot * max(udiag.max(), 1.0):
+        raise np.linalg.LinAlgError("matrix is numerically singular")
     return solve
 
 

@@ -5,12 +5,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.io
+import scipy.sparse
 
 from dtmor import (ExampleSpec, build_system, generate_example, impulse_sequence,
                    read_system, write_system)
 import dtmor.bounds
 import dtmor.cli
 import dtmor.dense_stein
+import dtmor.lowrank
 from dtmor.cli import (
     ConfigError,
     JobConfig,
@@ -476,6 +478,44 @@ class TestMainExitCodes:
             JobConfig(example=spec, tau=10, order=1, sim_horizon=-1).validate()
         with pytest.raises(ConfigError, match="order"):
             JobConfig(example=spec, tau=10, order=0).validate()
+
+    @pytest.mark.parametrize("argv", [
+        ["pipeline", "--tau", "10", "--order", "2", "--solver", "rksm-pm1", "--max-iter", "0"],
+        ["gramian", "--tau", "inf", "--solver", "smith", "--max-iter", "0"],
+        ["pipeline", "--tau", "10", "--hsv-tol", "-1"],
+        ["reduce", "--tau", "10", "--hsv-tol", "-1"],
+    ])
+    def test_max_iter_below_one_and_negative_hsv_tol_exit_2(self, tmp_path, capsys,
+                                                            monkeypatch, argv):
+        # rejected as configuration, not blamed on a solver that never ran
+        for module, name in ((dtmor.lowrank, "rksm"), (dtmor.lowrank, "smith_arnoldi"),
+                             (dtmor.dense_stein, "tl_gramian_dense")):
+            monkeypatch.setattr(module, name, lambda *args: pytest.fail("a Gramian was solved"))
+        code = main([*argv, "--kind", "jacobi", "--size", "4", "--inputs", "2",
+                     "--outputs", "2", "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "configuration error" in err and ("max_iterations" in err or "hsv" in err)
+        assert not (tmp_path / "out").exists()
+
+    def test_job_config_rejects_negative_hsv_tol(self):
+        spec = ExampleSpec(kind="jacobi", size=4)
+        JobConfig(example=spec, tau=10, hsv_tol=0.0).validate()
+        with pytest.raises(ConfigError, match="hsv"):
+            JobConfig(example=spec, tau=10, hsv_tol=-1.0).validate()
+
+    @pytest.mark.parametrize("storage", [np.asarray, scipy.sparse.csr_matrix])
+    def test_gramian_with_shift_on_an_eigenvalue(self, tmp_path, capsys, storage):
+        # the -1 shift hits an eigenvalue of A; dense and sparse storage agree
+        A = storage(np.diag([-1.0, 0.5, 0.3]))
+        write_system(build_system(A, np.ones((3, 1)), np.ones((1, 3))), tmp_path / "sys")
+        out = tmp_path / "g"
+        assert main(["gramian", "--system", str(tmp_path / "sys"), "--tau", "5",
+                     "--solver", "rksm-pm1", "--out", str(out)]) == 0
+        capsys.readouterr()
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["iterations"] == 4 and summary["rank"] == 3
+        assert summary["residual"] <= 1e-12
 
 
 class TestUncoveredCommandPaths:

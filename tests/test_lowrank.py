@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 import oracles
 from conftest import random_stable_system
@@ -181,6 +182,21 @@ class TestRksm:
             P = rksm(gs_small, "reach", t, cfg=TIGHT).matrix()
             Pd = rksm(dense, "reach", t, cfg=TIGHT).matrix()
             assert np.linalg.norm(Pd - P) <= 1e-12 * np.linalg.norm(P)
+
+    def test_shift_on_an_eigenvalue_dense_matches_sparse(self):
+        # the -1 shift hits an eigenvalue; both storages retry it perturbed
+        A = np.diag([-1.0, 0.5, 0.3])
+        dense = build_system(A, np.ones((3, 1)), np.ones((1, 3)))
+        sparse = build_system(sp.csr_matrix(A), np.ones((3, 1)), np.ones((1, 3)))
+        strategy = ShiftStrategy("alternating-pm1")
+        a = rksm(sparse, "reach", 5, strategy)
+        b = rksm(dense, "reach", 5, strategy)
+        assert (b.iterations, b.rank) == (a.iterations, a.rank)
+        assert np.linalg.norm(b.matrix() - a.matrix()) <= 1e-12 * np.linalg.norm(a.matrix())
+
+    def test_max_iterations_below_one_rejected(self):
+        with pytest.raises(ValueError, match="max_iterations"):
+            SolverConfig(max_iterations=0)
 
     @pytest.mark.parametrize("tau", [20, math.inf])
     def test_zero_input_gives_empty_basis(self, tau):

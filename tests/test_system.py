@@ -89,6 +89,39 @@ class TestBuildSystem:
         with pytest.raises(SingularMassMatrixError):
             build_system(sp.identity(2, format="csr"), np.ones((2, 1)), np.ones((1, 2)), M=M)
 
+    @pytest.mark.parametrize("storage", [np.asarray, sp.csr_matrix])
+    def test_numerically_singular_mass_rejected(self, storage):
+        # no pivot is exactly zero: the relative pivot rule rejects 1e-17
+        with pytest.raises(SingularMassMatrixError, match="numerically singular"):
+            build_system(np.eye(2), np.ones((2, 1)), np.ones((1, 2)),
+                         M=storage(np.diag([1.0, 1e-17])))
+
+
+class TestFactorize:
+    @pytest.mark.parametrize("storage", [np.asarray, sp.csr_matrix])
+    def test_exactly_zero_pivot_raises(self, storage):
+        with pytest.raises(np.linalg.LinAlgError):
+            dtmor.system.factorize(storage(np.diag([2.0, 0.0, 1.0])))
+
+    @pytest.mark.parametrize("storage", [np.asarray, sp.csr_matrix])
+    def test_real_factor_solves_complex_rhs(self, storage):
+        rng = np.random.default_rng(3)
+        mat = rng.standard_normal((5, 5)) + 5 * np.eye(5)
+        X = rng.standard_normal((5, 2)) + 1j * rng.standard_normal((5, 2))
+        got = dtmor.system.factorize(storage(mat))(X)
+        assert np.linalg.norm(mat @ got - X) <= 1e-13 * np.linalg.norm(X)
+
+    @pytest.mark.parametrize("storage", [np.asarray, sp.csr_matrix])
+    def test_pencil_solver(self, storage):
+        rng = np.random.default_rng(4)
+        A = rng.standard_normal((4, 4))
+        M = rng.standard_normal((4, 4)) + 4 * np.eye(4)
+        s = build_system(storage(A), np.ones((4, 1)), np.ones((1, 4)), M=storage(M))
+        b = rng.standard_normal((4, 2))
+        alpha, beta = 0.3 - 0.2j, 1.5
+        x = s.pencil_solver(alpha, beta)(b)
+        assert np.linalg.norm((alpha * A - beta * M) @ x - M @ b) <= 1e-13 * np.linalg.norm(M @ b)
+
 
 class TestImpulseResponse:
     def test_scalar_sequence(self, scalar_system):
