@@ -176,6 +176,26 @@ def _thin_product(A: np.ndarray, X: np.ndarray) -> np.ndarray:
     return np.column_stack([A @ X[:, j] for j in range(X.shape[1])])
 
 
+def _thin_norm(X: np.ndarray) -> float:
+    """2-norm of a thin matrix (n x m, m small) from its m x m Gram matrix."""
+    if X.size == 0:
+        return 0.0
+    return math.sqrt(max(float(np.linalg.eigvalsh(X.T @ X)[-1]), 0.0))
+
+
+def _gap_norm(U: np.ndarray, V: np.ndarray | None = None) -> float:
+    """2-norm of U U^T - V V^T (of U U^T when V is None) for thin U and V.
+
+    With R the triangular factor of the stack [U, V], the nonzero
+    eigenvalues of the difference are those of R J R^T, J = diag(I, -I).
+    """
+    if V is None:
+        return _thin_norm(U) ** 2
+    R = np.linalg.qr(np.hstack([U, V]), mode="r")
+    J = np.concatenate([np.ones(U.shape[1]), -np.ones(V.shape[1])])
+    return float(np.abs(np.linalg.eigvalsh((R * J) @ R.T)).max(initial=0.0))
+
+
 def _append_columns(buf: np.ndarray, used: int, X: np.ndarray):
     """Write X after column ``used`` of the Fortran-ordered buffer ``buf``, doubling
     its capacity if X does not fit; returns the buffer and its filled columns."""
@@ -189,25 +209,31 @@ def _append_columns(buf: np.ndarray, used: int, X: np.ndarray):
 
 
 def _gram_schmidt_block(Q: np.ndarray | None, X: np.ndarray, tol: float = _DEFLATION_TOL):
-    """Twice-iterated classical Gram-Schmidt of the block X against Q.
+    """Classical Gram-Schmidt of the block X against Q: two passes, and a
+    third when the second left a direction that needs it.
 
     Returns (new_block, coeffs, core) with X = Q @ coeffs + new_block @ core
     up to deflated directions, judged against the incoming block norm so a
-    fully represented block deflates away entirely.  Every surviving block
-    is orthogonalized against Q once more after normalization: a remainder
-    many orders below the input norm loses orthogonality otherwise.
+    fully represented block deflates away entirely.  After two passes the
+    remainder is orthogonal to Q up to round-off relative to its norm after
+    the first pass, and the SVD that normalizes it errs by as much; so a kept
+    direction far below that norm is not orthogonal to Q (Giraud, Langou &
+    Rozložník, Comput. Math. Appl. 50 (2005)).  When the smallest kept
+    singular value is below half the norm after the first pass, the
+    normalized block is orthogonalized against Q once more.
     """
-    scale = float(np.linalg.norm(X, 2)) if X.size else 0.0
+    scale = _thin_norm(X)
     if Q is None or Q.shape[1] == 0:
         nb, core = _orth_columns(X, tol, scale)
         return nb, np.zeros((0, X.shape[1])), core
     c1 = _thin_product(Q.T, X)
     X = X - _thin_product(Q, c1)
+    first_norm = _thin_norm(X)
     c2 = _thin_product(Q.T, X)
     X = X - _thin_product(Q, c2)
     nb, core = _orth_columns(X, tol, scale)
     coeffs = c1 + c2
-    if nb.shape[1]:
+    if nb.shape[1] and np.linalg.norm(core, axis=1).min() < 0.5 * first_norm:
         c3 = _thin_product(Q.T, nb)
         nb = nb - _thin_product(Q, c3)
         nb, fix = _orth_columns(nb, 1e-8)
@@ -339,12 +365,11 @@ def _lifted_residual(work: DiscreteLTISystem, Q: np.ndarray, Y: np.ndarray,
     Ypad[:ell, :ell] = Y
     Bt = J.T @ B0
     Rsmall = Atil @ Y @ Atil.T - Ypad + Bt @ Bt.T
-    scale_mat = Bt @ Bt.T
+    Ft = None
     if F is not None:
         Ft = J.T @ F
         Rsmall -= Ft @ Ft.T
-        scale_mat = scale_mat - Ft @ Ft.T
-    return float(np.linalg.norm(Rsmall, 2)), float(np.linalg.norm(scale_mat, 2))
+    return float(np.linalg.norm(Rsmall, 2)), _gap_norm(Bt, Ft)
 
 
 def smith_arnoldi(sys: DiscreteLTISystem, side: str, tau,
@@ -374,10 +399,10 @@ def smith_arnoldi(sys: DiscreteLTISystem, side: str, tau,
 
     blocks = [B0]
     records: list[ConvergenceRecord] = []
-    bb_norm = float(np.linalg.norm(B0, 2)) ** 2
+    bb_norm = _gap_norm(B0)
     for steps in range(1, (tau if finite else cfg.max_iterations) + 1):
         X = work.apply_dynamics(blocks[-1])
-        res = None if finite else float(np.linalg.norm(X, 2)) ** 2 / max(bb_norm, 1e-300)
+        res = None if finite else _gap_norm(X) / max(bb_norm, 1e-300)
         records.append(ConvergenceRecord(steps, steps * work.m, res, None, None))
         if (steps == tau) if finite else (res <= cfg.tol):
             break
@@ -494,7 +519,7 @@ def rksm(sys: DiscreteLTISystem, side: str, tau,
             if fhat_prev is not None:
                 prev = _pad_rows(fhat_prev, Fhat.shape[0])
                 denom = max(float(np.linalg.norm(fhat_prev)) ** 2, 1e-300)
-                fF = float(np.linalg.norm(Fhat @ Fhat.T - prev @ prev.T, 2)) / denom
+                fF = _gap_norm(Fhat, prev) / denom
                 tl_settled = fF <= cfg.tl_term_tol
             fhat_prev = Fhat
             if not tl_settled:
@@ -513,8 +538,7 @@ def rksm(sys: DiscreteLTISystem, side: str, tau,
         state.offspace_dir, state.offspace_coeff, fell_back = _offspace_factor(Q, W, H, work.m)
         fallbacks += fell_back
         res_abs = stein_residual_norm(state, Y)
-        scale_mat = Bk @ Bk.T if Fhat is None else Bk @ Bk.T - Fhat @ Fhat.T
-        scale = max(float(np.linalg.norm(scale_mat, 2)), 1e-300)
+        scale = max(_gap_norm(Bk, Fhat), 1e-300)
         res = res_abs / scale
         if observer is not None:
             observer(state, Y, None if Fhat is None else _thin_product(Q, Fhat), res_abs)

@@ -13,6 +13,7 @@ import dtmor.bounds
 import dtmor.cli
 import dtmor.dense_stein
 import dtmor.lowrank
+import dtmor.system
 from dtmor.cli import (
     ConfigError,
     JobConfig,
@@ -137,6 +138,25 @@ class TestRunPipeline:
                                                 else cfg.tau, side, cfg.solver, cfg)
             assert stats["deflated_columns"] == gram.deflated_columns
             assert stats["offspace_fallbacks"] == gram.offspace_fallbacks == 0
+
+    @pytest.mark.parametrize("solver", ["dense", "rksm-pm1"])
+    def test_pipeline_factors_the_mass_matrix_once(self, monkeypatch, solver):
+        # every dual() solves with the transpose of the system's one factor of M
+        spec = ExampleSpec(kind="gauss-seidel", size=12, inputs=2, outputs=2, seed=1)
+        M = generate_example(spec).M.toarray()
+        factorize = dtmor.system.factorize
+        mass = []
+
+        def counting(mat, *args, **kwargs):
+            if mat.shape == M.shape:
+                dense = mat.toarray() if scipy.sparse.issparse(mat) else mat
+                mass.append(np.array_equal(dense, M) or np.array_equal(dense, M.T))
+            return factorize(mat, *args, **kwargs)
+
+        monkeypatch.setattr(dtmor.system, "factorize", counting)
+        run_pipeline(JobConfig(example=spec, tau=30, methods=("bt", "tlbt"), order=6,
+                               solver=solver))
+        assert sum(mass) == 1
 
 
 class TestErrorCsv:

@@ -433,3 +433,58 @@ class TestGrowthBuffers:
         for x, y in ((a.basis, b.basis), (a.core, b.core), (a.tl_term, b.tl_term)):
             assert np.array_equal(x, y)
         assert a.basis.base is None
+
+
+class TestThinNorms:
+    @staticmethod
+    def _inputs():
+        rng = np.random.default_rng(8)
+        U = rng.standard_normal((30, 2))
+        V = rng.standard_normal((30, 2))
+        deficient = np.hstack([U[:, :1], 3.0 * U[:, :1]])
+        yield U, V
+        yield U, deficient
+        yield deficient, np.hstack([V[:, :1], -2.0 * V[:, :1]])
+        yield np.zeros((30, 2)), V
+        yield np.zeros((30, 2)), np.zeros((30, 2))
+        yield U[:3], V[:3]   # fewer rows than the stack has columns
+
+    def test_helpers_match_the_assembled_two_norm(self):
+        for U, V in self._inputs():
+            for got, mat in ((lowrank._thin_norm(U), U),
+                             (lowrank._gap_norm(U), U @ U.T),
+                             (lowrank._gap_norm(U, V), U @ U.T - V @ V.T)):
+                want = np.linalg.norm(mat, 2)
+                assert abs(got - want) <= 1e-12 * want
+
+
+class TestGramSchmidtBlock:
+    @staticmethod
+    def _run(monkeypatch, Q, X):
+        calls = []
+        orth = lowrank._orth_columns
+        monkeypatch.setattr(lowrank, "_orth_columns",
+                            lambda *args: calls.append(args) or orth(*args))
+        nb, coeffs, core = lowrank._gram_schmidt_block(Q, X)
+        assert nb.shape[1] == X.shape[1]
+        assert np.linalg.norm(Q.T @ nb) <= 1e-13
+        assert np.linalg.norm(X - Q @ coeffs - nb @ core) <= 1e-12 * np.linalg.norm(X)
+        return len(calls)
+
+    @staticmethod
+    def _basis_and_block():
+        rng = np.random.default_rng(9)
+        Q, _ = np.linalg.qr(rng.standard_normal((500, 40)))
+        return Q, Q @ rng.standard_normal((40, 2)), rng.standard_normal((500, 2))
+
+    def test_generic_block_skips_the_third_pass(self, monkeypatch):
+        Q, inside, outside = self._basis_and_block()
+        assert self._run(monkeypatch, Q, inside + outside) == 1
+
+    def test_remainder_far_below_its_input_gets_the_third_pass(self, monkeypatch):
+        # the remainders of the two columns agree but for 1e-10 of the input, so
+        # one kept direction is 1e-10 of the block: two passes and the SVD
+        # leave it about 1e-6 off orthogonal to Q
+        Q, inside, outside = self._basis_and_block()
+        r, s = outside[:, :1], outside[:, 1:]
+        assert self._run(monkeypatch, Q, inside + np.hstack([r, r + 1e-10 * s])) == 2

@@ -122,6 +122,74 @@ class TestFactorize:
         x = s.pencil_solver(alpha, beta)(b)
         assert np.linalg.norm((alpha * A - beta * M) @ x - M @ b) <= 1e-13 * np.linalg.norm(M @ b)
 
+    @staticmethod
+    def _record_orders(monkeypatch):
+        orders = []
+        splu = dtmor.system.spla.splu
+
+        def recording(mat, *args, permc_spec=None, **kwargs):
+            orders.append(permc_spec)
+            return splu(mat, *args, permc_spec=permc_spec, **kwargs)
+
+        monkeypatch.setattr(dtmor.system.spla, "splu", recording)
+        return orders
+
+    def test_triangular_mass_keeps_natural_order(self, monkeypatch):
+        orders = self._record_orders(monkeypatch)
+        for kind in ("jacobi", "gauss-seidel"):
+            s = generate_example(ExampleSpec(kind=kind, size=10, seed=1))
+            assert orders == ["NATURAL"]
+            s.pencil_solver(1.0, 1.0)
+            assert orders == ["NATURAL", "MMD_AT_PLUS_A"]
+            orders.clear()
+
+    @pytest.mark.parametrize("kind", ["jacobi", "gauss-seidel"])
+    @pytest.mark.parametrize("shift", [1.0, -1.0, 0.3 + 0.9j])
+    def test_grid_pencils_solve_plain_and_transposed(self, kind, shift):
+        s = generate_example(ExampleSpec(kind=kind, size=20, seed=1))
+        pencil = s.A - shift * s.M
+        solve = dtmor.system.factorize(pencil)
+        b = np.random.default_rng(5).standard_normal((s.n, 2))
+        for op, trans in ((pencil, False), (pencil.T, True)):
+            x = solve(b, trans=trans)
+            assert np.linalg.norm(op @ x - b) <= 1e-12 * np.linalg.norm(b)
+
+    @pytest.mark.parametrize("storage", [np.asarray, sp.csr_matrix])
+    def test_transposed_solve_of_real_factor_with_complex_rhs(self, storage):
+        rng = np.random.default_rng(6)
+        mat = rng.standard_normal((5, 5)) + 5 * np.eye(5)
+        X = rng.standard_normal((5, 2)) + 1j * rng.standard_normal((5, 2))
+        got = dtmor.system.factorize(storage(mat))(X, trans=True)
+        assert np.linalg.norm(mat.T @ got - X) <= 1e-13 * np.linalg.norm(X)
+
+    @pytest.mark.parametrize("M, order", [
+        (np.diag([1.0, 1e-17]), "NATURAL"),
+        # not triangular; its second pivot is about 1e-15 in either column order
+        (np.array([[1.0, 1.0], [1.0, 1.0 + 1e-15]]), "MMD_AT_PLUS_A"),
+    ])
+    def test_relative_pivot_rule_under_either_order(self, monkeypatch, M, order):
+        orders = self._record_orders(monkeypatch)
+        with pytest.raises(SingularMassMatrixError, match="numerically singular"):
+            build_system(np.eye(2), np.ones((2, 1)), np.ones((1, 2)), M=sp.csr_matrix(M))
+        assert orders == [order]
+
+    @pytest.mark.parametrize("storage", [np.asarray, sp.csr_matrix])
+    def test_dual_solves_with_the_one_mass_factor(self, monkeypatch, storage):
+        rng = np.random.default_rng(7)
+        M = rng.standard_normal((5, 5)) + 5 * np.eye(5)
+        s = build_system(storage(rng.standard_normal((5, 5))), np.ones((5, 2)),
+                         np.ones((1, 5)), M=storage(M))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("mass matrix factored again")
+
+        monkeypatch.setattr(dtmor.system, "factorize", refuse)
+        X = rng.standard_normal((5, 3))
+        adj = s.dual()
+        assert np.linalg.norm(M.T @ adj.mass_solve(X) - X) <= 1e-13 * np.linalg.norm(X)
+        assert np.linalg.norm(M @ adj.dual().mass_solve(X) - X) <= 1e-13 * np.linalg.norm(X)
+        assert np.array_equal(adj.M.toarray() if sp.issparse(adj.M) else adj.M, M.T)
+
 
 class TestImpulseResponse:
     def test_scalar_sequence(self, scalar_system):
