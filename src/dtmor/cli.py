@@ -120,22 +120,18 @@ class ReportBundle:
     e_max: dict = field(default_factory=dict)         # method -> in-window max error
 
 
-def _solver_config(cfg: JobConfig) -> lowrank.SolverConfig:
-    return lowrank.SolverConfig(tol=cfg.tol, tl_term_tol=cfg.tl_term_tol,
-                                cadence=cfg.cadence, max_iterations=cfg.max_iterations)
-
-
 def compute_gramian(system: DiscreteLTISystem, tau, side: str, solver: str,
                     cfg: JobConfig):
     """One Gramian by the selected backend; returns (object, records)."""
     if solver == "dense":
         return dense_stein.tl_gramian_dense(system, tau, side), []
+    config = lowrank.SolverConfig(tol=cfg.tol, tl_term_tol=cfg.tl_term_tol,
+                                  cadence=cfg.cadence, max_iterations=cfg.max_iterations)
     if solver == "smith":
-        approx = lowrank.smith_arnoldi(system, side, tau, _solver_config(cfg))
-        return approx, approx.records
-    strategy = lowrank.ShiftStrategy(
-        kind="alternating-pm1" if solver == "rksm-pm1" else "adaptive-disc")
-    approx = lowrank.rksm(system, side, tau, strategy, _solver_config(cfg))
+        approx = lowrank.smith_arnoldi(system, side, tau, config)
+    else:
+        kind = "alternating-pm1" if solver == "rksm-pm1" else "adaptive-disc"
+        approx = lowrank.rksm(system, side, tau, lowrank.ShiftStrategy(kind=kind), config)
     return approx, approx.records
 
 
@@ -215,49 +211,59 @@ def blas_threads() -> int | None:
     return None
 
 
+def gramian_pairs(system: DiscreteLTISystem, cfg: JobConfig, bundle: ReportBundle | None = None):
+    """``pair(tau) -> (reach, obs)``: both Gramians of ``system`` at one
+    horizon by ``cfg.solver``, each horizon solved at most once.  With a
+    ``bundle``, the solves file their records and stats under 'bt' (tau=inf)
+    or 'tlbt' (a window)."""
+    pairs = {}
+
+    def pair(tau):
+        if tau not in pairs:
+            key = "bt" if math.isinf(tau) else "tlbt"
+            grams = []
+            for side in ("reach", "obs"):
+                gram, records = compute_gramian(system, tau, side, cfg.solver, cfg)
+                if bundle is not None:
+                    bundle.convergence[(key, side)] = records
+                    bundle.gramian_meta[(key, side)] = _solve_stats(gram, records)
+                grams.append(gram)
+            pairs[tau] = tuple(grams)
+        return pairs[tau]
+    return pair
+
+
+def reduce_model(system: DiscreteLTISystem, method: str, tau, pair, order=None, hsv_tol=None):
+    """Square-root balanced truncation by ``method``: BT balances the tau=inf
+    pair, TLBT the window pair."""
+    horizon = math.inf if method == "bt" else tau
+    rom, _ = balancing.square_root_truncate(*pair(horizon), system, horizon,
+                                            order=order, hsv_tol=hsv_tol, method=method)
+    return rom
+
+
+def report_model(system: DiscreteLTISystem, rom, tau, pair, **kw):
+    """The bound report of ``rom`` over ``tau``.  Only the tau=inf pair feeds
+    it (a finite-window bound is summed), so ``pair`` is asked for that pair
+    only when the report uses it."""
+    reach = obs = None
+    if math.isinf(tau) or bounds_mod.inf_horizon_applies(system, rom, tau):
+        reach, obs = pair(math.inf)
+    return bounds_mod.build_bound_report(system, rom, tau, reach=reach, obs=obs,
+                                         inf_reach=reach, inf_obs=obs, **kw)
+
+
 def run_pipeline(cfg: JobConfig) -> ReportBundle:
     """Execute one reduction job in memory (no files written)."""
     cfg.validate()
     system = _load_system(cfg.system_path, cfg.example)
     window = cfg.tau
     bundle = ReportBundle(system=system)
-
-    def solve_pair(tau, key):
-        """Both Gramians at one horizon; ``key`` 'tlbt' files the window
-        solves and 'bt' the infinite-horizon ones."""
-        pair = []
-        for side in ("reach", "obs"):
-            gram, records = compute_gramian(system, tau, side, cfg.solver, cfg)
-            bundle.convergence[(key, side)] = records
-            bundle.gramian_meta[(key, side)] = _solve_stats(gram, records)
-            pair.append(gram)
-        return pair
-
-    # the window Gramians feed only TLBT: a finite-window bound is summed
-    inf_reach = inf_obs = tl_reach = tl_obs = None
-    if "bt" in cfg.methods:
-        inf_reach, inf_obs = solve_pair(math.inf, "bt")
-    if math.isinf(window):  # BT only: the report's Gramians are the infinite-horizon ones
-        tl_reach, tl_obs = inf_reach, inf_obs
-    elif "tlbt" in cfg.methods:
-        tl_reach, tl_obs = solve_pair(window, "tlbt")
-
+    pair = gramian_pairs(system, cfg, bundle)
     for method in cfg.methods:
-        if method == "bt":
-            rom, _ = balancing.square_root_truncate(
-                inf_reach, inf_obs, system, math.inf,
-                order=cfg.order, hsv_tol=cfg.hsv_tol, method="bt")
-        else:
-            rom, _ = balancing.square_root_truncate(
-                tl_reach, tl_obs, system, window,
-                order=cfg.order, hsv_tol=cfg.hsv_tol, method="tlbt")
-        # TLBT only: solve the infinite-horizon pair once, if the report needs it
-        if inf_reach is None and bounds_mod.inf_horizon_applies(system, rom, window):
-            inf_reach, inf_obs = solve_pair(math.inf, "bt")
+        rom = reduce_model(system, method, window, pair, cfg.order, cfg.hsv_tol)
         bundle.roms[method] = rom
-        bundle.reports[method] = bounds_mod.build_bound_report(
-            system, rom, window, reach=tl_reach, obs=tl_obs,
-            inf_reach=inf_reach, inf_obs=inf_obs)
+        bundle.reports[method] = report_model(system, rom, window, pair)
 
     horizon = cfg.sim_horizon
     if horizon is None:
@@ -398,10 +404,13 @@ def _add_solver_flags(p: argparse.ArgumentParser):
     p.add_argument("--max-iter", type=int, default=400)
 
 
-def _resolve_tl_tol(args) -> float:
-    if args.tl_tol is not None:
-        return args.tl_tol
-    return min(args.tol, 1e-8)
+def _job_config(args, **fields) -> JobConfig:
+    """The job of the shared system and solver flags, plus ``fields``."""
+    path, spec = _system_from_args(args)
+    tl_tol = min(args.tol, 1e-8) if args.tl_tol is None else args.tl_tol
+    return JobConfig(system_path=path, example=spec, tau=args.tau, solver=args.solver,
+                     tol=args.tol, tl_term_tol=tl_tol, cadence=args.cadence,
+                     max_iterations=args.max_iter, **fields)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -475,12 +484,8 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_gramian(args) -> int:
-    path, spec = _system_from_args(args)
-    system = _load_system(path, spec)
-    cfg = JobConfig(system_path=path, example=spec, tau=args.tau, order=1,
-                    solver=args.solver, tol=args.tol,
-                    tl_term_tol=_resolve_tl_tol(args), cadence=args.cadence,
-                    max_iterations=args.max_iter)
+    cfg = _job_config(args)
+    system = _load_system(cfg.system_path, cfg.example)
     result, records = compute_gramian(system, args.tau, args.side, cfg.solver, cfg)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -491,7 +496,10 @@ def _cmd_gramian(args) -> int:
                    "residual": result.residual, "deflated_columns": result.deflated_columns}
     else:
         sio.mmwrite(out / "gramian.mtx", result.gramian, precision=17)
-        summary = {"rank": int(result.gramian.shape[0]), "iterations": None,
+        lam = np.linalg.eigvalsh(0.5 * (result.gramian + result.gramian.T))
+        # the numerical rank, by the 1e-12 rule of lowrank.truncate_factor
+        summary = {"rank": int(np.sum(lam > 1e-12 * lam.max(initial=0.0))),
+                   "iterations": None,
                    "residual": dense_stein.stein_residual_dense(system, result)}
     if result.tl_term is not None:
         sio.mmwrite(out / "tl_term.mtx", result.tl_term, precision=17)
@@ -508,19 +516,11 @@ def _cmd_gramian(args) -> int:
 
 
 def _cmd_reduce(args) -> int:
-    path, spec = _system_from_args(args)
-    cfg = JobConfig(system_path=path, example=spec, tau=args.tau, methods=(args.method,),
-                    order=args.order, hsv_tol=args.hsv_tol, solver=args.solver, tol=args.tol,
-                    tl_term_tol=_resolve_tl_tol(args), cadence=args.cadence,
-                    max_iterations=args.max_iter)
+    cfg = _job_config(args, methods=(args.method,), order=args.order, hsv_tol=args.hsv_tol)
     cfg.validate()
-    system = _load_system(path, spec)
-    tau = math.inf if args.method == "bt" else args.tau
-    reach, _ = compute_gramian(system, tau, "reach", cfg.solver, cfg)
-    obs, _ = compute_gramian(system, tau, "obs", cfg.solver, cfg)
-    rom, _ = balancing.square_root_truncate(reach, obs, system, tau,
-                                            order=args.order, hsv_tol=args.hsv_tol,
-                                            method=args.method)
+    system = _load_system(cfg.system_path, cfg.example)
+    rom = reduce_model(system, args.method, args.tau, gramian_pairs(system, cfg),
+                       args.order, args.hsv_tol)
     balancing.export_rom(rom, args.out)
     print(f"{args.method} model of order {rom.r} written to {args.out} "
           f"(rho={rom.spectral_radius():.6f})")
@@ -540,24 +540,16 @@ def _cmd_bounds(args) -> int:
 
     if args.constants and not args.balanced_expressions:
         raise ConfigError("--constants needs --balanced-expressions")
-    # the model's own dense pair: the window pair for TLBT, the tau=inf pair for BT
-    horizon = math.inf if method == "bt" else args.tau
-    reach = dense_stein.tl_gramian_dense(system, horizon, "reach")
-    obs = dense_stein.tl_gramian_dense(system, horizon, "obs")
+    if not math.isinf(args.tau) and args.tau < 1:
+        raise ConfigError(f"--tau must be >= 1 or inf, got {args.tau:g}")
+    pair = gramian_pairs(system, JobConfig(solver="dense"))
     # the Hankel spectrum of the model's own method, as `reduce` computes it
-    rom, _ = balancing.square_root_truncate(reach, obs, system, horizon, order=rom_sys.n,
-                                            method=method)
-    rom = replace(rom, system=rom_sys)
-    inf_reach, inf_obs = (reach, obs) if math.isinf(horizon) else (None, None)
-    if inf_reach is None and bounds_mod.inf_horizon_applies(system, rom, args.tau):
-        inf_reach = dense_stein.tl_gramian_dense(system, math.inf, "reach")
-        inf_obs = dense_stein.tl_gramian_dense(system, math.inf, "obs")
+    rom = replace(reduce_model(system, method, args.tau, pair, order=rom_sys.n), system=rom_sys)
     bal = None
     if args.balanced_expressions:
-        bal = balancing.balance_dense(system, reach, obs, horizon)
-    report = bounds_mod.build_bound_report(system, rom, args.tau, reach=reach, obs=obs,
-                                           inf_reach=inf_reach, inf_obs=inf_obs, bal=bal,
-                                           constants_method=args.constants)
+        bal = balancing.balance_dense(system, *pair(rom.horizon), rom.horizon)
+    report = report_model(system, rom, args.tau, pair, bal=bal,
+                          constants_method=args.constants)
     text = report.to_json() + "\n"
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
@@ -581,14 +573,10 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_pipeline(args) -> int:
-    path, spec = _system_from_args(args)
     methods = ("bt", "tlbt") if args.method == "both" else (args.method,)
-    cfg = JobConfig(
-        system_path=path, example=spec, tau=args.tau, methods=methods,
-        order=args.order, hsv_tol=args.hsv_tol, solver=args.solver,
-        tol=args.tol, tl_term_tol=_resolve_tl_tol(args), cadence=args.cadence,
-        max_iterations=args.max_iter, sim_horizon=args.sim_horizon,
-        input_kind=args.input, input_seed=args.input_seed, out_dir=args.out, force=args.force)
+    cfg = _job_config(args, methods=methods, order=args.order, hsv_tol=args.hsv_tol,
+                      sim_horizon=args.sim_horizon, input_kind=args.input,
+                      input_seed=args.input_seed, out_dir=args.out, force=args.force)
     bundle = run_pipeline(cfg)
     out = write_bundle(bundle, cfg)
     for row in bundle.summary_rows:

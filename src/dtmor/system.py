@@ -78,9 +78,13 @@ class DiscreteLTISystem:
         self._spectral_radius = None
         if self.M is not None:
             try:
-                self._mass_solve = factorize(self.M, rel_pivot=1e-14)
+                self._mass_solve = factorize(self.M)
             except np.linalg.LinAlgError as exc:
                 raise SingularMassMatrixError(f"M is numerically singular: {exc}") from exc
+            cond = _condition_estimate(self.M, self._mass_solve)
+            if not cond <= 1e14:
+                raise SingularMassMatrixError(
+                    f"M is numerically singular: 1-norm condition estimate {cond:.1e}")
 
     @property
     def is_generalized(self) -> bool:
@@ -178,13 +182,11 @@ def _is_triangular(csc) -> bool:
     return bool((csc.indices <= cols).all() or (csc.indices >= cols).all())
 
 
-def factorize(mat, rel_pivot: float = 0.0):
+def factorize(mat):
     """Solve closure (X, trans=False) -> mat^{-1} X, or mat^{-T} X with ``trans``,
     from one LU of a sparse (SuperLU) or dense (LAPACK), real or complex matrix;
     a complex X against a real sparse factor is solved as its real and
-    imaginary parts.  A pivot |U_ii| at most rel_pivot * max(max |U_ii|, 1)
-    raises ``np.linalg.LinAlgError``; the default 0 rejects only an exactly
-    zero pivot.
+    imaginary parts.  An exactly zero pivot raises ``np.linalg.LinAlgError``.
 
     A sparse matrix is ordered for fill.  A triangular one (the Jacobi and
     Gauss-Seidel M) keeps its natural order, in which it factors with no
@@ -197,12 +199,10 @@ def factorize(mat, rel_pivot: float = 0.0):
     if sp.issparse(mat):
         csc = mat.tocsc()
         order = "NATURAL" if _is_triangular(csc) else "MMD_AT_PLUS_A"
-        try:
+        try:  # SuperLU rejects an exactly zero pivot itself
             lu = spla.splu(csc, permc_spec=order)
         except RuntimeError as exc:
             raise np.linalg.LinAlgError(f"sparse LU failed: {exc}") from exc
-        # SuperLU rejects an exactly zero pivot itself: U is read for the relative rule only
-        udiag = lu.U.diagonal() if rel_pivot else np.ones(1)
 
         def solve(X, trans=False):
             X = np.asarray(X)
@@ -214,16 +214,23 @@ def factorize(mat, rel_pivot: float = 0.0):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")  # zero pivots are detected below
             lu, piv = sla.lu_factor(mat)
-        udiag = np.diag(lu)
+        if lu.size == 0 or not np.diag(lu).all():
+            raise np.linalg.LinAlgError("matrix is numerically singular")
 
         def solve(X, trans=False):
             X = np.asarray(X)
             return sla.lu_solve((lu, piv), X if np.iscomplexobj(X) else X.astype(dtype),
                                 trans=int(trans))
-    udiag = np.abs(udiag)
-    if udiag.size == 0 or udiag.min() <= rel_pivot * max(udiag.max(), 1.0):
-        raise np.linalg.LinAlgError("matrix is numerically singular")
     return solve
+
+
+def _condition_estimate(mat, solve) -> float:
+    """1-norm condition number of a real matrix: ||mat||_1 times the
+    Hager-Higham estimate of ||mat^{-1}||_1 from the solves of its factor
+    (one block column, as LAPACK's gecon), whatever its storage or pivot order."""
+    inv = spla.LinearOperator(mat.shape, matvec=solve, dtype=float,
+                              rmatvec=lambda x: solve(x, trans=True))
+    return float(abs(mat).sum(axis=0).max()) * spla.onenormest(inv, t=1)
 
 
 def build_system(A, B, C, M=None) -> DiscreteLTISystem:

@@ -358,6 +358,39 @@ class TestMainExitCodes:
             assert tail == pytest.approx(doc["reports"][method]["hsv_tail"], rel=1e-10)
         capsys.readouterr()
 
+    def test_bounds_report_equals_pipeline_report(self, tmp_path, capsys):
+        # pipeline and bounds ask one routine for each model's pairs and report
+        source = ["--kind", "gauss-seidel", "--size", "12", "--inputs", "2",
+                  "--outputs", "2", "--seed", "1"]
+        job = tmp_path / "job"
+        assert main(["pipeline", *source, "--tau", "30", "--order", "6", "--method", "both",
+                     "--solver", "dense", "--out", str(job)]) == 0
+        doc = json.loads((job / "report.json").read_text())
+        for method in ("bt", "tlbt"):
+            out = tmp_path / f"{method}.json"
+            assert main(["bounds", *source, "--rom", str(job / f"rom_{method}"),
+                         "--tau", "30", "--out", str(out)]) == 0
+            assert json.loads(out.read_text()) == doc["reports"][method]
+        capsys.readouterr()
+
+    @pytest.mark.parametrize("tau", ["0", "-4"])
+    def test_bounds_tau_below_one_exits_2_before_any_solve(self, tmp_path, capsys,
+                                                           monkeypatch, tau):
+        source = ["--kind", "gauss-seidel", "--size", "6", "--inputs", "2",
+                  "--outputs", "2", "--seed", "3"]
+        rom = tmp_path / "rom"
+        assert main(["reduce", *source, "--tau", "20", "--method", "bt", "--order", "4",
+                     "--out", str(rom)]) == 0
+        capsys.readouterr()
+        monkeypatch.setattr(dtmor.cli, "compute_gramian",
+                            lambda *args: pytest.fail("a Gramian was solved"))
+        code = main(["bounds", *source, "--rom", str(rom), "--tau", tau,
+                     "--out", str(tmp_path / "rep.json")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "configuration error" in err and "--tau" in err
+        assert not (tmp_path / "rep.json").exists()
+
     def test_bounds_tau_must_match_tlbt_window(self, tmp_path, capsys):
         source = ["--kind", "gauss-seidel", "--size", "6", "--inputs", "2",
                   "--outputs", "2", "--seed", "3"]
@@ -572,3 +605,17 @@ class TestUncoveredCommandPaths:
         summary = json.loads((out / "summary.json").read_text())
         assert summary["side"] == "obs" and summary["tau"] == 12
         assert summary["residual"] <= 1e-12
+
+    def test_dense_and_smith_gramian_summaries_agree_on_rank(self, tmp_path, capsys):
+        # the dense rank is the numerical rank of gramian.mtx, not n
+        summaries = {}
+        for solver in ("dense", "smith"):
+            out = tmp_path / solver
+            assert main(["gramian", "--kind", "gauss-seidel", "--size", "5", "--inputs", "2",
+                         "--outputs", "2", "--seed", "3", "--side", "obs", "--tau", "12",
+                         "--solver", solver, "--out", str(out)]) == 0
+            summaries[solver] = json.loads((out / "summary.json").read_text())
+        capsys.readouterr()
+        assert summaries["dense"]["rank"] == summaries["smith"]["rank"] < 25
+        lam = np.linalg.eigvalsh(scipy.io.mmread(tmp_path / "dense" / "gramian.mtx"))
+        assert summaries["dense"]["rank"] == int(np.sum(lam > 1e-12 * lam.max()))

@@ -1,4 +1,6 @@
+import ast
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -95,6 +97,24 @@ class TestBuildSystem:
         with pytest.raises(SingularMassMatrixError, match="numerically singular"):
             build_system(np.eye(2), np.ones((2, 1)), np.ones((1, 2)),
                          M=storage(np.diag([1.0, 1e-17])))
+
+
+    @pytest.mark.parametrize("storage", [np.asarray, sp.csr_matrix])
+    @pytest.mark.parametrize("M", [
+        np.array([[1e-9, 1.0], [1.1e-17, 1e-9]]),
+        np.array([[1.0, 1e-9], [1e-9, 1.1e-17]]),   # its column swap
+    ])
+    def test_ill_conditioned_mass_rejected_in_either_storage(self, storage, M):
+        # condition 1e17 with no small pivot in one of the two column orders
+        with pytest.raises(SingularMassMatrixError, match="numerically singular"):
+            build_system(np.eye(2), np.ones((2, 1)), np.ones((1, 2)), M=storage(M))
+
+    @pytest.mark.parametrize("kind", ["jacobi", "gauss-seidel"])
+    def test_grid_mass_condition_estimate(self, kind):
+        s = generate_example(ExampleSpec(kind=kind, size=12, seed=1))
+        cond = dtmor.system._condition_estimate(s.M, dtmor.system.factorize(s.M))
+        assert cond == pytest.approx(np.linalg.cond(s.M.toarray(), 1), rel=1e-12)
+        assert cond < 10
 
 
 class TestFactorize:
@@ -333,3 +353,19 @@ class TestSystemIO:
         (tmp_path / "sys" / "A.mtx").write_text("%%MatrixMarket garbage\n1 1\n")
         with pytest.raises(SystemIOError):
             read_system(tmp_path / "sys")
+
+
+def test_only_system_module_names_a_factorization():
+    # the storage rule: system.factorize is the one sparse-or-dense LU
+    banned = {"splu", "spilu", "factorized", "spsolve", "lu_factor", "lu_solve",
+              "cho_factor", "cho_solve", "inv"}
+    src = Path(dtmor.system.__file__).parent
+    for path in sorted(src.glob("*.py")):
+        if path.name == "system.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        names |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+        names |= {alias.name.split(".")[-1] for node in ast.walk(tree)
+                  if isinstance(node, (ast.Import, ast.ImportFrom)) for alias in node.names}
+        assert not names & banned, f"{path.name} names {sorted(names & banned)}"
