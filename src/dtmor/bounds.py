@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -152,10 +152,11 @@ def bound_output_tl(sys: DiscreteLTISystem, rom: DiscreteLTISystem, tau,
     tau = inf (stable system/model pairs): the trace form, evaluated from both
     sides, averaged, with an absolute value applied before the square root.
     ``reach``/``obs`` may carry the full-order infinite-horizon Gramians
-    (dense pairs or low-rank approximations, computed densely when absent).
-    A low-rank side also supplies the Krylov basis its cross Gramian is
-    projected onto, and the result is flagged approximate, since solver
-    tolerances propagate into the traces.
+    (dense pairs or low-rank approximations, computed densely when absent);
+    a Gramian of a finite horizon raises ValueError.  A low-rank side also
+    supplies the Krylov basis its cross Gramian is projected onto, and the
+    result is flagged approximate, since solver tolerances propagate into
+    the traces.
     """
     if rom.m != sys.m or rom.p != sys.p:
         raise DimensionMismatchError("reduced model must share input/output counts")
@@ -170,6 +171,10 @@ def bound_output_tl(sys: DiscreteLTISystem, rom: DiscreteLTISystem, tau,
             trace_b_side=eps_sq, sides_relative_gap=0.0, backend="summation",
             cancellation=1.0)
 
+    for gram in (reach, obs):
+        if gram is not None and not math.isinf(gram.horizon):
+            raise ValueError(f"the tau=inf bound needs infinite-horizon Gramians, "
+                             f"got a {gram.side} Gramian at tau={gram.horizon:g}")
     low_rank = isinstance(reach, GramianApprox) or isinstance(obs, GramianApprox)
     c_terms = _inf_horizon_terms(sys, rom, reach)
     # the adjoints are built after the C side, so they share the spectral
@@ -447,92 +452,76 @@ def hsv_tail_bound(spectrum: HankelSpectrum, r: int) -> float:
 
 @dataclass
 class BoundReport:
-    """Everything the pipeline knows about one reduced model's error bounds."""
+    """Everything the pipeline knows about one reduced model's error bounds.
+
+    ``prop23`` is the general output bound over ``tau``.  ``inf_horizon`` is
+    the infinite-horizon error norm: from the balanced blocks
+    (:class:`InfiniteHorizonBound`), from the trace form
+    (:class:`OutputErrorBound`), or None.  ``thm31``, ``thm32`` and the
+    envelope ``constants`` (full, reduced) that thm32 used come from a
+    time-limited balanced realization.
+    """
     method: str
     tau: float
     r: int
     rom_spectral_radius: float
     hsv_tail: float
-    prop23_epsilon: float | None = None
-    prop23_trace_c: float | None = None
-    prop23_trace_b: float | None = None
-    prop23_sides_gap: float | None = None
-    prop23_backend: str | None = None          # 'summation', 'dense' or 'low-rank'
-    inf_horizon_sq: float | None = None
-    inf_horizon_upper_sq: float | None = None
-    inf_horizon_gap: float | None = None
-    inf_horizon_backend: str | None = None     # 'dense' or 'low-rank'
-    inf_horizon_cancellation: float | None = None
-    thm31_value: float | None = None
-    thm31_terms: dict | None = None
-    thm31_residual_term: float | None = None
-    thm32_j: float | None = None
-    thm32_j_tl: float | None = None
-    thm32_total: float | None = None
-    thm32_path: str | None = None
-    thm32_constants: dict | None = None
-    flags: dict = field(default_factory=dict)
+    prop23: OutputErrorBound
+    inf_horizon: InfiniteHorizonBound | OutputErrorBound | None = None
+    thm31: BalancedErrorExpression | None = None
+    thm32: Theorem32Bound | None = None
+    constants: tuple[AsymptoticConstants, AsymptoticConstants] | None = None
+
+    @property
+    def flags(self) -> dict:
+        traced = self.prop23.backend != "summation"  # the trace form averages and takes |.|
+        return {
+            "averaged_sides": traced,
+            "absolute_value_applied": traced,
+            "large_scale_approximate": self.prop23.large_scale_approximate,
+            "sides_disagree": self.prop23.sides_disagree,
+            "rom_unstable": self.rom_spectral_radius >= 1.0,
+        }
 
     def bound_level(self) -> float | None:
         """Output-bound constant used for plotting: the TL bound for
         time-limited reductions, the infinite-horizon error norm otherwise."""
-        if self.method == "bt" and self.inf_horizon_sq is not None:
-            return math.sqrt(self.inf_horizon_sq)
-        return self.prop23_epsilon
+        if self.method == "bt" and self.inf_horizon is not None:
+            return math.sqrt(self.inf_horizon.epsilon_squared)
+        return self.prop23.epsilon
 
     def to_dict(self) -> dict:
-        def clean(x):
-            if isinstance(x, float) and math.isinf(x):
-                return "inf"
-            return x
-        out = {
+        def section(result, *names, **renamed):
+            # JSON key -> attribute of ``result``; a missing section is all nulls
+            keys = dict(zip(names, names), **renamed)
+            return {key: None if result is None else getattr(result, attr)
+                    for key, attr in keys.items()}
+        inf = self.inf_horizon
+        constants = None
+        if self.constants is not None:
+            cf, cr = self.constants
+            constants = {"c": cf.scale, "lambda": cf.rate, "c_hat": cr.scale,
+                         "lambda_hat": cr.rate, "method": cf.method}
+        return {
             "method": self.method,
-            "tau": clean(self.tau),
+            "tau": "inf" if math.isinf(self.tau) else self.tau,
             "r": self.r,
             "rom_spectral_radius": self.rom_spectral_radius,
             "hsv_tail": self.hsv_tail,
-            "prop23": {
-                "epsilon": self.prop23_epsilon,
-                "trace_c_side": self.prop23_trace_c,
-                "trace_b_side": self.prop23_trace_b,
-                "sides_relative_gap": self.prop23_sides_gap,
-                "backend": self.prop23_backend,
-            },
-            "inf_horizon": {
-                "value_sq": self.inf_horizon_sq,
-                "upper_sq": self.inf_horizon_upper_sq,
-                "sides_relative_gap": self.inf_horizon_gap,
-                "backend": self.inf_horizon_backend,
-                "cancellation": self.inf_horizon_cancellation,
-            },
-            "thm31": {
-                "value": self.thm31_value,
-                "terms": self.thm31_terms,
-                "residual_term": self.thm31_residual_term,
-            },
-            "thm32": {
-                "j": self.thm32_j,
-                "j_tl": self.thm32_j_tl,
-                "total": self.thm32_total,
-                "path": self.thm32_path,
-                "constants": self.thm32_constants,
-            },
+            "prop23": section(self.prop23, "epsilon", "trace_c_side", "trace_b_side",
+                              "sides_relative_gap", "backend"),
+            # only the balanced-block expression has an upper variant
+            "inf_horizon": section(inf, "sides_relative_gap", "backend", "cancellation",
+                                   value_sq="epsilon_squared")
+            | {"upper_sq": getattr(inf, "upper_sq", None)},
+            "thm31": section(self.thm31, "value", "terms", "residual_term"),
+            "thm32": section(self.thm32, "total", "path", j="j_term", j_tl="j_tl_term")
+            | {"constants": constants},
             "flags": dict(sorted(self.flags.items())),
         }
-        return out
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True)
-
-    def csv_header(self) -> list[str]:
-        return ["method", "tau", "r", "rho", "hsv_tail", "prop23_epsilon",
-                "inf_horizon", "thm31_value", "thm32_total"]
-
-    def csv_row(self) -> list:
-        inf_h = math.sqrt(self.inf_horizon_sq) if self.inf_horizon_sq is not None else None
-        return [self.method, self.tau, self.r, self.rom_spectral_radius,
-                self.hsv_tail, self.prop23_epsilon, inf_h, self.thm31_value,
-                self.thm32_total]
 
 
 def inf_horizon_applies(sys: DiscreteLTISystem, rom, tau) -> bool:
@@ -543,78 +532,45 @@ def inf_horizon_applies(sys: DiscreteLTISystem, rom, tau) -> bool:
             and sys.spectral_radius() < 1.0)
 
 
-def build_bound_report(sys: DiscreteLTISystem, rom, tau,
-                       reach=None, obs=None, inf_reach=None, inf_obs=None,
+def build_bound_report(sys: DiscreteLTISystem, rom, tau, reach=None, obs=None,
                        bal: BalancedRealization | None = None,
                        constants_method: str | None = None) -> BoundReport:
     """Assemble the bound report for one reduced model.
 
-    ``rom`` is a ReducedOrderModel from the balancing module.  The general
-    output bound is always computed: at a finite window as the impulse
-    response sum, which needs no Gramian; at tau = inf from ``reach``/``obs``,
-    the system's infinite-horizon Gramians.
+    ``rom`` is a ReducedOrderModel from the balancing module.  ``reach`` and
+    ``obs`` are the system's infinite-horizon Gramians (dense or low-rank,
+    solved densely when absent).  The general output bound is always
+    computed: at a finite window as the impulse response sum, which needs no
+    Gramian; at tau = inf from ``reach``/``obs``.
 
     ``bal``, when given, is the model's own dense balanced realization.  A
     time-limited one adds the exact expression thm31 and, with
     ``constants_method``, the Theorem-3.2 bound.  An infinite-horizon one
     gives the infinite-horizon error norm and its upper variant from the
-    balanced blocks.  Otherwise that norm is the trace form, added whenever
-    both the system and the model are stable, from ``inf_reach``/``inf_obs``
-    (dense or low-rank, computed densely when absent).
+    balanced blocks.  Otherwise that norm is the trace form from
+    ``reach``/``obs``: the output bound itself at tau = inf, and at a finite
+    window only when both the system and the model are stable.
     """
     rsys = rom.system
     rho = rom.spectral_radius()
-    report = BoundReport(
-        method=rom.method, tau=float(tau) if not math.isinf(tau) else math.inf,
-        r=rom.r, rom_spectral_radius=rho, hsv_tail=rom.hsv_tail())
+    prop23 = bound_output_tl(sys, rsys, tau, reach=reach, obs=obs)
 
-    ob = bound_output_tl(sys, rsys, tau, reach=reach, obs=obs)
-    report.prop23_epsilon = ob.epsilon
-    report.prop23_trace_c = ob.trace_c_side
-    report.prop23_trace_b = ob.trace_b_side
-    report.prop23_sides_gap = ob.sides_relative_gap
-    report.prop23_backend = ob.backend
-    traced = ob.backend != "summation"  # the trace form averages and takes |.|
-    report.flags = {
-        "averaged_sides": traced,
-        "absolute_value_applied": traced,
-        "large_scale_approximate": ob.large_scale_approximate,
-        "sides_disagree": ob.sides_disagree,
-        "rom_unstable": rho >= 1.0,
-    }
-
-    inf = ob if math.isinf(report.tau) else None
+    inf = prop23 if math.isinf(tau) else None
     try:
         if bal is not None and bal.tl_b is None:
             inf = bound_inf_horizon(bal, rom.r)
-            report.inf_horizon_upper_sq = inf.upper_sq
         elif inf_horizon_applies(sys, rom, tau):
-            inf = bound_output_tl(sys, rsys, math.inf, reach=inf_reach, obs=inf_obs)
+            inf = bound_output_tl(sys, rsys, math.inf, reach=reach, obs=obs)
     except SolvabilityError:
         pass
-    if inf is not None:
-        report.inf_horizon_sq = inf.epsilon_squared
-        report.inf_horizon_gap = inf.sides_relative_gap
-        report.inf_horizon_backend = inf.backend
-        report.inf_horizon_cancellation = inf.cancellation
 
+    thm31 = thm32 = constants = None
     if bal is not None and bal.tl_b is not None:
-        expr = error_expr_tlbt(bal, rom.r)
-        report.thm31_value = expr.value
-        report.thm31_terms = expr.terms
-        report.thm31_residual_term = expr.residual_term
+        thm31 = error_expr_tlbt(bal, rom.r)
         if constants_method:
-            cf = asymptotic_constants(bal.a, constants_method)
-            cr = asymptotic_constants(bal.partition(rom.r).A11, constants_method)
-            t32 = bound_theorem32(bal, rom.r, tau, (cf, cr))
-            report.thm32_j = t32.j_term
-            report.thm32_j_tl = t32.j_tl_term
-            report.thm32_total = t32.total
-            report.thm32_path = t32.path
-            report.thm32_constants = {
-                "c": cf.scale, "lambda": cf.rate,
-                "c_hat": cr.scale, "lambda_hat": cr.rate,
-                "method": cf.method,
-            }
-    return report
-
+            constants = (asymptotic_constants(bal.a, constants_method),
+                         asymptotic_constants(bal.partition(rom.r).A11, constants_method))
+            thm32 = bound_theorem32(bal, rom.r, tau, constants)
+    return BoundReport(method=rom.method, tau=float(tau), r=rom.r, rom_spectral_radius=rho,
+                       hsv_tail=rom.hsv_tail(), prop23=prop23, inf_horizon=inf,
+                       thm31=thm31, thm32=thm32, constants=constants)

@@ -249,8 +249,7 @@ def report_model(system: DiscreteLTISystem, rom, tau, pair, **kw):
     reach = obs = None
     if math.isinf(tau) or bounds_mod.inf_horizon_applies(system, rom, tau):
         reach, obs = pair(math.inf)
-    return bounds_mod.build_bound_report(system, rom, tau, reach=reach, obs=obs,
-                                         inf_reach=reach, inf_obs=obs, **kw)
+    return bounds_mod.build_bound_report(system, rom, tau, reach, obs, **kw)
 
 
 def run_pipeline(cfg: JobConfig) -> ReportBundle:
@@ -269,11 +268,10 @@ def run_pipeline(cfg: JobConfig) -> ReportBundle:
     if horizon is None:
         horizon = 100 if math.isinf(window) else max(int(round(1.5 * window)), 1)
     u = _build_input(cfg.input_kind, system.m, horizon, cfg.input_seed)
-    energy = float(np.sqrt(np.sum(u[: None if math.isinf(window) else int(window) + 1] ** 2)))
     bound_levels, hsv_levels = {}, {}
     for method, report in bundle.reports.items():
         level = report.bound_level()
-        bound_levels[method] = None if level is None else level * energy
+        bound_levels[method] = None if level is None else level * report.prop23.input_energy(u)
         hsv_levels[method] = report.hsv_tail
     header, rows, errs = error_table(system, bundle.roms, u, horizon, window,
                                      bound_levels, hsv_levels)
@@ -322,12 +320,11 @@ def _records_csv(records) -> tuple[list, list]:
 
 def write_bundle(bundle: ReportBundle, cfg: JobConfig) -> Path:
     """Write all pipeline outputs into a job-private directory, then move it
-    to the requested location in one rename."""
+    to the requested location in one rename.  With ``force`` an existing
+    directory there is removed only once the new outputs are written."""
     out = Path(cfg.out_dir)
-    if out.exists():
-        if not cfg.force:
-            raise SystemIOError(f"output directory {out} already exists (use --force)")
-        shutil.rmtree(out)
+    if out.exists() and not cfg.force:
+        raise SystemIOError(f"output directory {out} already exists (use --force)")
     out.parent.mkdir(parents=True, exist_ok=True)
     tmp = Path(tempfile.mkdtemp(prefix=out.name + ".partial-", dir=out.parent))
     try:
@@ -352,6 +349,8 @@ def write_bundle(bundle: ReportBundle, cfg: JobConfig) -> Path:
         write_csv(tmp / "summary.csv",
                   ["method", "r", "e_max", "bound", "hsv_tail", "rho"],
                   bundle.summary_rows)
+        if out.exists():
+            shutil.rmtree(out)
         os.replace(tmp, out)
     except OSError as exc:
         shutil.rmtree(tmp, ignore_errors=True)

@@ -374,8 +374,8 @@ def test_criterion_10_bt_stability_and_unstable_tlbt_handling():
         if rom_tl.spectral_radius() >= 1.0:
             report = build_bound_report(s, rom_tl, tau, reach=tl_r, obs=tl_o)
             assert report.flags["rom_unstable"]
-            assert report.prop23_epsilon is not None and np.isfinite(report.prop23_epsilon)
-            assert report.inf_horizon_sq is None
+            assert report.prop23.epsilon is not None and np.isfinite(report.prop23.epsilon)
+            assert report.inf_horizon is None
             unstable_handled += 1
     assert unstable_handled > 0, "no unstable TLBT instance found; family is vacuous"
     _report(10, f"100/100 BT models stable; {unstable_handled} unstable TLBT "

@@ -110,6 +110,24 @@ class TestOutputBound:
         ob = bound_output_tl(scalar_system, zero, 2)
         assert ob.epsilon == pytest.approx(tl_h2_norm(scalar_system, 2), rel=1e-10)
 
+    def test_inf_bound_rejects_window_gramians(self):
+        # Gauss-Seidel N=8, m=p=2, seed 1, BT order 4: a tau=20 pair in place
+        # of the tau=inf pair gave eps^2 = 5.88 instead of 5.37e-3
+        s = generate_example(ExampleSpec(kind="gauss-seidel", size=8, inputs=2,
+                                         outputs=2, seed=1))
+        reach = tl_gramian_dense(s, math.inf, "reach")
+        obs = tl_gramian_dense(s, math.inf, "obs")
+        rom, _ = square_root_truncate(reach, obs, s, math.inf, order=4, method="bt")
+        given = bound_output_tl(s, rom.system, math.inf, reach, obs)
+        assert given.epsilon_squared == pytest.approx(
+            bound_output_tl(s, rom.system, math.inf).epsilon_squared, rel=1e-10)
+        window = tl_gramian_dense(s, 20, "reach"), tl_gramian_dense(s, 20, "obs")
+        for pair in (window, (reach, window[1]), (window[0], None)):
+            with pytest.raises(ValueError, match="infinite-horizon"):
+                bound_output_tl(s, rom.system, math.inf, *pair)
+        # a finite window sums the impulse response and ignores the Gramians
+        assert bound_output_tl(s, rom.system, 20, *window).backend == "summation"
+
     def test_dominates_simulation(self):
         s = random_stable_system(4, 20, 2, 2)
         tau = 30
@@ -165,7 +183,7 @@ class TestOutputBound:
         for method, rom in bundle.roms.items():
             r = rom.system
             ref = math.sqrt(oracles.h2_error_sq(Ad, Bd, C, r.A, r.B, r.C, 50))
-            assert bundle.reports[method].prop23_epsilon == pytest.approx(ref, rel=1e-5)
+            assert bundle.reports[method].prop23.epsilon == pytest.approx(ref, rel=1e-5)
 
     def test_finite_window_epsilon_is_impulse_sum_with_lowrank_gramians(self):
         # the desk-dense system (Gauss-Seidel N=20, m=p=2, seed 1, tau=50,
@@ -181,8 +199,8 @@ class TestOutputBound:
             r = rom.system
             ref = oracles.h2_error_sq(Ad, Bd, C, r.A, r.B, r.C, 50)
             report = bundle.reports[method]
-            assert report.prop23_backend == "summation"
-            assert report.prop23_epsilon ** 2 == pytest.approx(ref, rel=1e-12)
+            assert report.prop23.backend == "summation"
+            assert report.prop23.epsilon ** 2 == pytest.approx(ref, rel=1e-12)
 
     def test_large_scale_flag_with_lowrank_gramians(self):
         from dtmor import rksm, SolverConfig, ShiftStrategy
@@ -403,7 +421,9 @@ class TestBoundReport:
         obs = tl_gramian_dense(s, tau, "obs")
         rom, _ = square_root_truncate(reach, obs, s, tau, order=4)
         bal = balance_dense(s, reach, obs, tau)
-        report = build_bound_report(s, rom, tau, reach=reach, obs=obs, bal=bal,
+        inf_reach = tl_gramian_dense(s, math.inf, "reach")
+        inf_obs = tl_gramian_dense(s, math.inf, "obs")
+        report = build_bound_report(s, rom, tau, reach=inf_reach, obs=inf_obs, bal=bal,
                                     constants_method="eigen")
         doc = report.to_dict()
         assert doc["prop23"]["epsilon"] >= 0
@@ -416,7 +436,6 @@ class TestBoundReport:
         text = report.to_json()
         import json
         assert json.loads(text)["method"] == "tlbt"
-        assert len(report.csv_row()) == len(report.csv_header())
 
     def test_prop23_equals_thm31_for_tlbt(self):
         # the tailored expression evaluates the same squared norm
@@ -431,15 +450,12 @@ class TestBoundReport:
         s, inf_reach, inf_obs, rom = _lowrank_bt_jacobi()
         tau = 50
         meta = dict(s.meta)
-        reach = tl_gramian_dense(s, tau, "reach")
-        obs = tl_gramian_dense(s, tau, "obs")
-        low = build_bound_report(s, rom, tau, reach=reach, obs=obs,
-                                 inf_reach=inf_reach, inf_obs=inf_obs)
+        low = build_bound_report(s, rom, tau, reach=inf_reach, obs=inf_obs)
         ref = bound_output_tl(s, rom.system, math.inf, inf_reach, inf_obs)
-        assert low.inf_horizon_sq == ref.epsilon_squared
+        assert low.inf_horizon.epsilon_squared == ref.epsilon_squared
         inf = low.to_dict()["inf_horizon"]
         assert inf["backend"] == "low-rank"
         assert inf["sides_relative_gap"] == ref.sides_relative_gap
-        dense = build_bound_report(s, rom, tau, reach=reach, obs=obs).to_dict()
+        dense = build_bound_report(s, rom, tau).to_dict()
         assert dense["inf_horizon"]["backend"] == "dense"
         assert s.meta == meta

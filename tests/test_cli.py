@@ -37,7 +37,7 @@ class TestRunPipeline:
                         solver="dense", out_dir=str(tmp_path / "job"))
         bundle = run_pipeline(cfg)
         assert bundle.e_max["tlbt"] <= 1e-14
-        assert bundle.reports["tlbt"].prop23_epsilon <= 1e-6
+        assert bundle.reports["tlbt"].prop23.epsilon <= 1e-6
         assert bundle.reports["tlbt"].rom_spectral_radius == pytest.approx(0.5)
 
     def test_bound_levels_dominate_emax(self):
@@ -86,8 +86,8 @@ class TestRunPipeline:
         bundle = run_pipeline(cfg)
         report = bundle.reports["tlbt"]
         assert report.rom_spectral_radius < 1.0
-        assert report.inf_horizon_backend == "low-rank"
-        assert report.inf_horizon_sq > 0
+        assert report.inf_horizon.backend == "low-rank"
+        assert report.inf_horizon.epsilon_squared > 0
         assert sorted(calls) == [(50, "obs"), (50, "reach"),
                                  (math.inf, "obs"), (math.inf, "reach")]
         assert bundle.gramian_meta[("bt", "reach")]["final_residual"] <= cfg.tol
@@ -233,6 +233,88 @@ class TestWriteBundle:
             write_bundle(run_pipeline(cfg), cfg)
         cfg.force = True
         write_bundle(run_pipeline(cfg), cfg)
+
+    def test_failed_forced_write_keeps_previous_outputs(self, tmp_path, capsys, monkeypatch):
+        out = self._run(tmp_path, "job")
+        before = {p.relative_to(out): p.read_bytes() for p in out.rglob("*") if p.is_file()}
+        real = dtmor.cli.write_csv
+
+        def failing(path, header, rows):
+            if path.name == "errors.csv":
+                raise OSError("disk full")
+            real(path, header, rows)
+        monkeypatch.setattr(dtmor.cli, "write_csv", failing)
+        code = main(["pipeline", "--kind", "jacobi", "--size", "5", "--inputs", "2",
+                     "--outputs", "2", "--seed", "9", "--tau", "15", "--order", "3",
+                     "--method", "bt", "--force", "--out", str(out)])
+        assert code == 4
+        assert "disk full" in capsys.readouterr().err
+        after = {p.relative_to(out): p.read_bytes() for p in out.rglob("*") if p.is_file()}
+        assert after == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["job"]
+
+
+def _report_leaves(doc, prefix=""):
+    """Dotted key path -> value of every leaf of a nested report dict."""
+    leaves = {}
+    for key, value in doc.items():
+        if isinstance(value, dict):
+            leaves.update(_report_leaves(value, f"{prefix}{key}."))
+        else:
+            leaves[prefix + key] = value
+    return leaves
+
+
+_REPORT_KEYS = {
+    "method", "tau", "r", "rom_spectral_radius", "hsv_tail",
+    "prop23.epsilon", "prop23.trace_c_side", "prop23.trace_b_side",
+    "prop23.sides_relative_gap", "prop23.backend",
+    "inf_horizon.value_sq", "inf_horizon.upper_sq", "inf_horizon.sides_relative_gap",
+    "inf_horizon.backend", "inf_horizon.cancellation",
+    "thm31.value", "thm31.terms", "thm31.residual_term",
+    "thm32.j", "thm32.j_tl", "thm32.total", "thm32.path", "thm32.constants",
+    "flags.averaged_sides", "flags.absolute_value_applied",
+    "flags.large_scale_approximate", "flags.sides_disagree", "flags.rom_unstable",
+}
+_THM_INNER_KEYS = {
+    "thm31.terms.neglected_block", "thm31.terms.coupling",
+    "thm31.terms.rom_gramian_gap", "thm31.terms.tl_residual",
+    "thm32.constants.c", "thm32.constants.lambda", "thm32.constants.c_hat",
+    "thm32.constants.lambda_hat", "thm32.constants.method",
+}
+
+
+class TestReportKeyTree:
+    SOURCE = ["--kind", "gauss-seidel", "--size", "6", "--inputs", "2", "--outputs", "2",
+              "--seed", "3"]
+
+    @pytest.fixture(scope="class")
+    def job(self, tmp_path_factory):
+        job = tmp_path_factory.mktemp("keys") / "job"
+        assert main(["pipeline", *self.SOURCE, "--tau", "20", "--order", "4",
+                     "--method", "both", "--out", str(job)]) == 0
+        return job
+
+    @pytest.mark.parametrize("method, tau, flags, nulls", [
+        ("bt", "20", ["--balanced-expressions"], {"thm31", "thm32"}),
+        ("bt", "20", [], {"inf_horizon.upper_sq", "thm31", "thm32"}),
+        ("tlbt", "20", ["--balanced-expressions", "--constants", "eigen"],
+         {"inf_horizon.upper_sq"}),
+        ("bt", "inf", [], {"inf_horizon.upper_sq", "thm31", "thm32"}),
+    ])
+    def test_bounds_report_keys_and_null_sections(self, job, tmp_path, capsys,
+                                                  method, tau, flags, nulls):
+        out = tmp_path / "report.json"
+        assert main(["bounds", *self.SOURCE, "--rom", str(job / f"rom_{method}"),
+                     "--tau", tau, *flags, "--out", str(out)]) == 0
+        capsys.readouterr()
+        leaves = _report_leaves(json.loads(out.read_text()))
+        keys = set(_REPORT_KEYS)
+        if "thm31" not in nulls:
+            keys = keys - {"thm31.terms", "thm32.constants"} | _THM_INNER_KEYS
+        assert set(leaves) == keys
+        assert {k for k, v in leaves.items() if v is None} == {
+            k for k in keys if k in nulls or k.split(".")[0] in nulls}
 
 
 class TestMainExitCodes:
