@@ -29,7 +29,6 @@ from .bounds import (
     tl_h2_norm,
 )
 from .dense_stein import (
-    CrossGramian,
     DenseGramianPair,
     solve_cross_sylvester,
     solve_projected_tl,

@@ -18,7 +18,7 @@ from .config import check_dense_cap
 from .dense_stein import DenseGramianPair
 from .exceptions import BalancingError, DimensionMismatchError
 from .lowrank import GramianApprox
-from .system import DiscreteLTISystem, write_system
+from .system import DiscreteLTISystem, check_horizon, write_system
 
 _KERNEL_TOL = 1e-12
 _VERIFY_TOL = 1e-8   # relative diagonalization error balance_dense accepts
@@ -28,7 +28,6 @@ _VERIFY_TOL = 1e-8   # relative diagonalization error balance_dense accepts
 class HankelSpectrum:
     """Nonincreasing (time-limited) Hankel singular values."""
     values: np.ndarray
-    horizon: float
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=float)
@@ -53,7 +52,6 @@ def adaptive_order(spectrum: HankelSpectrum, hsv_tol: float) -> int:
 @dataclass
 class BalancedPartition:
     """Named blocks of a balanced realization split at order r."""
-    r: int
     A11: np.ndarray
     A12: np.ndarray
     A21: np.ndarray
@@ -96,7 +94,6 @@ class BalancedRealization:
         if not 0 < r <= n:
             raise ValueError(f"partition order r={r} out of range 1..{n}")
         return BalancedPartition(
-            r=r,
             A11=self.a[:r, :r], A12=self.a[:r, r:],
             A21=self.a[r:, :r],
             B1=self.b[:r], B2=self.b[r:],
@@ -178,6 +175,7 @@ def square_root_truncate(ZP, ZQ, sys: DiscreteLTISystem, tau,
     """
     if (order is None) == (hsv_tol is None):
         raise ValueError("exactly one of order / hsv_tol must be given")
+    horizon = check_horizon(tau)
     ZP = _as_factor(ZP)
     ZQ = _as_factor(ZQ)
     if ZP.shape[0] != sys.n or ZQ.shape[0] != sys.n:
@@ -192,8 +190,7 @@ def square_root_truncate(ZP, ZQ, sys: DiscreteLTISystem, tau,
     rank = int(np.sum(svals > _KERNEL_TOL * max(svals[0], 1e-300)))
     if rank == 0:
         raise BalancingError("zero Gramian factor product")
-    horizon = float(tau) if not math.isinf(tau) else math.inf
-    spectrum = HankelSpectrum(svals.copy(), horizon)
+    spectrum = HankelSpectrum(svals.copy())
 
     if order is not None:
         r = int(order)

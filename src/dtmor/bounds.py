@@ -28,7 +28,7 @@ from .config import check_dense_cap
 from .dense_stein import solve_cross_sylvester, solve_projected_tl, tl_gramian_dense
 from .exceptions import DimensionMismatchError, EstimationError, SolvabilityError
 from .lowrank import GramianApprox
-from .system import DiscreteLTISystem, impulse_sequence
+from .system import DiscreteLTISystem, check_horizon, impulse_sequence
 
 CROUZEIX_PALENCIA = 1.0 + math.sqrt(2.0)
 _SIDE_AGREE_TOL = 1e-6
@@ -60,7 +60,7 @@ def tl_h2_inner(s1: DiscreteLTISystem, s2: DiscreteLTISystem, tau) -> float:
     evaluated through the mixed cross Gramian."""
     if s1.m != s2.m or s1.p != s2.p:
         raise DimensionMismatchError("systems must share input and output counts")
-    Y = solve_cross_sylvester(s1, s2, tau, "Y").matrix
+    Y = solve_cross_sylvester(s1, s2, tau, "Y")
     return float(np.trace(s1.C @ Y @ s2.C.T))
 
 
@@ -136,7 +136,7 @@ def _inf_horizon_terms(sys: DiscreteLTISystem, rom: DiscreteLTISystem, reach):
         reach = tl_gramian_dense(sys, math.inf, "reach")
     rom_reach = tl_gramian_dense(rom, math.inf, "reach")
     basis = reach.basis if isinstance(reach, GramianApprox) else None
-    Y = solve_cross_sylvester(sys, rom, math.inf, "Y", basis).matrix
+    Y = solve_cross_sylvester(sys, rom, math.inf, "Y", basis)
     return (_trace_output_gram(sys.C, reach), _trace_output_gram(rom.C, rom_reach),
             -2.0 * float(np.trace(sys.C @ Y @ rom.C.T)))
 
@@ -160,14 +160,12 @@ def bound_output_tl(sys: DiscreteLTISystem, rom: DiscreteLTISystem, tau,
     """
     if rom.m != sys.m or rom.p != sys.p:
         raise DimensionMismatchError("reduced model must share input/output counts")
+    tau = check_horizon(tau)
     if not math.isinf(tau):
-        tau = int(tau)
-        if tau < 1:
-            raise ValueError("tau must be >= 1 or inf")
-        diff = impulse_sequence(sys, tau) - impulse_sequence(rom, tau)
+        diff = impulse_sequence(sys, int(tau)) - impulse_sequence(rom, int(tau))
         eps_sq = float(np.sum(diff ** 2))
         return OutputErrorBound(
-            epsilon=math.sqrt(eps_sq), horizon=float(tau), trace_c_side=eps_sq,
+            epsilon=math.sqrt(eps_sq), horizon=tau, trace_c_side=eps_sq,
             trace_b_side=eps_sq, sides_relative_gap=0.0, backend="summation",
             cancellation=1.0)
 
@@ -219,8 +217,8 @@ def _balanced_error_terms(bal: BalancedRealization, r: int) -> tuple[dict, dict]
     part = bal.partition(r)
     full = DiscreteLTISystem(bal.a, bal.b, bal.c)
     rom = bal.reduced_system(r)
-    Y = solve_cross_sylvester(full, rom, tau, "Y").matrix
-    Z = solve_cross_sylvester(full, rom, tau, "Z").matrix
+    Y = solve_cross_sylvester(full, rom, tau, "Y")
+    Z = solve_cross_sylvester(full, rom, tau, "Z")
     S1 = np.diag(part.sigma1)
     if bal.tl_b is None:
         gap_p = -solve_projected_tl(rom.A, part.A12 * np.sqrt(part.sigma2))
@@ -430,7 +428,7 @@ def bound_theorem32(bal: BalancedRealization, r: int, tau,
     else:
         full = DiscreteLTISystem(bal.a, bal.b, bal.c)
         rom = bal.reduced_system(r)
-        nZ = nrm(solve_cross_sylvester(full, rom, tau, "Z").matrix)
+        nZ = nrm(solve_cross_sylvester(full, rom, tau, "Z"))
         rom_reach = tl_gramian_dense(rom, tau, "reach").gramian
         Gh = tl_gramian_dense(rom, tau, "obs").tl_term   # (Chat Ahat^tau)^T, None at inf
         gap = nrm(rom_reach - np.diag(part.sigma1))

@@ -48,6 +48,7 @@ from .exceptions import (
 from .system import (
     DiscreteLTISystem,
     ExampleSpec,
+    check_horizon,
     generate_example,
     read_system,
     simulate,
@@ -73,10 +74,7 @@ class JobConfig:
     order: int | None = None
     hsv_tol: float | None = None
     solver: str = "dense"
-    tol: float = 1e-8
-    tl_term_tol: float = 1e-8
-    cadence: int = 5
-    max_iterations: int = 400
+    solver_config: lowrank.SolverConfig = field(default_factory=lowrank.SolverConfig)
     sim_horizon: int | None = None
     input_kind: str = "impulse"
     input_seed: int = 0
@@ -96,8 +94,7 @@ class JobConfig:
             raise ConfigError(f"solver must be one of {SOLVERS}")
         if not self.methods or any(m not in ("bt", "tlbt") for m in self.methods):
             raise ConfigError("methods must be a nonempty subset of {'bt','tlbt'}")
-        if not math.isinf(self.tau) and int(self.tau) < 1:
-            raise ConfigError("tau must be >= 1")
+        check_horizon(self.tau, "--tau")
         if "tlbt" in self.methods and math.isinf(self.tau):
             raise ConfigError("time-limited reduction needs a finite --tau")
         if self.sim_horizon is not None and self.sim_horizon < 0:
@@ -120,18 +117,16 @@ class ReportBundle:
     e_max: dict = field(default_factory=dict)         # method -> in-window max error
 
 
-def compute_gramian(system: DiscreteLTISystem, tau, side: str, solver: str,
-                    cfg: JobConfig):
-    """One Gramian by the selected backend; returns (object, records)."""
-    if solver == "dense":
+def compute_gramian(system: DiscreteLTISystem, tau, side: str, cfg: JobConfig):
+    """One Gramian by the job's solver and settings; returns (object, records)."""
+    if cfg.solver == "dense":
         return dense_stein.tl_gramian_dense(system, tau, side), []
-    config = lowrank.SolverConfig(tol=cfg.tol, tl_term_tol=cfg.tl_term_tol,
-                                  cadence=cfg.cadence, max_iterations=cfg.max_iterations)
-    if solver == "smith":
-        approx = lowrank.smith_arnoldi(system, side, tau, config)
+    if cfg.solver == "smith":
+        approx = lowrank.smith_arnoldi(system, side, tau, cfg.solver_config)
     else:
-        kind = "alternating-pm1" if solver == "rksm-pm1" else "adaptive-disc"
-        approx = lowrank.rksm(system, side, tau, lowrank.ShiftStrategy(kind=kind), config)
+        kind = "alternating-pm1" if cfg.solver == "rksm-pm1" else "adaptive-disc"
+        approx = lowrank.rksm(system, side, tau, lowrank.ShiftStrategy(kind=kind),
+                              cfg.solver_config)
     return approx, approx.records
 
 
@@ -223,7 +218,7 @@ def gramian_pairs(system: DiscreteLTISystem, cfg: JobConfig, bundle: ReportBundl
             key = "bt" if math.isinf(tau) else "tlbt"
             grams = []
             for side in ("reach", "obs"):
-                gram, records = compute_gramian(system, tau, side, cfg.solver, cfg)
+                gram, records = compute_gramian(system, tau, side, cfg)
                 if bundle is not None:
                     bundle.convergence[(key, side)] = records
                     bundle.gramian_meta[(key, side)] = _solve_stats(gram, records)
@@ -361,6 +356,7 @@ def write_bundle(bundle: ReportBundle, cfg: JobConfig) -> Path:
 def _config_doc(cfg: JobConfig) -> dict:
     doc = asdict(cfg)
     del doc["out_dir"], doc["force"]
+    doc.update(doc.pop("solver_config"))   # the solver settings as flat keys
     doc["tau"] = "inf" if math.isinf(cfg.tau) else int(cfg.tau)
     return doc
 
@@ -395,21 +391,24 @@ def _system_from_args(args) -> tuple[str | None, ExampleSpec | None]:
 
 
 def _add_solver_flags(p: argparse.ArgumentParser):
+    defaults = lowrank.SolverConfig   # its class attributes are the defaults
     p.add_argument("--solver", choices=SOLVERS, default="dense")
-    p.add_argument("--tol", type=float, default=1e-8)
-    p.add_argument("--tl-tol", type=float,
-                   help="horizon-term settling tolerance (default: min(tol, 1e-8))")
-    p.add_argument("--cadence", type=int, default=5)
-    p.add_argument("--max-iter", type=int, default=400)
+    p.add_argument("--tol", type=float, default=defaults.tol)
+    p.add_argument("--tl-tol", type=float, help="horizon-term settling tolerance "
+                   f"(default: min(tol, {defaults.tl_term_tol:g}))")
+    p.add_argument("--cadence", type=int, default=defaults.cadence)
+    p.add_argument("--max-iter", type=int, default=defaults.max_iterations)
 
 
 def _job_config(args, **fields) -> JobConfig:
-    """The job of the shared system and solver flags, plus ``fields``."""
+    """The job of the shared system and solver flags, plus ``fields``.  The
+    solver settings and --tau are checked here, before any system is built."""
     path, spec = _system_from_args(args)
-    tl_tol = min(args.tol, 1e-8) if args.tl_tol is None else args.tl_tol
-    return JobConfig(system_path=path, example=spec, tau=args.tau, solver=args.solver,
-                     tol=args.tol, tl_term_tol=tl_tol, cadence=args.cadence,
-                     max_iterations=args.max_iter, **fields)
+    tl_tol = min(args.tol, lowrank.SolverConfig.tl_term_tol) if args.tl_tol is None else args.tl_tol
+    settings = lowrank.SolverConfig(tol=args.tol, tl_term_tol=tl_tol, cadence=args.cadence,
+                                    max_iterations=args.max_iter)
+    return JobConfig(system_path=path, example=spec, tau=check_horizon(args.tau, "--tau"),
+                     solver=args.solver, solver_config=settings, **fields)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -485,7 +484,7 @@ def _cmd_generate(args) -> int:
 def _cmd_gramian(args) -> int:
     cfg = _job_config(args)
     system = _load_system(cfg.system_path, cfg.example)
-    result, records = compute_gramian(system, args.tau, args.side, cfg.solver, cfg)
+    result, records = compute_gramian(system, args.tau, args.side, cfg)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     if isinstance(result, lowrank.GramianApprox):
@@ -539,8 +538,7 @@ def _cmd_bounds(args) -> int:
 
     if args.constants and not args.balanced_expressions:
         raise ConfigError("--constants needs --balanced-expressions")
-    if not math.isinf(args.tau) and args.tau < 1:
-        raise ConfigError(f"--tau must be >= 1 or inf, got {args.tau:g}")
+    check_horizon(args.tau, "--tau")
     pair = gramian_pairs(system, JobConfig(solver="dense"))
     # the Hankel spectrum of the model's own method, as `reduce` computes it
     rom = replace(reduce_model(system, method, args.tau, pair, order=rom_sys.n), system=rom_sys)

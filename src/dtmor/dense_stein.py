@@ -20,7 +20,7 @@ import scipy.sparse as sp
 
 from .config import check_dense_cap
 from .exceptions import ConvergenceError, DimensionMismatchError, SolvabilityError
-from .system import DiscreteLTISystem
+from .system import DiscreteLTISystem, check_horizon
 
 _SOLVABILITY_TOL = 1e-10
 _SMITH_MAX_DOUBLINGS = 64
@@ -38,14 +38,6 @@ class DenseGramianPair:
     """
     gramian: np.ndarray
     tl_term: np.ndarray | None
-    horizon: float
-    side: str
-
-
-@dataclass(frozen=True)
-class CrossGramian:
-    """Solution of the mixed full-order/reduced-order Stein-like equation."""
-    matrix: np.ndarray
     horizon: float
     side: str
 
@@ -165,9 +157,8 @@ def tl_gramian_dense(sys: DiscreteLTISystem, tau, side: str = "reach") -> DenseG
     returned matrix is the mass-adjusted Gramian whose trace identities use
     the original C (see the bounds module).
     """
-    if side not in ("reach", "obs"):
-        raise ValueError(f"side must be 'reach' or 'obs', got {side!r}")
-    work = sys if side == "reach" else sys.dual()
+    tau = check_horizon(tau)
+    work = sys.side(side)
     check_dense_cap(work.n, "dense Gramian computation")
 
     B0 = work.input_map()
@@ -179,17 +170,14 @@ def tl_gramian_dense(sys: DiscreteLTISystem, tau, side: str = "reach") -> DenseG
         Ad = work.dense_dynamics()
         P = _smith_squared(Ad, B0 @ B0.T)
         P = 0.5 * (P + P.T)
-        return DenseGramianPair(P, None, math.inf, side)
+        return DenseGramianPair(P, None, tau, side)
 
-    tau = int(tau)
-    if tau < 1:
-        raise ValueError("tau must be >= 1 or inf")
     P, F, _ = window_sum(work.apply_dynamics, B0, tau)
-    return DenseGramianPair(0.5 * (P + P.T), F, float(tau), side)
+    return DenseGramianPair(0.5 * (P + P.T), F, tau, side)
 
 
 def solve_cross_sylvester(sys: DiscreteLTISystem, rom: DiscreteLTISystem,
-                          tau, side: str = "Y", basis: np.ndarray | None = None) -> CrossGramian:
+                          tau, side: str = "Y", basis: np.ndarray | None = None) -> np.ndarray:
     """Mixed Stein-like equation coupling a full-order and a reduced system.
 
     Side 'Y' solves  Abar Y Ahat^T - Y + Bbar Bhat^T - Fbar Fhat^T = 0 in
@@ -208,11 +196,11 @@ def solve_cross_sylvester(sys: DiscreteLTISystem, rom: DiscreteLTISystem,
     Both infinite-horizon paths check the full-order residual and raise
     :class:`SolvabilityError` when it is not small.
     """
+    tau = check_horizon(tau)
     if side not in ("Y", "Z"):
         raise ValueError(f"side must be 'Y' or 'Z', got {side!r}")
     if side == "Z":
-        inner = solve_cross_sylvester(sys.dual(), rom.dual(), tau, "Y", basis)
-        return CrossGramian(inner.matrix, inner.horizon, "Z")
+        return solve_cross_sylvester(sys.dual(), rom.dual(), tau, "Y", basis)
     if rom.m != sys.m:
         raise DimensionMismatchError(
             f"input counts disagree: full {sys.m}, reduced {rom.m}")
@@ -221,8 +209,7 @@ def solve_cross_sylvester(sys: DiscreteLTISystem, rom: DiscreteLTISystem,
     X = sys.input_map()
     Xh = rom.input_map()
     if not math.isinf(tau):
-        Ymat, _, _ = window_sum(sys.apply_dynamics, X, tau, rom.apply_dynamics, Xh)
-        return CrossGramian(Ymat, float(int(tau)), "Y")
+        return window_sum(sys.apply_dynamics, X, tau, rom.apply_dynamics, Xh)[0]
 
     Ahat = rom.dense_dynamics()
     W = X @ Xh.T
@@ -254,7 +241,7 @@ def solve_cross_sylvester(sys: DiscreteLTISystem, rom: DiscreteLTISystem,
         raise SolvabilityError(
             "cross Sylvester solve failed its residual check; "
             "likely a reciprocal eigenvalue pair near 1")
-    return CrossGramian(Ymat, math.inf, "Y")
+    return Ymat
 
 
 def _shifted_standard_solve(sys: DiscreteLTISystem, lam: complex, rhs: np.ndarray) -> np.ndarray:
@@ -294,7 +281,7 @@ def stein_residual_dense(sys: DiscreteLTISystem, pair: DenseGramianPair) -> floa
     A P A^T - M P M^T + B B^T - F_M F_M^T with F_M = M Fbar; the
     observability side checks the adjoint equation.
     """
-    work = sys if pair.side == "reach" else sys.dual()
+    work = sys.side(pair.side)
     A = work.A.toarray() if sp.issparse(work.A) else work.A
     M = work.M.toarray() if (work.M is not None and sp.issparse(work.M)) else work.M
     if M is None:

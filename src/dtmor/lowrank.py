@@ -17,7 +17,7 @@ import numpy as np
 
 from .dense_stein import solve_projected_tl, window_sum
 from .exceptions import BreakdownError, ConvergenceError, SolvabilityError
-from .system import DiscreteLTISystem
+from .system import DiscreteLTISystem, check_horizon
 
 _DEFLATION_TOL = 1e-13
 _REAL_SHIFT_TOL = 1e-14
@@ -386,21 +386,16 @@ def smith_arnoldi(sys: DiscreteLTISystem, side: str, tau,
     and the core R R^T; the walk columns that orthonormalization drops are
     ``deflated_columns``.
     """
-    if side not in ("reach", "obs"):
-        raise ValueError(f"side must be 'reach' or 'obs', got {side!r}")
+    tau = check_horizon(tau)
+    work = sys.side(side)
     cfg = cfg or SolverConfig()
-    work = sys if side == "reach" else sys.dual()
     B0 = work.input_map()
     finite = not math.isinf(tau)
-    if finite:
-        tau = int(tau)
-        if tau < 1:
-            raise ValueError("tau must be >= 1 or inf")
 
     blocks = [B0]
     records: list[ConvergenceRecord] = []
     bb_norm = _gap_norm(B0)
-    for steps in range(1, (tau if finite else cfg.max_iterations) + 1):
+    for steps in range(1, (int(tau) if finite else cfg.max_iterations) + 1):
         X = work.apply_dynamics(blocks[-1])
         res = None if finite else _gap_norm(X) / max(bb_norm, 1e-300)
         records.append(ConvergenceRecord(steps, steps * work.m, res, None, None))
@@ -418,10 +413,9 @@ def smith_arnoldi(sys: DiscreteLTISystem, side: str, tau,
     F = X if finite else None
     res_abs, res_scale = _lifted_residual(work, Q, Y, B0, F)
     approx = GramianApprox(
-        basis=Q, core=Y, tl_term=F, side=side,
-        horizon=float(tau) if finite else math.inf,
-        iterations=steps, residual=res_abs / max(res_scale, 1e-300),
-        shifts=[], records=records, deflated_columns=Z.shape[1] - Q.shape[1])
+        basis=Q, core=Y, tl_term=F, side=side, horizon=tau, iterations=steps,
+        residual=res_abs / max(res_scale, 1e-300), shifts=[], records=records,
+        deflated_columns=Z.shape[1] - Q.shape[1])
     return truncate_factor(approx)
 
 
@@ -452,24 +446,19 @@ def rksm(sys: DiscreteLTISystem, side: str, tau,
     absolute_residual) at every evaluation; it exists for diagnostics and
     verification harnesses.
     """
-    if side not in ("reach", "obs"):
-        raise ValueError(f"side must be 'reach' or 'obs', got {side!r}")
+    tau = check_horizon(tau)
+    work = sys.side(side)
     shifts = shifts or ShiftStrategy()
     cfg = cfg or SolverConfig()
-    work = sys if side == "reach" else sys.dual()
     solvers: dict[complex, object] = {}   # shift -> its solve closure
     B0 = work.input_map()
     finite = not math.isinf(tau)
-    if finite:
-        tau = int(tau)
-        if tau < 1:
-            raise ValueError("tau must be >= 1 or inf")
 
     q1, _ = _orth_columns(B0)
     if q1.shape[1] == 0:
         z = np.zeros((work.n, 0))
         return GramianApprox(z, np.zeros((0, 0)), np.zeros((work.n, work.m)) if finite else None,
-                             side, float(tau) if finite else math.inf, 0, 0.0, [], [])
+                             side, tau, 0, 0.0, [], [])
 
     state = KrylovState(block_width=q1.shape[1])
     Qbuf, Q = _append_columns(np.empty((work.n, 0), order="F"), 0, q1)
@@ -547,9 +536,9 @@ def rksm(sys: DiscreteLTISystem, side: str, tau,
         if res <= cfg.tol:
             approx = GramianApprox(
                 basis=Q, core=Y, tl_term=None if Fhat is None else _thin_product(Q, Fhat),
-                side=side, horizon=float(tau) if finite else math.inf,
-                iterations=k, residual=res, shifts=list(state.shifts),
-                records=records, deflated_columns=deflated, offspace_fallbacks=fallbacks)
+                side=side, horizon=tau, iterations=k, residual=res,
+                shifts=list(state.shifts), records=records, deflated_columns=deflated,
+                offspace_fallbacks=fallbacks)
             return truncate_factor(approx)
         if not grew:
             raise BreakdownError(

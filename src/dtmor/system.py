@@ -10,6 +10,7 @@ standard-form conversion.
 from __future__ import annotations
 
 import json
+import math
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -31,6 +32,16 @@ from .exceptions import (
 GENERATOR_VERSION = "numpy-pcg64/1"
 
 _EXAMPLE_KINDS = ("jacobi", "gauss-seidel", "random-stable", "laplacian-grid")
+
+
+def check_horizon(tau, name: str = "tau") -> float:
+    """The horizon of a solve request as a float: a whole number of steps
+    >= 1, or ``math.inf``; anything else raises ValueError, whose message
+    calls the value ``name``."""
+    t = float(tau)
+    if not (t == math.inf or (t >= 1 and t.is_integer())):
+        raise ValueError(f"{name} must be a whole number >= 1 or inf, got {t:g}")
+    return t
 
 
 def _as_dense_2d(name: str, mat) -> np.ndarray:
@@ -129,6 +140,15 @@ class DiscreteLTISystem:
             adj._mass_solve = lambda X, trans=False: solve(X, trans=not trans)
         adj._spectral_radius = self._spectral_radius  # same spectrum
         return adj
+
+    def side(self, name: str) -> "DiscreteLTISystem":
+        """The system whose reachability quantities are this system's ``name``
+        side: itself for 'reach', the adjoint :meth:`dual` for 'obs'."""
+        if name == "reach":
+            return self
+        if name == "obs":
+            return self.dual()
+        raise ValueError(f"side must be 'reach' or 'obs', got {name!r}")
 
     def dense_dynamics(self) -> np.ndarray:
         """Dense standard-form state matrix M^{-1} A."""

@@ -39,7 +39,7 @@ class TestSquareRootTruncate:
         assert np.allclose(h, href, atol=1e-12)
 
     def test_adaptive_order_arithmetic(self):
-        spectrum = HankelSpectrum(np.array([3.0, 1.0, 0.1]), 10.0)
+        spectrum = HankelSpectrum(np.array([3.0, 1.0, 0.1]))
         assert adaptive_order(spectrum, 0.25) == 2
 
     def test_matches_reference_bt(self):

@@ -14,6 +14,7 @@ import dtmor.cli
 import dtmor.dense_stein
 import dtmor.lowrank
 import dtmor.system
+from dtmor.lowrank import SolverConfig
 from dtmor.cli import (
     ConfigError,
     JobConfig,
@@ -61,7 +62,7 @@ class TestRunPipeline:
         cfg = JobConfig(example=ExampleSpec(kind="jacobi", size=6, inputs=2,
                                             outputs=2, seed=1),
                         tau=20, methods=("tlbt",), hsv_tol=1e-2, solver="rksm-pm1",
-                        tol=1e-9, tl_term_tol=1e-10)
+                        solver_config=SolverConfig(tol=1e-9, tl_term_tol=1e-10))
         bundle = run_pipeline(cfg)
         rom = bundle.roms["tlbt"]
         assert rom.hsv_tail() <= 1e-2
@@ -76,9 +77,9 @@ class TestRunPipeline:
         calls = []
         real = dtmor.cli.compute_gramian
 
-        def counting(system, tau, side, solver, cfg):
+        def counting(system, tau, side, cfg):
             calls.append((tau, side))
-            return real(system, tau, side, solver, cfg)
+            return real(system, tau, side, cfg)
         monkeypatch.setattr(dtmor.cli, "compute_gramian", counting)
         cfg = JobConfig(example=ExampleSpec(kind="jacobi", size=20, inputs=2,
                                             outputs=2, seed=1),
@@ -90,7 +91,7 @@ class TestRunPipeline:
         assert report.inf_horizon.epsilon_squared > 0
         assert sorted(calls) == [(50, "obs"), (50, "reach"),
                                  (math.inf, "obs"), (math.inf, "reach")]
-        assert bundle.gramian_meta[("bt", "reach")]["final_residual"] <= cfg.tol
+        assert bundle.gramian_meta[("bt", "reach")]["final_residual"] <= cfg.solver_config.tol
 
 
     def test_bt_only_window_run_solves_no_window_gramians(self, monkeypatch, tmp_path):
@@ -101,9 +102,9 @@ class TestRunPipeline:
         calls = []
         real = dtmor.cli.compute_gramian
 
-        def counting(system, tau, side, solver, cfg):
+        def counting(system, tau, side, cfg):
             calls.append((tau, side))
-            return real(system, tau, side, solver, cfg)
+            return real(system, tau, side, cfg)
 
         def refuse(*args):
             raise AssertionError("shifted full-order solve in a low-rank run")
@@ -135,7 +136,7 @@ class TestRunPipeline:
         for key, stats in solves.items():
             method, side = key.split("_")
             gram, _ = dtmor.cli.compute_gramian(bundle.system, math.inf if method == "bt"
-                                                else cfg.tau, side, cfg.solver, cfg)
+                                                else cfg.tau, side, cfg)
             assert stats["deflated_columns"] == gram.deflated_columns
             assert stats["offspace_fallbacks"] == gram.offspace_fallbacks == 0
 
@@ -631,6 +632,37 @@ class TestMainExitCodes:
         err = capsys.readouterr().err
         assert code == 2
         assert "configuration error" in err and ("max_iterations" in err or "hsv" in err)
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["pipeline", "gramian"])
+    @pytest.mark.parametrize("solver", dtmor.cli.SOLVERS)
+    @pytest.mark.parametrize("flag", [["--max-iter", "0"], ["--tol", "5"], ["--cadence", "0"],
+                                      ["--tl-tol", "2"]], ids=lambda flag: flag[0][2:])
+    def test_bad_solver_settings_exit_2_before_the_system_is_built(
+            self, tmp_path, capsys, monkeypatch, command, solver, flag):
+        # the job's SolverConfig checks each setting, whatever the solver
+        for name in ("generate_example", "read_system"):
+            monkeypatch.setattr(dtmor.cli, name, lambda *args: pytest.fail("a system was built"))
+        order = ["--order", "2"] if command == "pipeline" else []
+        code = main([command, "--kind", "jacobi", "--size", "4", "--inputs", "2",
+                     "--outputs", "2", "--tau", "10", *order, "--solver", solver, *flag,
+                     "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "configuration error" in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["gramian", "reduce", "pipeline"])
+    def test_tau_below_one_exits_2_before_the_system_is_built(self, tmp_path, capsys,
+                                                              monkeypatch, command):
+        monkeypatch.setattr(dtmor.cli, "generate_example",
+                            lambda *args: pytest.fail("a system was built"))
+        order = [] if command == "gramian" else ["--order", "2"]
+        code = main([command, "--kind", "jacobi", "--size", "4", "--tau", "0", *order,
+                     "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "configuration error" in err and "--tau" in err
         assert not (tmp_path / "out").exists()
 
     def test_job_config_rejects_negative_hsv_tol(self):

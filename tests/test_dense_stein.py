@@ -140,41 +140,41 @@ class TestTlGramianDense:
 
 class TestCrossSylvester:
     def test_self_cross_equals_gramian(self, scalar_system):
-        Y = solve_cross_sylvester(scalar_system, scalar_system, 2, "Y").matrix
+        Y = solve_cross_sylvester(scalar_system, scalar_system, 2, "Y")
         assert Y[0, 0] == pytest.approx(1.25, rel=1e-12)
 
     def test_nilpotent_reduced_side(self, scalar_system):
         from dtmor import build_system
         rom = build_system([[0.0]], [[1.0]], [[1.0]])
-        Y = solve_cross_sylvester(scalar_system, rom, 2, "Y").matrix
+        Y = solve_cross_sylvester(scalar_system, rom, 2, "Y")
         assert Y[0, 0] == pytest.approx(1.0, rel=1e-12)
 
     def test_matches_direct_sum(self):
         s = random_stable_system(12, 12, 2, 2)
         rom = random_stable_system(13, 4, 2, 2, radius=0.7)
-        Y = solve_cross_sylvester(s, rom, 30, "Y").matrix
+        Y = solve_cross_sylvester(s, rom, 30, "Y")
         ref = oracles.cross_sum(s.A, s.B, rom.A, rom.B, 30)
         assert np.linalg.norm(Y - ref) <= 1e-10 * np.linalg.norm(ref)
 
     def test_trace_identity_between_sides(self):
         s = random_stable_system(17, 10, 2, 3)
         rom = random_stable_system(18, 3, 2, 3, radius=0.6)
-        Y = solve_cross_sylvester(s, rom, 25, "Y").matrix
-        Z = solve_cross_sylvester(s, rom, 25, "Z").matrix
+        Y = solve_cross_sylvester(s, rom, 25, "Y")
+        Z = solve_cross_sylvester(s, rom, 25, "Z")
         lhs = np.trace(s.C @ Y @ rom.C.T)
         rhs = np.trace(s.B.T @ Z @ rom.B)
         assert lhs == pytest.approx(rhs, rel=1e-10)
 
     def test_generalized_equals_standard(self, gs_small):
         rom = random_stable_system(19, 3, gs_small.m, gs_small.p, radius=0.5)
-        Yg = solve_cross_sylvester(gs_small, rom, 15, "Y").matrix
-        Ys = solve_cross_sylvester(gs_small.to_standard(), rom, 15, "Y").matrix
+        Yg = solve_cross_sylvester(gs_small, rom, 15, "Y")
+        Ys = solve_cross_sylvester(gs_small.to_standard(), rom, 15, "Y")
         assert np.linalg.norm(Yg - Ys) <= 1e-10 * np.linalg.norm(Ys)
 
     def test_infinite_horizon(self):
         s = random_stable_system(23, 9, 2, 2, radius=0.7)
         rom = random_stable_system(24, 3, 2, 2, radius=0.6)
-        Y = solve_cross_sylvester(s, rom, math.inf, "Y").matrix
+        Y = solve_cross_sylvester(s, rom, math.inf, "Y")
         ref = oracles.cross_sum(s.A, s.B, rom.A, rom.B, 400)
         assert np.linalg.norm(Y - ref) <= 1e-10 * np.linalg.norm(ref)
 
@@ -189,10 +189,10 @@ class TestCrossSylvester:
         reach = rksm(s, "reach", math.inf, strategy)
         obs = rksm(s, "obs", math.inf, strategy)
         rom = square_root_truncate(reach, obs, s, math.inf, order=10, method="bt")[0].system
-        Y = solve_cross_sylvester(s, rom, math.inf, "Y", reach.basis).matrix
-        Z = solve_cross_sylvester(s, rom, math.inf, "Z", obs.basis).matrix
-        Yr = solve_cross_sylvester(s, rom, math.inf, "Y").matrix
-        Zr = solve_cross_sylvester(s, rom, math.inf, "Z").matrix
+        Y = solve_cross_sylvester(s, rom, math.inf, "Y", reach.basis)
+        Z = solve_cross_sylvester(s, rom, math.inf, "Z", obs.basis)
+        Yr = solve_cross_sylvester(s, rom, math.inf, "Y")
+        Zr = solve_cross_sylvester(s, rom, math.inf, "Z")
         assert np.trace(s.C @ Y @ rom.C.T) == pytest.approx(np.trace(s.C @ Yr @ rom.C.T),
                                                              rel=1e-10)
         assert np.trace(s.B.T @ Z @ rom.B) == pytest.approx(np.trace(s.B.T @ Zr @ rom.B),
@@ -222,7 +222,7 @@ class TestCrossSylvester:
             s = random_stable_system(seed, n, 2, 2, radius)
         rom = random_stable_system(seed + 1, r, 2, 2, radius)
         for side, full, red in (("Y", s, rom), ("Z", s.dual(), rom.dual())):
-            X = solve_cross_sylvester(s, rom, tau, side).matrix
+            X = solve_cross_sylvester(s, rom, tau, side)
             Ad, Bd, _ = oracles.dense_standard(full)
             Ah, Bh = red.A, red.B
             F = np.linalg.matrix_power(Ad, tau) @ Bd

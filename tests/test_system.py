@@ -1,5 +1,6 @@
 import ast
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -24,6 +25,10 @@ from dtmor import (
     simulate,
     write_system,
 )
+from dtmor.balancing import square_root_truncate
+from dtmor.bounds import bound_output_tl, tl_h2_inner, tl_h2_norm
+from dtmor.dense_stein import solve_cross_sylvester, tl_gramian_dense
+from dtmor.lowrank import rksm, smith_arnoldi
 
 
 class TestSpectralRadius:
@@ -369,3 +374,69 @@ def test_only_system_module_names_a_factorization():
         names |= {alias.name.split(".")[-1] for node in ast.walk(tree)
                   if isinstance(node, (ast.Import, ast.ImportFrom)) for alias in node.names}
         assert not names & banned, f"{path.name} names {sorted(names & banned)}"
+
+
+def _truncate(s, tau):
+    pair = tl_gramian_dense(s, 5), tl_gramian_dense(s, 5, "obs")
+    return square_root_truncate(*pair, s, tau, order=1)
+
+
+# every entry that takes a horizon tau, called on a system and a tau
+_HORIZON_ENTRIES = {
+    "smith_arnoldi": lambda s, tau: smith_arnoldi(s, "reach", tau),
+    "rksm": lambda s, tau: rksm(s, "reach", tau),
+    "tl_gramian_dense": lambda s, tau: tl_gramian_dense(s, tau),
+    "solve_cross_sylvester_Y": lambda s, tau: solve_cross_sylvester(s, s, tau, "Y"),
+    "solve_cross_sylvester_Z": lambda s, tau: solve_cross_sylvester(s, s, tau, "Z"),
+    "tl_h2_inner": lambda s, tau: tl_h2_inner(s, s, tau),
+    "tl_h2_norm": tl_h2_norm,
+    "bound_output_tl": lambda s, tau: bound_output_tl(s, s, tau),
+    "square_root_truncate": _truncate,
+}
+
+
+class TestSolveRequest:
+    @pytest.mark.parametrize("entry", sorted(_HORIZON_ENTRIES))
+    def test_horizon_rule_at_every_entry(self, entry):
+        # a whole number of steps >= 1, or inf; nothing is rounded or summed to 0
+        s = random_stable_system(5, 4, radius=0.5)
+        call = _HORIZON_ENTRIES[entry]
+        for tau in (0, -3, 2.5):
+            with pytest.raises(ValueError, match="tau must be a whole number >= 1 or inf"):
+                call(s, tau)
+        for tau in (1, 50.0, math.inf):
+            call(s, tau)
+
+    def test_side_rule_at_every_gramian_solver(self):
+        s = random_stable_system(5, 4, radius=0.5)
+        messages = set()
+        for solve in (smith_arnoldi, rksm, tl_gramian_dense):
+            with pytest.raises(ValueError) as info:
+                solve(s, tau=5, side="bogus")
+            messages.add(str(info.value))
+        assert messages == {"side must be 'reach' or 'obs', got 'bogus'"}
+
+    def test_side_lookup(self):
+        s = random_stable_system(5, 4, radius=0.5)
+        assert s.side("reach") is s
+        adj = s.side("obs")
+        assert np.array_equal(adj.A, s.A.T) and np.array_equal(adj.B, s.C.T)
+
+
+def test_only_system_module_compares_side_names():
+    # the side rule: DiscreteLTISystem.side is the one map from 'reach'/'obs'
+    # to the system whose reachability quantities a side asks for
+    def constants(node):
+        items = node.elts if isinstance(node, (ast.Tuple, ast.List, ast.Set)) else [node]
+        return {item.value for item in items if isinstance(item, ast.Constant)}
+
+    src = Path(dtmor.system.__file__).parent
+    for path in sorted(src.glob("*.py")):
+        if path.name == "system.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Compare):
+                for operand in (node.left, *node.comparators):
+                    assert not constants(operand) & {"reach", "obs"}, \
+                        f"{path.name}:{node.lineno} compares a side name"
