@@ -22,6 +22,7 @@ from .system import DiscreteLTISystem, check_horizon
 _DEFLATION_TOL = 1e-13
 _REAL_SHIFT_TOL = 1e-14
 _THIN_COLUMNS = 4   # widest block that _thin_product splits into gemv calls
+_ROW_BLOCK = 1024   # rows per block of the off-space factor's check
 
 
 @dataclass
@@ -81,11 +82,14 @@ class KrylovState:
     """Bookkeeping of a running (rational) Arnoldi process.
 
     ``basis`` has orthonormal columns; ``projected`` is basis^T A basis in
-    standard form; ``offspace_dir``/``offspace_coeff`` factor the part of
-    A*basis that leaves the subspace, which is what the compressed residual
-    formula consumes.  Inside ``rksm``, ``basis`` and ``image`` are views of
-    the filled columns of the solver's growth buffers; columns are written
-    once, so a view stays valid, but it keeps its whole buffer alive.
+    standard form; ``offspace_dir`` and ``offspace_coeff`` are U and C in
+    G = image - basis @ projected = U C, the part of A*basis that leaves the
+    subspace, which is what the compressed residual formula consumes.  U has
+    about block-width columns and G is never stored, so ``basis`` and
+    ``image`` are the only arrays with n rows and k columns.  Inside
+    ``rksm``, ``basis`` and ``image`` are views of the filled columns of the
+    solver's growth buffers; columns are written once, so a view stays
+    valid, but it keeps its whole buffer alive.
     """
     block_width: int
     basis: np.ndarray | None = None
@@ -308,29 +312,53 @@ def stein_residual_norm(state: KrylovState, core: np.ndarray) -> float:
     return float(np.linalg.norm(S @ inner @ S.T, 2))
 
 
+def _offspace_norms(Q: np.ndarray, W: np.ndarray, H: np.ndarray,
+                    U: np.ndarray, C: np.ndarray) -> tuple[float, float]:
+    """Frobenius norms of G = W - Q H and of G - U C, summed over blocks of
+    _ROW_BLOCK rows, so that no n x k array is formed."""
+    n, k = W.shape
+    g = np.empty((min(n, _ROW_BLOCK), k))
+    uc = np.empty_like(g)
+    gsq = rsq = 0.0
+    for i in range(0, n, _ROW_BLOCK):
+        j = min(i + _ROW_BLOCK, n)
+        gb, ucb = g[:j - i], uc[:j - i]
+        np.matmul(Q[i:j], H, out=gb)
+        np.subtract(W[i:j], gb, out=gb)
+        gsq += float(np.vdot(gb, gb))
+        np.matmul(U[i:j], C, out=ucb)
+        gb -= ucb
+        rsq += float(np.vdot(gb, gb))
+    return math.sqrt(gsq), math.sqrt(rsq)
+
+
 def _offspace_factor(Q: np.ndarray, W: np.ndarray, H: np.ndarray, m: int):
     """Rank-revealing factorization G = (I - QQ^T) A Q = U C; returns (U, C, fell_back).
 
     G = W - Q H has rank <= m on a rational Krylov basis, so U spans the sketch
-    G @ Omega, Omega a fixed-seed Gaussian of width m + 2.  Round-off (clustered
-    adaptive shifts) can add rank: the width doubles while U C misses G by more
-    than 1e-10 relative, up to the basis width k; then a full QR of G is the fallback.
+    G Omega = W Omega - Q (H Omega), Omega a fixed-seed Gaussian of width m + 2.
+    Round-off (clustered adaptive shifts) can add rank: the width doubles while
+    U C misses G by more than 1e-10 relative in the Frobenius norm, up to the
+    basis width k; then a full QR of G is the fallback.  Both norms are summed
+    over row blocks, so only the fallback forms an n x k array.
     """
-    G = W - Q @ H
-    gnorm = float(np.linalg.norm(G))
-    if gnorm == 0.0:
-        return np.zeros((Q.shape[0], 0)), np.zeros((0, Q.shape[1])), False
+    k = Q.shape[1]
     rng = np.random.default_rng(0)
     width = m + 2
     while True:
-        sketch = _thin_product(G, rng.standard_normal((G.shape[1], width)))
+        omega = rng.standard_normal((k, width))
+        sketch = _thin_product(W, omega) - _thin_product(Q, H @ omega)
         U, _ = _orth_columns(sketch - _thin_product(Q, _thin_product(Q.T, sketch)), tol=1e-12)
         C = _thin_product(W.T, U).T - _thin_product(Q.T, U).T @ H
-        if U.shape[1] and np.linalg.norm(G - U @ C) <= 1e-10 * gnorm:
+        gnorm, miss = _offspace_norms(Q, W, H, U, C)
+        if gnorm == 0.0:
+            return np.zeros((Q.shape[0], 0)), np.zeros((0, k)), False
+        if U.shape[1] and miss <= 1e-10 * gnorm:
             return U, C, False
-        if width >= G.shape[1]:
+        if width >= k:
             break
         width *= 2
+    G = W - Q @ H
     Qg, Rg = np.linalg.qr(G)
     Ur, svals, _ = np.linalg.svd(Rg)
     keep = svals > 1e-13 * svals[0]
@@ -358,16 +386,19 @@ def _lifted_residual(work: DiscreteLTISystem, Q: np.ndarray, Y: np.ndarray,
     extras = [W, B0] + ([F] if F is not None else [])
     E = np.hstack(extras)
     U, _, _ = _gram_schmidt_block(Q, E)
-    J = np.hstack([Q, U]) if U.shape[1] else Q
-    ell, tot = Q.shape[1], J.shape[1]
-    Atil = J.T @ W                         # tot x ell
+
+    def coords(X):   # X in the basis [Q, U], without stacking the n-row basis
+        return np.vstack([Q.T @ X, U.T @ X])
+
+    ell, tot = Q.shape[1], Q.shape[1] + U.shape[1]
+    Atil = coords(W)                       # tot x ell
     Ypad = np.zeros((tot, tot))
     Ypad[:ell, :ell] = Y
-    Bt = J.T @ B0
+    Bt = coords(B0)
     Rsmall = Atil @ Y @ Atil.T - Ypad + Bt @ Bt.T
     Ft = None
     if F is not None:
-        Ft = J.T @ F
+        Ft = coords(F)
         Rsmall -= Ft @ Ft.T
     return float(np.linalg.norm(Rsmall, 2)), _gap_norm(Bt, Ft)
 

@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -319,6 +322,15 @@ class TestReportKeyTree:
 
 
 class TestMainExitCodes:
+    def test_module_entry_point_from_a_checkout(self):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        res = subprocess.run([sys.executable, "-m", "dtmor", "--help"], env=env,
+                             capture_output=True, text=True, timeout=120)
+        assert res.returncode == 0, res.stderr
+        assert "pipeline" in res.stdout
+
     def test_success_generate_and_pipeline(self, tmp_path, capsys):
         assert main(["generate", "--kind", "jacobi", "--size", "4", "--seed", "1",
                      "--out", str(tmp_path / "sys")]) == 0

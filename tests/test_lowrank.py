@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -488,3 +489,54 @@ class TestGramSchmidtBlock:
         Q, inside, outside = self._basis_and_block()
         r, s = outside[:, :1], outside[:, 1:]
         assert self._run(monkeypatch, Q, inside + np.hstack([r, r + 1e-10 * s])) == 2
+
+
+class TestOffspaceFactor:
+    """``_offspace_factor`` against G = W - Q H formed densely."""
+
+    @staticmethod
+    def _inputs(n, k, rank, seed=5):
+        # orthonormal Q, projected H, and W = Q H + G with G of the given rank
+        # orthogonal to Q
+        rng = np.random.default_rng(seed)
+        Q, _ = np.linalg.qr(rng.standard_normal((n, k)))
+        H = rng.standard_normal((k, k))
+        X = rng.standard_normal((n, rank))
+        X -= Q @ (Q.T @ X)
+        W = Q @ H + X @ rng.standard_normal((rank, k))
+        return np.asfortranarray(Q), np.asfortranarray(W), H
+
+    @pytest.mark.parametrize("n", [300, 2500])   # inside one row block; 2 blocks and a part
+    @pytest.mark.parametrize("rank", [2, 5])     # m, then 2m + 1: the width must double
+    def test_factor_reproduces_dense_g(self, n, rank):
+        m = 2
+        Q, W, H = self._inputs(n, 40, rank)
+        assert n < lowrank._ROW_BLOCK or n % lowrank._ROW_BLOCK
+        U, C, fell_back = lowrank._offspace_factor(Q, W, H, m)
+        G = W - Q @ H
+        assert np.linalg.norm(G - U @ C) <= 1e-10 * np.linalg.norm(G)
+        assert U.shape == (n, rank) and C.shape == (rank, 40)
+        assert not fell_back
+
+    @pytest.mark.parametrize("n", [300, 2500])
+    def test_zero_offspace_part_gives_empty_factor(self, n):
+        # Q holds coordinate vectors, so W = Q H is exact and G is exactly 0
+        k = 12
+        Q = np.asfortranarray(np.eye(n, k))
+        H = np.random.default_rng(6).standard_normal((k, k))
+        W = np.asfortranarray(Q @ H)
+        assert not (W - Q @ H).any()
+        U, C, fell_back = lowrank._offspace_factor(Q, W, H, 2)
+        assert U.shape == (n, 0) and C.shape == (0, k) and not fell_back
+
+    def test_peak_memory_below_half_an_n_by_k_array(self):
+        n, k, m = 20000, 64, 2
+        Q, W, H = self._inputs(n, k, m)
+        tracemalloc.start()
+        try:
+            U, C, fell_back = lowrank._offspace_factor(Q, W, H, m)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert U.shape[1] == m and not fell_back
+        assert peak < n * k * 8 / 2
