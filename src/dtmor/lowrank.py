@@ -22,7 +22,7 @@ from .system import DiscreteLTISystem, check_horizon
 _DEFLATION_TOL = 1e-13
 _REAL_SHIFT_TOL = 1e-14
 _THIN_COLUMNS = 4   # widest block that _thin_product splits into gemv calls
-_ROW_BLOCK = 1024   # rows per block of the off-space factor's check
+_CHECK_WIDTH = 10   # probe columns of the off-space factor's check
 
 
 @dataclass
@@ -82,27 +82,39 @@ class KrylovState:
     """Bookkeeping of a running (rational) Arnoldi process.
 
     ``basis`` has orthonormal columns; ``projected`` is basis^T A basis in
-    standard form; ``offspace_dir`` and ``offspace_coeff`` are U and C in
-    G = image - basis @ projected = U C, the part of A*basis that leaves the
-    subspace, which is what the compressed residual formula consumes.  U has
-    about block-width columns and G is never stored, so ``basis`` and
-    ``image`` are the only arrays with n rows and k columns.  Inside
-    ``rksm``, ``basis`` and ``image`` are views of the filled columns of the
-    solver's growth buffers; columns are written once, so a view stays
+    standard form for a leading block of the basis, extended to the whole
+    basis by :meth:`current_projected` where it is read (evaluations, and the
+    Ritz values of adaptive shifts); ``offspace_dir`` and ``offspace_coeff``
+    are U and C in G = image - basis @ projected = U C, the part of A*basis
+    that leaves the subspace, which is what the compressed residual formula
+    consumes.  U has about block-width columns and G is never stored, so
+    ``basis`` and ``image`` are the only arrays with n rows and k columns.
+    Inside ``rksm``, ``basis`` and ``image`` are views of the filled columns
+    of the solver's growth buffers; columns are written once, so a view stays
     valid, but it keeps its whole buffer alive.
     """
     block_width: int
     basis: np.ndarray | None = None
     image: np.ndarray | None = None        # A @ basis, kept in sync
-    projected: np.ndarray | None = None    # basis^T A basis
+    projected: np.ndarray = field(default_factory=lambda: np.zeros((0, 0)))
     offspace_dir: np.ndarray | None = None
     offspace_coeff: np.ndarray | None = None
     shifts: list = field(default_factory=list)
 
+    def current_projected(self) -> np.ndarray:
+        """Extend ``projected`` to the whole basis and return it; with Q = [Q0, Q1]
+        and W = [W0, W1] split at its order, it gains Q0^T W1, Q1^T W0, Q1^T W1."""
+        Q, W, H = self.basis, self.image, self.projected
+        h = H.shape[0]
+        if Q is not None and h < Q.shape[1]:
+            Q1, W1 = Q[:, h:], W[:, h:]
+            self.projected = np.block([[H, _thin_product(Q[:, :h].T, W1)],
+                                       [_thin_product(W[:, :h].T, Q1).T, Q1.T @ W1]])
+        return self.projected
+
     def ritz_values(self) -> np.ndarray | None:
-        if self.projected is None or self.projected.size == 0:
-            return None
-        return np.linalg.eigvals(self.projected)
+        H = self.current_projected()
+        return np.linalg.eigvals(H) if H.size else None
 
 
 @dataclass
@@ -302,7 +314,7 @@ def stein_residual_norm(state: KrylovState, core: np.ndarray) -> float:
         return 0.0
     if Cf.shape[1] != core.shape[0]:
         raise ValueError("state and core dimensions disagree")
-    w = _thin_product(state.basis, state.projected @ (core @ Cf.T))
+    w = _thin_product(state.basis, state.current_projected() @ (core @ Cf.T))
     k = U.shape[1]
     inner = np.block([
         [Cf @ core @ Cf.T, np.eye(k)],
@@ -312,37 +324,27 @@ def stein_residual_norm(state: KrylovState, core: np.ndarray) -> float:
     return float(np.linalg.norm(S @ inner @ S.T, 2))
 
 
-def _offspace_norms(Q: np.ndarray, W: np.ndarray, H: np.ndarray,
-                    U: np.ndarray, C: np.ndarray) -> tuple[float, float]:
-    """Frobenius norms of G = W - Q H and of G - U C, summed over blocks of
-    _ROW_BLOCK rows, so that no n x k array is formed."""
-    n, k = W.shape
-    g = np.empty((min(n, _ROW_BLOCK), k))
-    uc = np.empty_like(g)
-    gsq = rsq = 0.0
-    for i in range(0, n, _ROW_BLOCK):
-        j = min(i + _ROW_BLOCK, n)
-        gb, ucb = g[:j - i], uc[:j - i]
-        np.matmul(Q[i:j], H, out=gb)
-        np.subtract(W[i:j], gb, out=gb)
-        gsq += float(np.vdot(gb, gb))
-        np.matmul(U[i:j], C, out=ucb)
-        gb -= ucb
-        rsq += float(np.vdot(gb, gb))
-    return math.sqrt(gsq), math.sqrt(rsq)
-
-
 def _offspace_factor(Q: np.ndarray, W: np.ndarray, H: np.ndarray, m: int):
     """Rank-revealing factorization G = (I - QQ^T) A Q = U C; returns (U, C, fell_back).
 
     G = W - Q H has rank <= m on a rational Krylov basis, so U spans the sketch
     G Omega = W Omega - Q (H Omega), Omega a fixed-seed Gaussian of width m + 2.
     Round-off (clustered adaptive shifts) can add rank: the width doubles while
-    U C misses G by more than 1e-10 relative in the Frobenius norm, up to the
-    basis width k; then a full QR of G is the fallback.  Both norms are summed
-    over row blocks, so only the fallback forms an n x k array.
+    U C misses G, up to the basis width k; then a full QR of G, the only n x k
+    array formed, is the fallback.  The miss is judged at O(nk) per column on
+    a second fixed-seed Gaussian sketch of width 10 (Halko, Martinsson & Tropp,
+    SIAM Rev. 53 (2011), Sec. 4.3): U C is kept when ||(G - U C) Omega2||_F <=
+    1e-10 ||G Omega2||_F.  Both sides estimate sqrt(10) times the Frobenius
+    norms of the exact check, at its level; a U C missing G by 14 times the
+    level passes with probability about 4e-10 at rank one (an F(10, 10) tail).
     """
     k = Q.shape[1]
+    check = np.random.default_rng(1).standard_normal((k, _CHECK_WIDTH))
+    gcheck = _thin_product(W, check)
+    gcheck -= _thin_product(Q, H @ check)
+    gnorm = np.linalg.norm(gcheck)
+    if gnorm == 0.0:
+        return np.zeros((Q.shape[0], 0)), np.zeros((0, k)), False
     rng = np.random.default_rng(0)
     width = m + 2
     while True:
@@ -350,10 +352,9 @@ def _offspace_factor(Q: np.ndarray, W: np.ndarray, H: np.ndarray, m: int):
         sketch = _thin_product(W, omega) - _thin_product(Q, H @ omega)
         U, _ = _orth_columns(sketch - _thin_product(Q, _thin_product(Q.T, sketch)), tol=1e-12)
         C = _thin_product(W.T, U).T - _thin_product(Q.T, U).T @ H
-        gnorm, miss = _offspace_norms(Q, W, H, U, C)
-        if gnorm == 0.0:
-            return np.zeros((Q.shape[0], 0)), np.zeros((0, k)), False
-        if U.shape[1] and miss <= 1e-10 * gnorm:
+        miss = U @ (C @ check)
+        miss -= gcheck
+        if np.linalg.norm(miss) <= 1e-10 * gnorm:
             return U, C, False
         if width >= k:
             break
@@ -491,11 +492,9 @@ def rksm(sys: DiscreteLTISystem, side: str, tau,
         return GramianApprox(z, np.zeros((0, 0)), np.zeros((work.n, work.m)) if finite else None,
                              side, tau, 0, 0.0, [], [])
 
-    state = KrylovState(block_width=q1.shape[1])
     Qbuf, Q = _append_columns(np.empty((work.n, 0), order="F"), 0, q1)
     Wbuf, W = _append_columns(np.empty((work.n, 0), order="F"), 0, work.apply_dynamics(Q))
-    H = Q.T @ W
-    state.basis, state.image, state.projected = Q, W, H
+    state = KrylovState(block_width=q1.shape[1], basis=Q, image=W)
 
     records: list[ConvergenceRecord] = []
     fhat_prev: np.ndarray | None = None
@@ -506,10 +505,9 @@ def rksm(sys: DiscreteLTISystem, side: str, tau,
     for k in range(1, cfg.max_iterations + 1):
         s = next_shift(shifts, state)
         state.shifts.append(s)
-        rhs = Q[:, -min(work.m, Q.shape[1]):]
         if s not in solvers:
             solvers[s] = _shift_solver(work, s)
-        g = solvers[s](rhs)
+        g = solvers[s](Q[:, -min(work.m, Q.shape[1]):])
         if abs(s.imag) <= _REAL_SHIFT_TOL:
             cand = np.real(g)
         else:
@@ -522,16 +520,17 @@ def rksm(sys: DiscreteLTISystem, side: str, tau,
         grew = nb.shape[1] > 0
         if grew:
             Wn = work.apply_dynamics(nb)
-            H = np.block([[H, _thin_product(Q.T, Wn)], [_thin_product(W.T, nb).T, nb.T @ Wn]])
+            state.basis = state.image = None   # so a regrown Q frees its old buffer before W regrows
             Qbuf, Q = _append_columns(Qbuf, Q.shape[1], nb)
             Wbuf, W = _append_columns(Wbuf, W.shape[1], Wn)
-        state.basis, state.image, state.projected = Q, W, H
+            state.basis, state.image = Q, W
 
         evaluate = (k % cfg.cadence == 0) or (k == cfg.max_iterations) or not grew
         if not evaluate:
             records.append(ConvergenceRecord(k, Q.shape[1], None, None, s))
             continue
 
+        H = state.current_projected()
         Bk = _thin_product(Q.T, B0)
         Fhat = None
         if finite:

@@ -435,6 +435,78 @@ class TestGrowthBuffers:
             assert np.array_equal(x, y)
         assert a.basis.base is None
 
+    def test_regrowth_peak_below_four_buffers(self):
+        # n=2500 and 142 columns: the last regrowth takes Q and W from 128 to
+        # 256 columns, and the old Q buffer must be free before W regrows
+        s = generate_example(ExampleSpec(kind="jacobi", size=50, inputs=2, outputs=2, seed=1))
+        tracemalloc.start()
+        try:
+            a = rksm(s, "reach", 50)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        columns = a.records[-1].basis_columns
+        capacity = 2 ** math.ceil(math.log2(columns))   # the buffers start at m = 2 columns
+        assert columns > capacity // 2 > 2
+        old, new = 8 * s.n * capacity // 2, 8 * s.n * capacity
+        assert peak < 2 * (old + new)
+
+
+class TestLazyProjection:
+    def test_projected_current_at_every_evaluation(self):
+        # the mass solve enters A; H = Q^T M^{-1} A Q is extended only when read
+        s = generate_example(ExampleSpec(kind="gauss-seidel", size=12, inputs=2, outputs=2, seed=1))
+        Ad, _, _ = oracles.dense_standard(s)
+        seen = []
+
+        def observer(state, core, tl_term, res_abs):
+            Q, H = state.basis, state.projected
+            assert H.shape == (Q.shape[1], Q.shape[1])
+            ref = Q.T @ Ad @ Q
+            seen.append(np.linalg.norm(H - ref) / np.linalg.norm(ref))
+
+        for tau in (30, math.inf):
+            rksm(s, "reach", tau, ShiftStrategy("alternating-pm1"), SolverConfig(cadence=5),
+                 observer=observer)
+        assert seen and max(seen) <= 1e-12
+
+    def test_basis_wide_products_per_step(self, monkeypatch):
+        # per step: two Gram-Schmidt passes of two products each, and two more
+        # for a third pass; per evaluation: two to extend H, one for Q^T B,
+        # eight for the off-space factor at one sketch width and one for the
+        # residual.  H is not extended between evaluations.
+        s = generate_example(ExampleSpec(kind="jacobi", size=20, inputs=2, outputs=2, seed=1))
+        count = dict(products=0, orth=0, thirds=0, evaluations=0)
+        product, orth, gram_schmidt = lowrank._thin_product, lowrank._orth_columns, lowrank._gram_schmidt_block
+        solve = lowrank.solve_projected_tl
+
+        def counted_product(A, X):
+            count["products"] += s.n in A.shape
+            return product(A, X)
+
+        def counted_orth(*args, **kw):
+            count["orth"] += 1
+            return orth(*args, **kw)
+
+        def counted_gram_schmidt(*args):
+            before = count["orth"]
+            out = gram_schmidt(*args)
+            count["thirds"] += count["orth"] - before - 1   # one orthonormalization per pass after two
+            return out
+
+        def counted_solve(*args):
+            count["evaluations"] += 1
+            return solve(*args)
+
+        monkeypatch.setattr(lowrank, "_thin_product", counted_product)
+        monkeypatch.setattr(lowrank, "_orth_columns", counted_orth)
+        monkeypatch.setattr(lowrank, "_gram_schmidt_block", counted_gram_schmidt)
+        monkeypatch.setattr(lowrank, "solve_projected_tl", counted_solve)
+        a = rksm(s, "reach", math.inf, ShiftStrategy("alternating-pm1"), SolverConfig(cadence=5))
+        assert a.residual <= SolverConfig().tol and a.offspace_fallbacks == 0
+        assert count["evaluations"] == math.ceil(a.iterations / 5)
+        assert count["products"] <= 4 * a.iterations + 2 * count["thirds"] + 12 * count["evaluations"]
+
 
 class TestThinNorms:
     @staticmethod
@@ -506,12 +578,11 @@ class TestOffspaceFactor:
         W = Q @ H + X @ rng.standard_normal((rank, k))
         return np.asfortranarray(Q), np.asfortranarray(W), H
 
-    @pytest.mark.parametrize("n", [300, 2500])   # inside one row block; 2 blocks and a part
+    @pytest.mark.parametrize("n", [300, 2500])
     @pytest.mark.parametrize("rank", [2, 5])     # m, then 2m + 1: the width must double
     def test_factor_reproduces_dense_g(self, n, rank):
         m = 2
         Q, W, H = self._inputs(n, 40, rank)
-        assert n < lowrank._ROW_BLOCK or n % lowrank._ROW_BLOCK
         U, C, fell_back = lowrank._offspace_factor(Q, W, H, m)
         G = W - Q @ H
         assert np.linalg.norm(G - U @ C) <= 1e-10 * np.linalg.norm(G)
@@ -528,6 +599,28 @@ class TestOffspaceFactor:
         assert not (W - Q @ H).any()
         U, C, fell_back = lowrank._offspace_factor(Q, W, H, 2)
         assert U.shape == (n, 0) and C.shape == (0, k) and not fell_back
+
+    @pytest.mark.parametrize("eps, accepted", [(1e-12, True), (1e-8, False)])
+    def test_check_boundary(self, eps, accepted):
+        # G is rank m plus a full-rank tail of relative size eps, so the factor
+        # from the first sketch width (m + 2) misses G by about eps: the check
+        # keeps it at 1e-12 and rejects it at 1e-8, after which the width grows
+        # until the sketch holds the whole of G
+        n, k, m = 300, 40, 2
+        rng = np.random.default_rng(7)
+        Q, W, H = self._inputs(n, k, m)
+        tail = rng.standard_normal((n, k))
+        tail -= Q @ (Q.T @ tail)
+        G = W - Q @ H
+        W = np.asfortranarray(W + eps * np.linalg.norm(G) / np.linalg.norm(tail) * tail)
+        G = W - Q @ H
+        U, C, fell_back = lowrank._offspace_factor(Q, W, H, m)
+        miss = np.linalg.norm(G - U @ C) / np.linalg.norm(G)
+        assert not fell_back
+        if accepted:
+            assert U.shape[1] <= m + 2 and 0.1 * eps <= miss <= 10 * eps
+        else:
+            assert U.shape[1] > m + 2 and miss <= 1e-10
 
     def test_peak_memory_below_half_an_n_by_k_array(self):
         n, k, m = 20000, 64, 2
