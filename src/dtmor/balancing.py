@@ -15,9 +15,8 @@ import numpy as np
 import scipy.sparse as sp
 
 from .config import check_dense_cap
-from .dense_stein import DenseGramianPair
+from .dense_stein import psd_factor
 from .exceptions import BalancingError, DimensionMismatchError
-from .lowrank import GramianApprox
 from .system import DiscreteLTISystem, check_horizon, write_system
 
 _KERNEL_TOL = 1e-12
@@ -132,23 +131,13 @@ class ReducedOrderModel:
 
 
 def _as_factor(obj) -> np.ndarray:
-    """Accept a raw factor, a GramianApprox, or a DenseGramianPair."""
-    if isinstance(obj, GramianApprox):
+    """The factor of a Gramian (anything with ``factor()``), or a raw factor."""
+    if hasattr(obj, "factor"):
         return obj.factor()
-    if isinstance(obj, DenseGramianPair):
-        return psd_factor(obj.gramian)
     arr = np.asarray(obj, dtype=float)
     if arr.ndim != 2:
         raise DimensionMismatchError("Gramian factor must be a matrix")
     return arr
-
-
-def psd_factor(P: np.ndarray, tol: float = 1e-14) -> np.ndarray:
-    """Z with Z Z^T = P for symmetric PSD P, discarding negligible directions."""
-    lam, U = np.linalg.eigh(0.5 * (P + P.T))
-    lmax = float(lam.max(initial=0.0))
-    keep = lam > tol * max(lmax, 1e-300)
-    return U[:, keep] * np.sqrt(lam[keep])
 
 
 def _fix_svd_signs(U: np.ndarray, V: np.ndarray):
@@ -226,13 +215,14 @@ def balance_dense(sys: DiscreteLTISystem, P, Q, tau=math.inf) -> BalancedRealiza
     every Hankel singular value above the kernel threshold of ``reduce``, so
     a non-minimal pair (P_tau has rank at most tau*m) is balanced at rank k
     (Tombs & Postlethwaite, Int. J. Control 46 (1987)); ``transform`` and
-    ``transform_inv`` are that model's k x n and n x k projectors.  A finite
-    ``tau`` needs DenseGramianPairs: the horizon terms are their A^tau B and
-    C A^tau projected into the balanced coordinates.
+    ``transform_inv`` are that model's k x n and n x k projectors.  ``P``
+    and ``Q`` are Gramians or their matrices; a finite ``tau`` needs
+    Gramians: the horizon terms are their ``tl_term`` A^tau B and C A^tau
+    projected into the balanced coordinates.
     """
     check_dense_cap(sys.n, "dense balancing")
-    Pm = P.gramian if isinstance(P, DenseGramianPair) else np.asarray(P, dtype=float)
-    Qadj = Q.gramian if isinstance(Q, DenseGramianPair) else np.asarray(Q, dtype=float)
+    Pm, Qadj = (G.matrix() if hasattr(G, "matrix") else np.asarray(G, dtype=float)
+                for G in (P, Q))
     # hsv_tol=0 keeps every singular value above the kernel threshold
     rom, spectrum = square_root_truncate(psd_factor(Pm), psd_factor(Qadj), sys, tau, hsv_tol=0.0)
     T, Tinv = rom.projector_w.T, rom.projector_v

@@ -27,7 +27,6 @@ from .balancing import BalancedRealization, HankelSpectrum
 from .config import check_dense_cap
 from .dense_stein import solve_cross_sylvester, solve_projected_tl, tl_gramian_dense
 from .exceptions import DimensionMismatchError, EstimationError, SolvabilityError
-from .lowrank import GramianApprox
 from .system import DiscreteLTISystem, check_horizon, impulse_sequence
 
 CROUZEIX_PALENCIA = 1.0 + math.sqrt(2.0)
@@ -36,17 +35,9 @@ _NUMERICAL_RADIUS_TOL = 1e-6
 
 
 # ---------------------------------------------------------------------------
-# trace helpers, polymorphic over dense pairs and low-rank approximations
-
-def _trace_output_gram(C: np.ndarray, gram) -> float:
-    """trace(C P C^T) for a reachability-side Gramian.  An observability-side
-    Gramian is the reachability Gramian of the adjoint system, whose C is
-    B^T (the mass-adjusted Gramian makes the original B correct here)."""
-    if isinstance(gram, GramianApprox):
-        CQ = C @ gram.basis
-        return float(np.trace(CQ @ gram.core @ CQ.T))
-    return float(np.trace(C @ gram.gramian @ C.T))
-
+# trace helpers.  A Gramian, dense or low-rank, gives its own trace(C P C^T)
+# as output_trace(C) and its Krylov basis (None when dense) as ``basis``, so
+# this module never asks how it is stored.
 
 def _relative_gap(x: float, y: float) -> float:
     return abs(x - y) / max(abs(x), abs(y), 1e-300)
@@ -68,8 +59,8 @@ def tl_h2_norm(sys: DiscreteLTISystem, tau) -> float:
     """Time-limited h2 norm via the Gramian traces (both sides averaged)."""
     reach = tl_gramian_dense(sys, tau, "reach")
     obs = tl_gramian_dense(sys, tau, "obs")
-    tc = _trace_output_gram(sys.C, reach)
-    tb = _trace_output_gram(sys.B.T, obs)
+    tc = reach.output_trace(sys.C)
+    tb = obs.output_trace(sys.B.T)
     return math.sqrt(abs(0.5 * (tc + tb)))
 
 
@@ -135,9 +126,8 @@ def _inf_horizon_terms(sys: DiscreteLTISystem, rom: DiscreteLTISystem, reach):
     if reach is None:
         reach = tl_gramian_dense(sys, math.inf, "reach")
     rom_reach = tl_gramian_dense(rom, math.inf, "reach")
-    basis = reach.basis if isinstance(reach, GramianApprox) else None
-    Y = solve_cross_sylvester(sys, rom, math.inf, "Y", basis)
-    return (_trace_output_gram(sys.C, reach), _trace_output_gram(rom.C, rom_reach),
+    Y = solve_cross_sylvester(sys, rom, math.inf, "Y", reach.basis)
+    return (reach.output_trace(sys.C), rom_reach.output_trace(rom.C),
             -2.0 * float(np.trace(sys.C @ Y @ rom.C.T)))
 
 
@@ -173,7 +163,7 @@ def bound_output_tl(sys: DiscreteLTISystem, rom: DiscreteLTISystem, tau,
         if gram is not None and not math.isinf(gram.horizon):
             raise ValueError(f"the tau=inf bound needs infinite-horizon Gramians, "
                              f"got a {gram.side} Gramian at tau={gram.horizon:g}")
-    low_rank = isinstance(reach, GramianApprox) or isinstance(obs, GramianApprox)
+    low_rank = any(gram is not None and gram.basis is not None for gram in (reach, obs))
     c_terms = _inf_horizon_terms(sys, rom, reach)
     # the adjoints are built after the C side, so they share the spectral
     # radii it memoized
@@ -522,43 +512,44 @@ class BoundReport:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True)
 
 
-def inf_horizon_applies(sys: DiscreteLTISystem, rom, tau) -> bool:
-    """Whether :func:`build_bound_report` adds the infinite-horizon error
-    norm at a finite window, for which it needs the system's
-    infinite-horizon Gramians: both the system and the model are stable."""
-    return (not math.isinf(tau) and rom.spectral_radius() < 1.0
-            and sys.spectral_radius() < 1.0)
-
-
-def build_bound_report(sys: DiscreteLTISystem, rom, tau, reach=None, obs=None,
+def build_bound_report(sys: DiscreteLTISystem, rom, tau, pair=None,
                        bal: BalancedRealization | None = None,
                        constants_method: str | None = None) -> BoundReport:
     """Assemble the bound report for one reduced model.
 
-    ``rom`` is a ReducedOrderModel from the balancing module.  ``reach`` and
-    ``obs`` are the system's infinite-horizon Gramians (dense or low-rank,
-    solved densely when absent).  The general output bound is always
-    computed: at a finite window as the impulse response sum, which needs no
-    Gramian; at tau = inf from ``reach``/``obs``.
+    ``rom`` is a ReducedOrderModel from the balancing module.  ``pair`` is
+    the job's ``pair(tau) -> (reach, obs)`` of the system's Gramians (dense
+    or low-rank); the report asks it for the tau = inf pair only where it
+    uses that pair, and without ``pair`` that pair is solved densely there.
+    The general output bound is always computed: at a finite window as the
+    impulse response sum, which needs no Gramian; at tau = inf from the
+    tau = inf pair.
 
     ``bal``, when given, is the model's own dense balanced realization.  A
     time-limited one adds the exact expression thm31 and, with
     ``constants_method``, the Theorem-3.2 bound.  An infinite-horizon one
     gives the infinite-horizon error norm and its upper variant from the
-    balanced blocks.  Otherwise that norm is the trace form from
-    ``reach``/``obs``: the output bound itself at tau = inf, and at a finite
+    balanced blocks.  Otherwise that norm is the trace form from the
+    tau = inf pair: the output bound itself at tau = inf, and at a finite
     window only when both the system and the model are stable.
     """
+    tau = check_horizon(tau)
     rsys = rom.system
     rho = rom.spectral_radius()
-    prop23 = bound_output_tl(sys, rsys, tau, reach=reach, obs=obs)
+    balanced_inf = bal is not None and bal.tl_b is None
+    uses_pair = math.isinf(tau) or (
+        not balanced_inf and rho < 1.0 and sys.spectral_radius() < 1.0)
+    reach = obs = None
+    if uses_pair and pair is not None:
+        reach, obs = pair(math.inf)   # unguarded: a failing solve fails the report
+    prop23 = bound_output_tl(sys, rsys, tau, reach, obs)
 
     inf = prop23 if math.isinf(tau) else None
     try:
-        if bal is not None and bal.tl_b is None:
+        if balanced_inf:
             inf = bound_inf_horizon(bal, rom.r)
-        elif inf_horizon_applies(sys, rom, tau):
-            inf = bound_output_tl(sys, rsys, math.inf, reach=reach, obs=obs)
+        elif uses_pair and inf is None:
+            inf = bound_output_tl(sys, rsys, math.inf, reach, obs)
     except SolvabilityError:
         pass
 
@@ -569,6 +560,6 @@ def build_bound_report(sys: DiscreteLTISystem, rom, tau, reach=None, obs=None,
             constants = (asymptotic_constants(bal.a, constants_method),
                          asymptotic_constants(bal.partition(rom.r).A11, constants_method))
             thm32 = bound_theorem32(bal, rom.r, tau, constants)
-    return BoundReport(method=rom.method, tau=float(tau), r=rom.r, rom_spectral_radius=rho,
+    return BoundReport(method=rom.method, tau=tau, r=rom.r, rom_spectral_radius=rho,
                        hsv_tail=rom.hsv_tail(), prop23=prop23, inf_horizon=inf,
                        thm31=thm31, thm32=thm32, constants=constants)

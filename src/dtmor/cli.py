@@ -109,8 +109,7 @@ class ReportBundle:
     system: DiscreteLTISystem
     roms: dict = field(default_factory=dict)          # method -> ReducedOrderModel
     reports: dict = field(default_factory=dict)       # method -> BoundReport
-    convergence: dict = field(default_factory=dict)   # (method, side) -> records
-    gramian_meta: dict = field(default_factory=dict)  # (method, side) -> solve stats
+    gramians: dict = field(default_factory=dict)      # (method, side) -> Gramian
     error_header: list = field(default_factory=list)
     error_rows: list = field(default_factory=list)
     summary_rows: list = field(default_factory=list)
@@ -118,16 +117,13 @@ class ReportBundle:
 
 
 def compute_gramian(system: DiscreteLTISystem, tau, side: str, cfg: JobConfig):
-    """One Gramian by the job's solver and settings; returns (object, records)."""
+    """One Gramian by the job's solver and settings."""
     if cfg.solver == "dense":
-        return dense_stein.tl_gramian_dense(system, tau, side), []
+        return dense_stein.tl_gramian_dense(system, tau, side)
     if cfg.solver == "smith":
-        approx = lowrank.smith_arnoldi(system, side, tau, cfg.solver_config)
-    else:
-        kind = "alternating-pm1" if cfg.solver == "rksm-pm1" else "adaptive-disc"
-        approx = lowrank.rksm(system, side, tau, lowrank.ShiftStrategy(kind=kind),
-                              cfg.solver_config)
-    return approx, approx.records
+        return lowrank.smith_arnoldi(system, side, tau, cfg.solver_config)
+    kind = "alternating-pm1" if cfg.solver == "rksm-pm1" else "adaptive-disc"
+    return lowrank.rksm(system, side, tau, lowrank.ShiftStrategy(kind=kind), cfg.solver_config)
 
 
 def _load_system(path: str | None, spec: ExampleSpec | None) -> DiscreteLTISystem:
@@ -185,14 +181,13 @@ def emit_error_csv(system: DiscreteLTISystem, roms: dict, input_kind: str,
     return "\n".join(lines) + "\n"
 
 
-def _solve_stats(obj, records) -> dict:
-    if not isinstance(obj, lowrank.GramianApprox):
-        return {}
-    built = records[-1].basis_columns if records else obj.rank
-    return {"columns_built": built, "rank_after_truncation": obj.rank,
-            "final_residual": obj.residual, "iterations": obj.iterations,
-            "deflated_columns": obj.deflated_columns,
-            "offspace_fallbacks": obj.offspace_fallbacks}
+def _solve_stats(approx) -> dict:
+    """The report's record of a low-rank solve."""
+    built = approx.records[-1].basis_columns if approx.records else approx.rank
+    return {"columns_built": built, "rank_after_truncation": approx.rank,
+            "final_residual": approx.residual, "iterations": approx.iterations,
+            "deflated_columns": approx.deflated_columns,
+            "offspace_fallbacks": approx.offspace_fallbacks}
 
 
 def blas_threads() -> int | None:
@@ -209,21 +204,18 @@ def blas_threads() -> int | None:
 def gramian_pairs(system: DiscreteLTISystem, cfg: JobConfig, bundle: ReportBundle | None = None):
     """``pair(tau) -> (reach, obs)``: both Gramians of ``system`` at one
     horizon by ``cfg.solver``, each horizon solved at most once.  With a
-    ``bundle``, the solves file their records and stats under 'bt' (tau=inf)
+    ``bundle``, the solves are kept in its ``gramians`` under 'bt' (tau=inf)
     or 'tlbt' (a window)."""
     pairs = {}
 
     def pair(tau):
         if tau not in pairs:
-            key = "bt" if math.isinf(tau) else "tlbt"
-            grams = []
-            for side in ("reach", "obs"):
-                gram, records = compute_gramian(system, tau, side, cfg)
-                if bundle is not None:
-                    bundle.convergence[(key, side)] = records
-                    bundle.gramian_meta[(key, side)] = _solve_stats(gram, records)
-                grams.append(gram)
-            pairs[tau] = tuple(grams)
+            pairs[tau] = tuple(compute_gramian(system, tau, side, cfg)
+                               for side in ("reach", "obs"))
+            if bundle is not None:
+                key = "bt" if math.isinf(tau) else "tlbt"
+                for side, gram in zip(("reach", "obs"), pairs[tau]):
+                    bundle.gramians[(key, side)] = gram
         return pairs[tau]
     return pair
 
@@ -237,16 +229,6 @@ def reduce_model(system: DiscreteLTISystem, method: str, tau, pair, order=None, 
     return rom
 
 
-def report_model(system: DiscreteLTISystem, rom, tau, pair, **kw):
-    """The bound report of ``rom`` over ``tau``.  Only the tau=inf pair feeds
-    it (a finite-window bound is summed), so ``pair`` is asked for that pair
-    only when the report uses it."""
-    reach = obs = None
-    if math.isinf(tau) or bounds_mod.inf_horizon_applies(system, rom, tau):
-        reach, obs = pair(math.inf)
-    return bounds_mod.build_bound_report(system, rom, tau, reach, obs, **kw)
-
-
 def run_pipeline(cfg: JobConfig) -> ReportBundle:
     """Execute one reduction job in memory (no files written)."""
     cfg.validate()
@@ -257,7 +239,7 @@ def run_pipeline(cfg: JobConfig) -> ReportBundle:
     for method in cfg.methods:
         rom = reduce_model(system, method, window, pair, cfg.order, cfg.hsv_tol)
         bundle.roms[method] = rom
-        bundle.reports[method] = report_model(system, rom, window, pair)
+        bundle.reports[method] = bounds_mod.build_bound_report(system, rom, window, pair)
 
     horizon = cfg.sim_horizon
     if horizon is None:
@@ -325,21 +307,22 @@ def write_bundle(bundle: ReportBundle, cfg: JobConfig) -> Path:
     try:
         for method, rom in bundle.roms.items():
             balancing.export_rom(rom, tmp / f"rom_{method}")
+        # a dense Gramian has no basis, solver stats or convergence records
+        solves = {f"{m}_{side}": gram for (m, side), gram in bundle.gramians.items()
+                  if gram.basis is not None}
         report_doc = {
             "blas_threads": blas_threads(),
             "config": _config_doc(cfg),
             "reports": {m: rep.to_dict() for m, rep in bundle.reports.items()},
             "e_max": {m: bundle.e_max[m] for m in sorted(bundle.e_max)},
-            "gramian_solves": {f"{m}_{side}": stats for (m, side), stats
-                               in sorted(bundle.gramian_meta.items()) if stats},
+            "gramian_solves": {key: _solve_stats(gram) for key, gram in solves.items()},
         }
         with open(tmp / "report.json", "w", encoding="utf-8") as fh:
             json.dump(report_doc, fh, indent=2, sort_keys=True)
             fh.write("\n")
-        for (method, side), records in bundle.convergence.items():
-            if records:
-                h, r = _records_csv(records)
-                write_csv(tmp / f"convergence_{method}_{side}.csv", h, r)
+        for key, gram in solves.items():
+            if gram.records:
+                write_csv(tmp / f"convergence_{key}.csv", *_records_csv(gram.records))
         write_csv(tmp / "errors.csv", bundle.error_header, bundle.error_rows)
         write_csv(tmp / "summary.csv",
                   ["method", "r", "e_max", "bound", "hsv_tail", "rho"],
@@ -363,12 +346,6 @@ def _config_doc(cfg: JobConfig) -> dict:
 
 # ---------------------------------------------------------------------------
 # argument parsing
-
-def _parse_tau(text: str) -> float:
-    if text.lower() in ("inf", "infinity"):
-        return math.inf
-    return float(int(text))
-
 
 def _add_system_source(p: argparse.ArgumentParser, require: bool = True):
     p.add_argument("--system", help="directory holding a serialized system")
@@ -426,13 +403,13 @@ def build_parser() -> argparse.ArgumentParser:
     gr = sub.add_parser("gramian", help="approximate one (time-limited) Gramian")
     _add_system_source(gr)
     gr.add_argument("--side", choices=("reach", "obs"), default="reach")
-    gr.add_argument("--tau", type=_parse_tau, required=True)
+    gr.add_argument("--tau", type=float, required=True)
     _add_solver_flags(gr)
     gr.add_argument("--out", required=True, help="output directory for factors + records")
 
     rd = sub.add_parser("reduce", help="balanced truncation to a reduced model")
     _add_system_source(rd)
-    rd.add_argument("--tau", type=_parse_tau, required=True)
+    rd.add_argument("--tau", type=float, required=True)
     rd.add_argument("--method", choices=("bt", "tlbt"), default="tlbt")
     rd.add_argument("--order", type=int)
     rd.add_argument("--hsv-tol", type=float)
@@ -442,7 +419,7 @@ def build_parser() -> argparse.ArgumentParser:
     bd = sub.add_parser("bounds", help="error bounds for a reduced model")
     _add_system_source(bd)
     bd.add_argument("--rom", required=True, help="reduced model directory")
-    bd.add_argument("--tau", type=_parse_tau, required=True)
+    bd.add_argument("--tau", type=float, required=True)
     bd.add_argument("--constants", choices=("eigen", "numerical-radius"),
                     help="envelope constants of the thm32 bound (needs --balanced-expressions)")
     bd.add_argument("--balanced-expressions", action="store_true",
@@ -458,7 +435,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     pl = sub.add_parser("pipeline", help="full generate/reduce/bounds/simulate job")
     _add_system_source(pl)
-    pl.add_argument("--tau", type=_parse_tau, required=True)
+    pl.add_argument("--tau", type=float, required=True)
     pl.add_argument("--method", choices=("bt", "tlbt", "both"), default="both")
     pl.add_argument("--order", type=int)
     pl.add_argument("--hsv-tol", type=float)
@@ -484,17 +461,20 @@ def _cmd_generate(args) -> int:
 def _cmd_gramian(args) -> int:
     cfg = _job_config(args)
     system = _load_system(cfg.system_path, cfg.example)
-    result, records = compute_gramian(system, args.tau, args.side, cfg)
+    result = compute_gramian(system, args.tau, args.side, cfg)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    if isinstance(result, lowrank.GramianApprox):
+    if result.basis is not None:
         sio.mmwrite(out / "basis.mtx", result.basis, precision=17)
         sio.mmwrite(out / "core.mtx", result.core, precision=17)
         summary = {"rank": result.rank, "iterations": result.iterations,
                    "residual": result.residual, "deflated_columns": result.deflated_columns}
+        if result.records:
+            write_csv(out / "convergence.csv", *_records_csv(result.records))
     else:
-        sio.mmwrite(out / "gramian.mtx", result.gramian, precision=17)
-        lam = np.linalg.eigvalsh(0.5 * (result.gramian + result.gramian.T))
+        P = result.matrix()
+        sio.mmwrite(out / "gramian.mtx", P, precision=17)
+        lam = np.linalg.eigvalsh(0.5 * (P + P.T))
         # the numerical rank, by the 1e-12 rule of lowrank.truncate_factor
         summary = {"rank": int(np.sum(lam > 1e-12 * lam.max(initial=0.0))),
                    "iterations": None,
@@ -506,9 +486,6 @@ def _cmd_gramian(args) -> int:
     with open(out / "summary.json", "w", encoding="utf-8") as fh:
         json.dump(summary, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    if records:
-        h, r = _records_csv(records)
-        write_csv(out / "convergence.csv", h, r)
     print(f"gramian side={args.side} written to {out}")
     return 0
 
@@ -526,6 +503,7 @@ def _cmd_reduce(args) -> int:
 
 
 def _cmd_bounds(args) -> int:
+    check_horizon(args.tau, "--tau")
     system = _load_system(*_system_from_args(args))
     rom_sys = read_system(args.rom)
     with open(Path(args.rom) / "manifest.json", encoding="utf-8") as fh:
@@ -538,15 +516,14 @@ def _cmd_bounds(args) -> int:
 
     if args.constants and not args.balanced_expressions:
         raise ConfigError("--constants needs --balanced-expressions")
-    check_horizon(args.tau, "--tau")
     pair = gramian_pairs(system, JobConfig(solver="dense"))
     # the Hankel spectrum of the model's own method, as `reduce` computes it
     rom = replace(reduce_model(system, method, args.tau, pair, order=rom_sys.n), system=rom_sys)
     bal = None
     if args.balanced_expressions:
         bal = balancing.balance_dense(system, *pair(rom.horizon), rom.horizon)
-    report = report_model(system, rom, args.tau, pair, bal=bal,
-                          constants_method=args.constants)
+    report = bounds_mod.build_bound_report(system, rom, args.tau, pair, bal=bal,
+                                           constants_method=args.constants)
     text = report.to_json() + "\n"
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:

@@ -34,12 +34,37 @@ class DenseGramianPair:
     standard-form matrix (M^{-1}A)^tau M^{-1}B; for the observability side
     (solved on the adjoint system) ``gramian`` is the mass-adjusted Q and
     ``tl_term`` the adjoint analogue.  ``tl_term`` is None for the infinite
-    horizon.
+    horizon.  It shares the Gramian interface of ``lowrank.GramianApprox``
+    (:meth:`matrix`, :meth:`factor`, :meth:`output_trace` and ``basis``), so
+    no other module needs to know how a Gramian is stored.
     """
     gramian: np.ndarray
     tl_term: np.ndarray | None
     horizon: float
     side: str
+    basis = None   # dense storage has no Krylov basis
+
+    def matrix(self) -> np.ndarray:
+        """The dense Gramian itself."""
+        return self.gramian
+
+    def factor(self) -> np.ndarray:
+        """Z with Z Z^T equal to the Gramian, negligible directions dropped."""
+        return psd_factor(self.gramian)
+
+    def output_trace(self, C: np.ndarray) -> float:
+        """trace(C P C^T).  On the observability side P is the reachability
+        Gramian of the adjoint system, whose C is B^T (the mass-adjusted
+        Gramian makes the original B correct here)."""
+        return float(np.trace(C @ self.gramian @ C.T))
+
+
+def psd_factor(P: np.ndarray, tol: float = 1e-14) -> np.ndarray:
+    """Z with Z Z^T = P for symmetric PSD P, discarding negligible directions."""
+    lam, U = np.linalg.eigh(0.5 * (P + P.T))
+    lmax = float(lam.max(initial=0.0))
+    keep = lam > tol * max(lmax, 1e-300)
+    return U[:, keep] * np.sqrt(lam[keep])
 
 
 def _check_square_symmetric(A: np.ndarray, W: np.ndarray) -> None:

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .dense_stein import solve_projected_tl, window_sum
+from .dense_stein import psd_factor, solve_projected_tl, window_sum
 from .exceptions import BreakdownError, ConvergenceError, SolvabilityError
 from .system import DiscreteLTISystem, check_horizon
 
@@ -119,7 +119,8 @@ class KrylovState:
 
 @dataclass
 class GramianApprox:
-    """Low-rank factored Gramian approximation basis @ core @ basis^T.
+    """Low-rank factored Gramian approximation basis @ core @ basis^T, with
+    the Gramian interface of ``dense_stein.DenseGramianPair``.
 
     ``tl_term`` is the lifted horizon term (approximates the standard-form
     (M^{-1}A)^tau M^{-1}B on the solved side), None for infinite horizons.
@@ -145,9 +146,12 @@ class GramianApprox:
 
     def factor(self) -> np.ndarray:
         """Cholesky-like factor Z with Z Z^T equal to the approximation."""
-        lam, U = np.linalg.eigh(0.5 * (self.core + self.core.T))
-        keep = lam > 0.0
-        return self.basis @ (U[:, keep] * np.sqrt(lam[keep]))
+        return self.basis @ psd_factor(self.core)
+
+    def output_trace(self, C: np.ndarray) -> float:
+        """trace(C P C^T), as ``DenseGramianPair.output_trace``, through the basis."""
+        CQ = C @ self.basis
+        return float(np.trace(CQ @ self.core @ CQ.T))
 
     def matrix(self) -> np.ndarray:
         """Assemble the dense approximation (desk scale only)."""
@@ -564,6 +568,8 @@ def rksm(sys: DiscreteLTISystem, side: str, tau,
         records.append(ConvergenceRecord(k, Q.shape[1], res, fF, s))
 
         if res <= cfg.tol:
+            del W, Wbuf   # nothing reads A Q again: free its buffer before truncating
+            state.image = None
             approx = GramianApprox(
                 basis=Q, core=Y, tl_term=None if Fhat is None else _thin_product(Q, Fhat),
                 side=side, horizon=tau, iterations=k, residual=res,

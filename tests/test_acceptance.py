@@ -372,7 +372,7 @@ def test_criterion_10_bt_stability_and_unstable_tlbt_handling():
         tl_o = tl_gramian_dense(s, tau, "obs")
         rom_tl, _ = square_root_truncate(tl_r, tl_o, s, tau, order=6, method="tlbt")
         if rom_tl.spectral_radius() >= 1.0:
-            report = build_bound_report(s, rom_tl, tau, reach=tl_r, obs=tl_o)
+            report = build_bound_report(s, rom_tl, tau)
             assert report.flags["rom_unstable"]
             assert report.prop23.epsilon is not None and np.isfinite(report.prop23.epsilon)
             assert report.inf_horizon is None

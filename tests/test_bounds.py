@@ -423,7 +423,7 @@ class TestBoundReport:
         bal = balance_dense(s, reach, obs, tau)
         inf_reach = tl_gramian_dense(s, math.inf, "reach")
         inf_obs = tl_gramian_dense(s, math.inf, "obs")
-        report = build_bound_report(s, rom, tau, reach=inf_reach, obs=inf_obs, bal=bal,
+        report = build_bound_report(s, rom, tau, lambda t: (inf_reach, inf_obs), bal=bal,
                                     constants_method="eigen")
         doc = report.to_dict()
         assert doc["prop23"]["epsilon"] >= 0
@@ -436,6 +436,37 @@ class TestBoundReport:
         text = report.to_json()
         import json
         assert json.loads(text)["method"] == "tlbt"
+
+    def test_report_asks_for_the_inf_pair_where_it_uses_it(self):
+        # the tau=inf pair feeds only the trace form: the output bound at
+        # tau = inf, and the tau=inf norm of a stable model without a BT bal
+        def counted(s):
+            calls = []
+
+            def pair(tau):
+                calls.append(tau)
+                return tl_gramian_dense(s, tau, "reach"), tl_gramian_dense(s, tau, "obs")
+            return pair, calls
+
+        def reduce(s, tau, method):
+            grams = counted(s)[0](tau)
+            return square_root_truncate(*grams, s, tau, order=4, method=method)[0]
+
+        s = random_stable_system(21, 10, 2, 2)
+        bt, tlbt = reduce(s, math.inf, "bt"), reduce(s, 20, "tlbt")
+        # the first unstable TLBT model of the criterion-10 family
+        unstable = random_stable_system(8006, 16, 2, 2, radius=0.97)
+        unstable_tlbt = reduce(unstable, 8, "tlbt")
+        assert tlbt.spectral_radius() < 1.0 <= unstable_tlbt.spectral_radius()
+        bal = balance_dense(s, *counted(s)[0](math.inf))
+        for system, rom, tau, rom_bal, asks in ((s, bt, math.inf, None, 1),
+                                                (s, tlbt, 20, None, 1),
+                                                (unstable, unstable_tlbt, 8, None, 0),
+                                                (s, bt, 20, bal, 0)):
+            pair, calls = counted(system)
+            report = build_bound_report(system, rom, tau, pair, bal=rom_bal)
+            assert calls == [math.inf] * asks
+            assert report.inf_horizon is not None or rom is unstable_tlbt
 
     def test_prop23_equals_thm31_for_tlbt(self):
         # the tailored expression evaluates the same squared norm
@@ -450,7 +481,7 @@ class TestBoundReport:
         s, inf_reach, inf_obs, rom = _lowrank_bt_jacobi()
         tau = 50
         meta = dict(s.meta)
-        low = build_bound_report(s, rom, tau, reach=inf_reach, obs=inf_obs)
+        low = build_bound_report(s, rom, tau, lambda t: (inf_reach, inf_obs))
         ref = bound_output_tl(s, rom.system, math.inf, inf_reach, inf_obs)
         assert low.inf_horizon.epsilon_squared == ref.epsilon_squared
         inf = low.to_dict()["inf_horizon"]

@@ -69,7 +69,7 @@ class TestRunPipeline:
         bundle = run_pipeline(cfg)
         rom = bundle.roms["tlbt"]
         assert rom.hsv_tail() <= 1e-2
-        assert bundle.convergence[("tlbt", "reach")]
+        assert bundle.gramians[("tlbt", "reach")].records
         assert not bundle.reports["tlbt"].flags["large_scale_approximate"]
 
 
@@ -94,7 +94,7 @@ class TestRunPipeline:
         assert report.inf_horizon.epsilon_squared > 0
         assert sorted(calls) == [(50, "obs"), (50, "reach"),
                                  (math.inf, "obs"), (math.inf, "reach")]
-        assert bundle.gramian_meta[("bt", "reach")]["final_residual"] <= cfg.solver_config.tol
+        assert bundle.gramians[("bt", "reach")].residual <= cfg.solver_config.tol
 
 
     def test_bt_only_window_run_solves_no_window_gramians(self, monkeypatch, tmp_path):
@@ -138,8 +138,8 @@ class TestRunPipeline:
         assert sorted(solves) == ["bt_obs", "bt_reach", "tlbt_obs", "tlbt_reach"]
         for key, stats in solves.items():
             method, side = key.split("_")
-            gram, _ = dtmor.cli.compute_gramian(bundle.system, math.inf if method == "bt"
-                                                else cfg.tau, side, cfg)
+            gram = dtmor.cli.compute_gramian(bundle.system, math.inf if method == "bt"
+                                             else cfg.tau, side, cfg)
             assert stats["deflated_columns"] == gram.deflated_columns
             assert stats["offspace_fallbacks"] == gram.offspace_fallbacks == 0
 
@@ -392,6 +392,24 @@ class TestMainExitCodes:
         capsys.readouterr()
         assert code == 3
 
+    def test_failing_inf_pair_of_the_report_exits_3(self, tmp_path, capsys, monkeypatch):
+        # a TLBT job solves the tau=inf pair only for its report, and a failing
+        # solve there ends the job, not just its inf_horizon
+        real, asked = dtmor.cli.compute_gramian, []
+
+        def failing(system, tau, side, cfg):
+            if math.isinf(tau):
+                asked.append(side)
+                raise dtmor.cli.SolvabilityError("no tau=inf pair")
+            return real(system, tau, side, cfg)
+        monkeypatch.setattr(dtmor.cli, "compute_gramian", failing)
+        code = main(["pipeline", "--kind", "gauss-seidel", "--size", "6", "--inputs", "2",
+                     "--outputs", "2", "--seed", "3", "--tau", "25", "--order", "4",
+                     "--method", "tlbt", "--out", str(tmp_path / "j")])
+        assert "solver failure" in capsys.readouterr().err
+        assert code == 3 and asked == ["reach"]
+        assert not (tmp_path / "j").exists()
+
     def test_singular_mass_matrix_exits_3(self, tmp_path, capsys):
         path = tmp_path / "sys"
         write_system(generate_example(ExampleSpec(kind="jacobi", size=3)), path)
@@ -467,6 +485,36 @@ class TestMainExitCodes:
                          "--tau", "30", "--out", str(out)]) == 0
             assert json.loads(out.read_text()) == doc["reports"][method]
         capsys.readouterr()
+
+    @pytest.mark.parametrize("text,whole", [("50.0", "50"), ("1e2", "100")])
+    def test_tau_in_float_notation_runs_like_the_whole_number(self, tmp_path, capsys,
+                                                               text, whole):
+        # --tau is read as a float, and check_horizon is the one horizon rule
+        source = ["--kind", "gauss-seidel", "--size", "6", "--inputs", "2",
+                  "--outputs", "2", "--seed", "3"]
+        for tau in (text, whole):
+            assert main(["pipeline", *source, "--tau", tau, "--order", "4", "--method", "both",
+                         "--solver", "dense", "--out", str(tmp_path / tau)]) == 0
+        capsys.readouterr()
+        files = sorted(p.relative_to(tmp_path / whole)
+                       for p in (tmp_path / whole).rglob("*") if p.is_file())
+        assert files
+        for f in files:
+            assert (tmp_path / text / f).read_bytes() == (tmp_path / whole / f).read_bytes()
+
+    @pytest.mark.parametrize("command", ["pipeline", "reduce", "gramian", "bounds"])
+    def test_fractional_tau_exits_2_before_any_solve(self, tmp_path, capsys, monkeypatch,
+                                                     command):
+        monkeypatch.setattr(dtmor.cli, "compute_gramian",
+                            lambda *args: pytest.fail("a Gramian was solved"))
+        extra = {"pipeline": ["--order", "3"], "reduce": ["--order", "3"], "gramian": [],
+                 "bounds": ["--rom", str(tmp_path / "rom")]}[command]
+        code = main([command, "--kind", "jacobi", "--size", "4", "--tau", "2.5", *extra,
+                     "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "configuration error" in err and "--tau" in err
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("tau", ["0", "-4"])
     def test_bounds_tau_below_one_exits_2_before_any_solve(self, tmp_path, capsys,

@@ -360,6 +360,19 @@ class TestTruncateFactor:
         a = self._approx(np.eye(2), np.diag([1.0, -1e-15]))
         assert truncate_factor(a, 1e-12).rank == 1
 
+    def test_dense_and_low_rank_storage_agree(self):
+        # the Gramian interface: the same P stored either way gives the same
+        # factor product and output trace
+        s = random_stable_system(62, 30, 2, 3)
+        a = smith_arnoldi(s, "reach", 12)
+        d = dense_stein.DenseGramianPair(a.matrix(), a.tl_term, a.horizon, a.side)
+        assert a.basis is not None and d.basis is None
+        P = a.matrix()
+        for g in (a, d):
+            Z = g.factor()
+            assert np.linalg.norm(Z @ Z.T - P) <= 1e-12 * np.linalg.norm(P)
+        assert a.output_trace(s.C) == pytest.approx(d.output_trace(s.C), rel=1e-12)
+
     def test_residual_still_small_after_truncation(self):
         s = random_stable_system(61, 40, 2, 2)
         tau = 60
@@ -450,6 +463,29 @@ class TestGrowthBuffers:
         assert columns > capacity // 2 > 2
         old, new = 8 * s.n * capacity // 2, 8 * s.n * capacity
         assert peak < 2 * (old + new)
+
+    def test_peak_is_reached_before_truncation(self, monkeypatch):
+        # n=1600 and 122 columns in 128-column buffers: nothing reads W after
+        # the last evaluation, so its buffer must be free before truncate_factor
+        # forms the truncated basis
+        s = generate_example(ExampleSpec(kind="jacobi", size=40, inputs=2, outputs=2, seed=1))
+        real, peaks = lowrank.truncate_factor, []
+
+        def traced(approx):
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            tracemalloc.reset_peak()
+            out = real(approx)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            return out
+        monkeypatch.setattr(lowrank, "truncate_factor", traced)
+        tracemalloc.start()
+        try:
+            a = rksm(s, "reach", 50)
+        finally:
+            tracemalloc.stop()
+        assert a.records[-1].basis_columns == 122
+        before, inside = peaks
+        assert inside < before
 
 
 class TestLazyProjection:

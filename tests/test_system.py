@@ -376,6 +376,23 @@ def test_only_system_module_names_a_factorization():
         assert not names & banned, f"{path.name} names {sorted(names & banned)}"
 
 
+def test_only_the_solver_modules_name_a_gramian_type():
+    # the Gramian rule: how a Gramian is stored is known by dense_stein and
+    # lowrank only; other modules use its factor(), matrix(), output_trace(C)
+    # and basis
+    banned = {"GramianApprox", "DenseGramianPair"}
+    src = Path(dtmor.system.__file__).parent
+    for path in sorted(src.glob("*.py")):
+        if path.name in ("dense_stein.py", "lowrank.py", "__init__.py"):
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        names |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+        names |= {alias.name for node in ast.walk(tree)
+                  if isinstance(node, ast.ImportFrom) for alias in node.names}
+        assert not names & banned, f"{path.name} names {sorted(names & banned)}"
+
+
 def _truncate(s, tau):
     pair = tl_gramian_dense(s, 5), tl_gramian_dense(s, 5, "obs")
     return square_root_truncate(*pair, s, tau, order=1)
