@@ -21,7 +21,7 @@ from .system import DiscreteLTISystem, check_horizon
 
 _DEFLATION_TOL = 1e-13
 _REAL_SHIFT_TOL = 1e-14
-_THIN_COLUMNS = 4   # widest block that _thin_product splits into gemv calls
+_THIN_COLUMNS = 4   # widest block that _thin_product shapes by hand
 _CHECK_WIDTH = 10   # probe columns of the off-space factor's check
 
 
@@ -31,8 +31,9 @@ class SolverConfig:
 
     ``tol`` is the scaled-residual target, ``tl_term_tol`` the relative
     norm-wise change below which the horizon term is considered settled,
-    and ``cadence`` how often (in iterations) the projected problem is
-    solved.  The returned factors are compressed by :func:`truncate_factor`.
+    and ``cadence`` how often (in steps) the projected problem is solved;
+    ``max_iterations`` also counts steps.  The returned factors are
+    compressed by :func:`truncate_factor`.
     """
     tol: float = 1e-8
     tl_term_tol: float = 1e-8
@@ -52,10 +53,10 @@ class SolverConfig:
 class ShiftStrategy:
     """Shift selection policy for the rational Krylov solver.
 
-    'alternating-pm1' cycles +1/-1 so only two shifted factorizations are
-    ever needed; 'adaptive-disc' maximizes the current rational node
-    function over ``grid_points`` equispaced unit-circle points, emitting
-    complex shifts in conjugate pairs.
+    'alternating-pm1' applies both +1 and -1 in every step, so only two
+    shifted factorizations are ever needed; 'adaptive-disc' maximizes the
+    current rational node function over ``grid_points`` equispaced
+    unit-circle points, emitting complex shifts in conjugate pairs.
     """
     kind: str = "alternating-pm1"
     grid_points: int = 200
@@ -189,11 +190,19 @@ def _orth_columns(X: np.ndarray, tol: float = _DEFLATION_TOL, scale: float | Non
 
 
 def _thin_product(A: np.ndarray, X: np.ndarray) -> np.ndarray:
-    """A @ X, one gemv per column when X is thin: a gemm with a handful of
-    columns runs several times below memory speed, a gemv at it."""
-    if not 0 < X.shape[1] <= _THIN_COLUMNS:
+    """A @ X in the form that runs at memory speed when X is thin: a plain
+    gemm with a handful of columns runs well below it.  One or two columns
+    take one gemv each; a tall A (a basis times coefficients) is multiplied
+    as (X^T A^T)^T; a wide A (a basis transposed) takes one gemm on a
+    Fortran-ordered X."""
+    w = X.shape[1]
+    if not 0 < w <= _THIN_COLUMNS:
         return A @ X
-    return np.column_stack([A @ X[:, j] for j in range(X.shape[1])])
+    if w <= 2:
+        return np.column_stack([A @ X[:, j] for j in range(w)])
+    if A.shape[0] > A.shape[1]:
+        return (X.T @ A.T).T
+    return A @ np.asfortranarray(X)
 
 
 def _thin_norm(X: np.ndarray) -> float:
@@ -217,11 +226,12 @@ def _gap_norm(U: np.ndarray, V: np.ndarray | None = None) -> float:
 
 
 def _append_columns(buf: np.ndarray, used: int, X: np.ndarray):
-    """Write X after column ``used`` of the Fortran-ordered buffer ``buf``, doubling
-    its capacity if X does not fit; returns the buffer and its filled columns."""
+    """Write X after column ``used`` of the Fortran-ordered buffer ``buf``; if X
+    does not fit, the buffer grows to the next power of two at or above the
+    columns it needs.  Returns the buffer and its filled columns."""
     need = used + X.shape[1]
     if need > buf.shape[1]:
-        grown = np.empty((buf.shape[0], max(need, 2 * buf.shape[1])), order="F")
+        grown = np.empty((buf.shape[0], 1 << (need - 1).bit_length()), order="F")
         grown[:, :used] = buf[:, :used]
         buf = grown
     buf[:, used:need] = X
@@ -265,7 +275,8 @@ def _gram_schmidt_block(Q: np.ndarray | None, X: np.ndarray, tol: float = _DEFLA
 def next_shift(strategy: ShiftStrategy, state: KrylovState) -> complex:
     """Pick the next rational-Krylov shift.
 
-    Alternating strategy: (-1)^j for step j = 2, 3, ...; adaptive strategy:
+    Alternating strategy: (-1)^j for shift j = 2, 3, ..., so +1 at the start
+    of every paired step of ``rksm``; adaptive strategy:
     the unit-circle grid point maximizing the rational node function built
     from current Ritz values (numerator) and past shifts (denominator, each
     repeated block-width times).  A complex shift is always followed by its
@@ -469,6 +480,12 @@ def rksm(sys: DiscreteLTISystem, side: str, tau,
          observer=None) -> GramianApprox:
     """Rational Krylov subspace solver for (time-limited) Stein equations.
 
+    A step applies one pole, a conjugate pair (one complex solve), or with
+    ``alternating-pm1`` both +1 and -1: a rational Krylov space depends only
+    on its poles (Berljafa & Güttel, SIAM J. Sci. Comput. 39 (2017)), so one
+    Gram-Schmidt pass over the basis serves both poles' 2m columns.  Both
+    poles enter ``shifts``; a record keeps the first.
+
     At every cadence point the projected problem is solved and the scaled
     residual is evaluated through the compressed formula.  For finite tau
     one walk of H over the window (:func:`window_sum` on H and Q^T B) gives
@@ -506,23 +523,40 @@ def rksm(sys: DiscreteLTISystem, side: str, tau,
     fF: float | None = None
     deflated = fallbacks = 0
 
+    newest: dict = {}   # pole of the last grown step -> (that step's new block, its core columns)
+
+    def expand(pole):
+        """The pole's candidate columns: its solve continued from the pole's own
+        newest directions (the left singular vectors of its columns of the last
+        Gram-Schmidt core), or from the newest basis columns for a new pole."""
+        state.shifts.append(pole)
+        if pole not in solvers:
+            solvers[pole] = _shift_solver(work, pole)
+        if pole in newest:
+            block, part = newest[pole]
+            start = block @ np.linalg.svd(part, full_matrices=False)[0]
+        else:
+            start = Q[:, -min(work.m, Q.shape[1]):]
+        g = solvers[pole](start)
+        if abs(pole.imag) <= _REAL_SHIFT_TOL:
+            return np.real(g)
+        # one complex solve yields the whole conjugate pair as two real
+        # columns; mark the conjugate shift as consumed
+        state.shifts.append(pole.conjugate())
+        return np.hstack([g.real, g.imag])
+
     for k in range(1, cfg.max_iterations + 1):
         s = next_shift(shifts, state)
-        state.shifts.append(s)
-        if s not in solvers:
-            solvers[s] = _shift_solver(work, s)
-        g = solvers[s](Q[:, -min(work.m, Q.shape[1]):])
-        if abs(s.imag) <= _REAL_SHIFT_TOL:
-            cand = np.real(g)
-        else:
-            # one complex solve yields the whole conjugate pair as two real
-            # columns; mark the conjugate shift as consumed
-            state.shifts.append(s.conjugate())
-            cand = np.hstack([g.real, g.imag])
-        nb, _, _ = _gram_schmidt_block(Q, cand)
-        deflated += cand.shape[1] - nb.shape[1]
+        poles = [s, -s] if shifts.kind == "alternating-pm1" else [s]   # a +-1 step applies both
+        blocks = [expand(pole) for pole in poles]
+        widths = [b.shape[1] for b in blocks]
+        nb, _, core = _gram_schmidt_block(Q, np.hstack(blocks))
+        del blocks   # the solves' columns are in nb: free them before the buffers regrow
+        deflated += sum(widths) - nb.shape[1]
         grew = nb.shape[1] > 0
         if grew:
+            cores = np.split(core, np.cumsum(widths[:-1]), axis=1)
+            newest = {pole: (nb, c) for pole, c in zip(poles, cores)}
             Wn = work.apply_dynamics(nb)
             state.basis = state.image = None   # so a regrown Q frees its old buffer before W regrows
             Qbuf, Q = _append_columns(Qbuf, Q.shape[1], nb)

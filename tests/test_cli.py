@@ -741,7 +741,7 @@ class TestMainExitCodes:
                      "--solver", "rksm-pm1", "--out", str(out)]) == 0
         capsys.readouterr()
         summary = json.loads((out / "summary.json").read_text())
-        assert summary["iterations"] == 4 and summary["rank"] == 3
+        assert summary["iterations"] == 3 and summary["rank"] == 3
         assert summary["residual"] <= 1e-12
 
 

@@ -464,6 +464,22 @@ class TestGrowthBuffers:
         old, new = 8 * s.n * capacity // 2, 8 * s.n * capacity
         assert peak < 2 * (old + new)
 
+    def test_capacities_are_powers_of_two(self):
+        # a +-1 step appends 2m columns to an m-column start: the capacity is
+        # the next power of two at or above the filled columns
+        m, n = 2, 7
+        buf, filled = lowrank._append_columns(np.empty((n, 0), order="F"), 0, np.ones((n, m)))
+        capacities = [buf.shape[1]]
+        for j in range(1, 70):
+            block = np.full((n, 2 * m), float(j))
+            buf, filled = lowrank._append_columns(buf, filled.shape[1], block)
+            columns = m + 2 * m * j
+            assert filled.shape == (n, columns) and buf.flags.f_contiguous
+            assert np.array_equal(filled[:, -2 * m:], block) and not (filled[:, :m] - 1.0).any()
+            assert buf.shape[1] == 2 ** math.ceil(math.log2(columns))
+            capacities.append(buf.shape[1])
+        assert sorted(set(capacities)) == [2, 8, 16, 32, 64, 128, 256, 512]
+
     def test_peak_is_reached_before_truncation(self, monkeypatch):
         # n=1600 and 122 columns in 128-column buffers: nothing reads W after
         # the last evaluation, so its buffer must be free before truncate_factor
@@ -507,10 +523,11 @@ class TestLazyProjection:
         assert seen and max(seen) <= 1e-12
 
     def test_basis_wide_products_per_step(self, monkeypatch):
-        # per step: two Gram-Schmidt passes of two products each, and two more
-        # for a third pass; per evaluation: two to extend H, one for Q^T B,
-        # eight for the off-space factor at one sketch width and one for the
-        # residual.  H is not extended between evaluations.
+        # per step (both poles, one 2m-column block): two Gram-Schmidt passes of
+        # two products each, and two more for a third pass; per evaluation: two
+        # to extend H, one for Q^T B, eight for the off-space factor at one
+        # sketch width and one for the residual.  H is not extended between
+        # evaluations, and a pole's continuation reads only the new block.
         s = generate_example(ExampleSpec(kind="jacobi", size=20, inputs=2, outputs=2, seed=1))
         count = dict(products=0, orth=0, thirds=0, evaluations=0)
         product, orth, gram_schmidt = lowrank._thin_product, lowrank._orth_columns, lowrank._gram_schmidt_block
@@ -542,6 +559,84 @@ class TestLazyProjection:
         assert a.residual <= SolverConfig().tol and a.offspace_fallbacks == 0
         assert count["evaluations"] == math.ceil(a.iterations / 5)
         assert count["products"] <= 4 * a.iterations + 2 * count["thirds"] + 12 * count["evaluations"]
+
+
+class TestPairedSteps:
+    """A +-1 step applies both poles, each continued from its own newest directions."""
+
+    def test_basis_spans_the_rational_krylov_space(self):
+        # the space depends only on the poles: after j steps the basis spans
+        # [B, (A - I)^-1 B, (A + I)^-1 B, ..., (A - I)^-j B, (A + I)^-j B]
+        s = generate_example(ExampleSpec(kind="gauss-seidel", size=8, inputs=2, outputs=2, seed=1))
+        Ad, Bd, _ = oracles.dense_standard(s)
+        bases = {}
+
+        def observer(state, core, tl_term, res_abs):
+            bases[len(state.shifts) // 2] = state.basis.copy()
+
+        with pytest.raises(ConvergenceError):
+            rksm(s, "reach", math.inf, ShiftStrategy("alternating-pm1"),
+                 SolverConfig(tol=1e-12, tl_term_tol=1e-12, cadence=1, max_iterations=4),
+                 observer=observer)
+        assert sorted(bases) == [1, 2, 3, 4]
+        blocks, plus, minus = [Bd], Bd, Bd
+        for j in range(1, 5):
+            plus = np.linalg.solve(Ad - np.eye(s.n), plus)
+            minus = np.linalg.solve(Ad + np.eye(s.n), minus)
+            blocks += [plus / np.linalg.norm(plus, axis=0), minus / np.linalg.norm(minus, axis=0)]
+            K = np.linalg.svd(np.hstack(blocks), full_matrices=False)[0]
+            Q = bases[j]
+            assert Q.shape == K.shape == (s.n, 2 + 4 * j)
+            assert np.linalg.norm(Q - K @ (K.T @ Q), 2) <= 1e-8   # sine of the largest angle
+
+    def test_two_factorizations_and_two_solves_per_step(self, monkeypatch):
+        s = generate_example(ExampleSpec(kind="jacobi", size=20, inputs=2, outputs=2, seed=1))
+        shift_solver, gram_schmidt = lowrank._shift_solver, lowrank._gram_schmidt_block
+        count = dict(factorizations=0, solves=0)
+        widths = []
+
+        def counted_shift_solver(work, pole):
+            count["factorizations"] += 1
+            solve = shift_solver(work, pole)
+
+            def counted_solve(b):
+                count["solves"] += 1
+                return solve(b)
+            return counted_solve
+
+        def recorded_gram_schmidt(Q, X):
+            widths.append(X.shape[1])
+            return gram_schmidt(Q, X)
+
+        monkeypatch.setattr(lowrank, "_shift_solver", counted_shift_solver)
+        monkeypatch.setattr(lowrank, "_gram_schmidt_block", recorded_gram_schmidt)
+        m = 2
+        for side in ("reach", "obs"):
+            for tau in (50, math.inf):
+                count.update(factorizations=0, solves=0)
+                widths.clear()
+                a = rksm(s, side, tau, ShiftStrategy("alternating-pm1"))
+                assert a.residual <= SolverConfig().tol and a.deflated_columns == 0
+                assert count == dict(factorizations=2, solves=2 * a.iterations)
+                assert widths == [2 * m] * a.iterations
+                assert a.records[-1].basis_columns == m + 2 * m * a.iterations
+                assert a.shifts == [1.0, -1.0] * a.iterations
+                assert all(r.shift == 1.0 for r in a.records)
+
+
+class TestThinProduct:
+    @pytest.mark.parametrize("width", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_matches_the_plain_product(self, width, order):
+        rng = np.random.default_rng(10)
+        n, k = 700, 40
+        Q = np.asfortranarray(np.linalg.qr(rng.standard_normal((n, k)))[0])
+        for A, rows in ((Q, k), (Q.T, n)):
+            X = np.asarray(rng.standard_normal((rows, width)), order=order)
+            want = A @ X
+            got = lowrank._thin_product(A, X)
+            assert got.shape == want.shape
+            assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
 
 
 class TestThinNorms:
