@@ -23,7 +23,6 @@ from .bounds import (
     bound_theorem32,
     build_bound_report,
     error_expr_tlbt,
-    hsv_tail_bound,
     numerical_radius,
     tl_h2_inner,
     tl_h2_norm,

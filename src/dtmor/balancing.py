@@ -12,12 +12,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from .config import check_dense_cap
 from .dense_stein import psd_factor
 from .exceptions import BalancingError, DimensionMismatchError
-from .system import DiscreteLTISystem, check_horizon, write_system
+from .system import DiscreteLTISystem, check_horizon, dense_array, write_system
 
 _KERNEL_TOL = 1e-12
 _VERIFY_TOL = 1e-8   # relative diagonalization error balance_dense accepts
@@ -172,8 +171,7 @@ def square_root_truncate(ZP, ZQ, sys: DiscreteLTISystem, tau,
     if ZP.shape[1] == 0 or ZQ.shape[1] == 0:
         raise BalancingError("zero Gramian factor")
 
-    MZP = ZP if sys.M is None else sys.M @ ZP
-    U, svals, Vt = np.linalg.svd(ZQ.T @ MZP, full_matrices=False)
+    U, svals, Vt = np.linalg.svd(ZQ.T @ sys.apply_mass(ZP), full_matrices=False)
     V = Vt.T
     U, V = _fix_svd_signs(U, V)
     rank = int(np.sum(svals > _KERNEL_TOL * max(svals[0], 1e-300)))
@@ -196,7 +194,7 @@ def square_root_truncate(ZP, ZQ, sys: DiscreteLTISystem, tau,
     Ahat = Wgen.T @ (A @ Vproj)
     Bhat = Wgen.T @ B
     Chat = C @ Vproj
-    Wleft = Wgen if sys.M is None else sys.M.T @ Wgen
+    Wleft = sys.apply_mass(Wgen, trans=True)
 
     rom_sys = DiscreteLTISystem(Ahat, Bhat, Chat, meta={
         "kind": "reduced", "seed": sys.meta.get("seed"),
@@ -230,7 +228,7 @@ def balance_dense(sys: DiscreteLTISystem, P, Q, tau=math.inf) -> BalancedRealiza
     if sys.is_generalized:
         # the observability-side solution is mass-adjusted; undo it for the
         # standard coordinates of the identities
-        M = sys.M.toarray() if sp.issparse(sys.M) else sys.M
+        M = dense_array(sys.M)
         Qm = M.T @ Qadj @ M
     svals = spectrum.values[:rom.r]
     Sig = np.diag(svals)

@@ -21,13 +21,12 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
-from .balancing import BalancedRealization, HankelSpectrum
+from .balancing import BalancedRealization
 from .config import check_dense_cap
 from .dense_stein import solve_cross_sylvester, solve_projected_tl, tl_gramian_dense
 from .exceptions import DimensionMismatchError, EstimationError, SolvabilityError
-from .system import DiscreteLTISystem, check_horizon, impulse_sequence
+from .system import DiscreteLTISystem, check_horizon, dense_array, impulse_sequence
 
 CROUZEIX_PALENCIA = 1.0 + math.sqrt(2.0)
 _SIDE_AGREE_TOL = 1e-6
@@ -165,8 +164,6 @@ def bound_output_tl(sys: DiscreteLTISystem, rom: DiscreteLTISystem, tau,
                              f"got a {gram.side} Gramian at tau={gram.horizon:g}")
     low_rank = any(gram is not None and gram.basis is not None for gram in (reach, obs))
     c_terms = _inf_horizon_terms(sys, rom, reach)
-    # the adjoints are built after the C side, so they share the spectral
-    # radii it memoized
     b_terms = _inf_horizon_terms(sys.dual(), rom.dual(), obs)
     tc, tb = sum(c_terms), sum(b_terms)
     eps_sq = abs(0.5 * (tc + tb))
@@ -296,7 +293,7 @@ def numerical_radius(A) -> float:
     settles to 1e-6 relative on an angle width below 1e-8.
     """
     check_dense_cap(A.shape[0], "numerical radius")
-    Ad = A.toarray() if sp.issparse(A) else np.asarray(A)
+    Ad = dense_array(A)
 
     def lam_max(theta: float) -> float:
         H = 0.5 * (np.exp(1j * theta) * Ad + np.exp(-1j * theta) * Ad.conj().T)
@@ -340,7 +337,7 @@ def asymptotic_constants(A, method: str = "eigen") -> AsymptoticConstants:
     'numerical-radius' always uses 1 + sqrt(2) with the numerical radius,
     which bounds every power by the Crouzeix-Palencia theorem.
     """
-    A = A.toarray() if sp.issparse(A) else np.asarray(A, dtype=float)
+    A = np.asarray(dense_array(A), dtype=float)
     if method == "eigen":
         w, X = np.linalg.eig(A)
         cond = float(np.linalg.cond(X))
@@ -428,11 +425,6 @@ def bound_theorem32(bal: BalancedRealization, r: int, tau,
         path = "explicit"
 
     return Theorem32Bound(j_term=j, j_tl_term=j_tl, total=j * sigma_next + j_tl, path=path)
-
-
-def hsv_tail_bound(spectrum: HankelSpectrum, r: int) -> float:
-    """Twice the sum of the neglected (time-limited) Hankel singular values."""
-    return spectrum.tail_sum(r)
 
 
 # ---------------------------------------------------------------------------

@@ -130,15 +130,11 @@ def _load_system(path: str | None, spec: ExampleSpec | None) -> DiscreteLTISyste
     return read_system(path) if path is not None else generate_example(spec)
 
 
-def _impulse_input(m: int, horizon: int) -> np.ndarray:
-    u = np.zeros((horizon + 1, m))
-    u[0] = 1.0
-    return u
-
-
 def _build_input(kind: str, m: int, horizon: int, seed: int) -> np.ndarray:
     if kind == "impulse":
-        return _impulse_input(m, horizon)
+        u = np.zeros((horizon + 1, m))
+        u[0] = 1.0
+        return u
     rng = np.random.default_rng(seed)
     return rng.standard_normal((horizon + 1, m))
 
@@ -165,20 +161,6 @@ def error_table(system: DiscreteLTISystem, roms: dict, u: np.ndarray,
             row += [errs[method][k], bound_levels.get(method), hsv_levels.get(method)]
         rows.append(row)
     return header, rows, errs
-
-
-def emit_error_csv(system: DiscreteLTISystem, roms: dict, input_kind: str,
-                   horizon: int, tau, bound_levels: dict | None = None,
-                   hsv_levels: dict | None = None, input_seed: int = 0) -> str:
-    """Figure-data CSV: one row per step with per-model output errors,
-    constant bound levels, HSV-tail levels, and a marker column at the
-    window boundary."""
-    u = _build_input(input_kind, system.m, horizon, input_seed)
-    header, rows, _ = error_table(system, roms, u, horizon, tau,
-                                  bound_levels or {}, hsv_levels or {})
-    lines = [",".join(header)]
-    lines += [",".join(_fmt(v) for v in row) for row in rows]
-    return "\n".join(lines) + "\n"
 
 
 def _solve_stats(approx) -> dict:

@@ -16,11 +16,10 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as sla
-import scipy.sparse as sp
 
 from .config import check_dense_cap
 from .exceptions import ConvergenceError, DimensionMismatchError, SolvabilityError
-from .system import DiscreteLTISystem, check_horizon
+from .system import DiscreteLTISystem, check_horizon, dense_array
 
 _SOLVABILITY_TOL = 1e-10
 _SMITH_MAX_DOUBLINGS = 64
@@ -188,7 +187,7 @@ def tl_gramian_dense(sys: DiscreteLTISystem, tau, side: str = "reach") -> DenseG
 
     B0 = work.input_map()
     if math.isinf(tau):
-        rho = sys.spectral_radius()  # the adjoint shares it; sys keeps the memo
+        rho = sys.spectral_radius()
         if rho >= 1.0 - 1e-12:
             raise SolvabilityError(
                 f"infinite-horizon Gramian needs a stable pencil, spectral radius {rho:.6f}")
@@ -307,10 +306,8 @@ def stein_residual_dense(sys: DiscreteLTISystem, pair: DenseGramianPair) -> floa
     observability side checks the adjoint equation.
     """
     work = sys.side(pair.side)
-    A = work.A.toarray() if sp.issparse(work.A) else work.A
-    M = work.M.toarray() if (work.M is not None and sp.issparse(work.M)) else work.M
-    if M is None:
-        M = np.eye(work.n)
+    A = dense_array(work.A)
+    M = np.eye(work.n) if work.M is None else dense_array(work.M)
     B = work.B
     P = pair.gramian
     W = B @ B.T

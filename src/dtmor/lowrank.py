@@ -23,6 +23,7 @@ _DEFLATION_TOL = 1e-13
 _REAL_SHIFT_TOL = 1e-14
 _THIN_COLUMNS = 4   # widest block that _thin_product shapes by hand
 _CHECK_WIDTH = 10   # probe columns of the off-space factor's check
+_SHIFT_GRID = 200   # equispaced unit-circle points the adaptive shifts score
 
 
 @dataclass
@@ -55,17 +56,14 @@ class ShiftStrategy:
 
     'alternating-pm1' applies both +1 and -1 in every step, so only two
     shifted factorizations are ever needed; 'adaptive-disc' maximizes the
-    current rational node function over ``grid_points`` equispaced
+    current rational node function over ``_SHIFT_GRID`` equispaced
     unit-circle points, emitting complex shifts in conjugate pairs.
     """
     kind: str = "alternating-pm1"
-    grid_points: int = 200
 
     def __post_init__(self):
         if self.kind not in ("alternating-pm1", "adaptive-disc"):
             raise ValueError(f"unknown shift strategy {self.kind!r}")
-        if self.grid_points < 4:
-            raise ValueError("grid must have at least 4 points")
 
 
 @dataclass
@@ -297,7 +295,7 @@ def next_shift(strategy: ShiftStrategy, state: KrylovState) -> complex:
     theta = state.ritz_values()
     if theta is None or theta.size == 0:
         return complex(-1.0)
-    hs = strategy.grid_points
+    hs = _SHIFT_GRID
     grid = np.exp(2j * np.pi * np.arange(1, hs + 1) / hs)
     # log-domain evaluation of prod |xi - theta_i| / prod |xi - s_j|^m
     score = np.zeros(hs)

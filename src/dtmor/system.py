@@ -61,7 +61,8 @@ class DiscreteLTISystem:
 
     A and M may be scipy sparse matrices or dense arrays; B and C are dense.
     Instances are immutable after construction and safe to share read-only;
-    the spectral radius is computed on first use and kept privately.
+    the spectral radius is computed on first use and kept privately, in one
+    memo shared with the adjoints built by :meth:`dual`.
     """
 
     def __init__(self, A, B, C, M=None, meta: dict | None = None):
@@ -86,7 +87,7 @@ class DiscreteLTISystem:
         self.m = self.B.shape[1]
         self.p = self.C.shape[0]
         self._mass_solve = None
-        self._spectral_radius = None
+        self._rho = [None]  # one memo cell, shared with every adjoint
         if self.M is not None:
             try:
                 self._mass_solve = factorize(self.M)
@@ -107,6 +108,12 @@ class DiscreteLTISystem:
             return X
         return self._mass_solve(X)
 
+    def apply_mass(self, X: np.ndarray, trans: bool = False) -> np.ndarray:
+        """M X, or M^T X with ``trans`` (X itself when M is absent)."""
+        if self.M is None:
+            return X
+        return (self.M.T if trans else self.M) @ X
+
     def apply_dynamics(self, X: np.ndarray) -> np.ndarray:
         """Apply the standard-form state map M^{-1} A to the columns of X."""
         return self.mass_solve(self.A @ X)
@@ -114,12 +121,13 @@ class DiscreteLTISystem:
     def pencil_solver(self, alpha, beta):
         """Solve closure b -> (alpha A - beta M)^{-1} M b = (alpha M^{-1}A - beta I)^{-1} b
         (M = I when absent) from one :func:`factorize` of the pencil; raises
-        ``np.linalg.LinAlgError`` if the pencil is exactly singular."""
-        M = self.M
-        if M is None:
-            M = sp.identity(self.n, format="csr") if sp.issparse(self.A) else np.eye(self.n)
-        solve = factorize(alpha * self.A - beta * M)
-        return lambda b: solve(M @ b)
+        ``np.linalg.LinAlgError`` if the pencil is exactly singular.  Without
+        M the solve of that factor is the closure itself."""
+        if self.M is None:
+            eye = sp.identity(self.n, format="csr") if sp.issparse(self.A) else np.eye(self.n)
+            return factorize(alpha * self.A - beta * eye)
+        solve = factorize(alpha * self.A - beta * self.M)
+        return lambda b: solve(self.apply_mass(b))
 
     def input_map(self) -> np.ndarray:
         """Standard-form input matrix M^{-1} B."""
@@ -130,7 +138,8 @@ class DiscreteLTISystem:
 
         Its reachability-side quantities are the observability-side
         quantities of the original system.  It solves with M^T through the
-        transpose of this system's one LU of M, and shares its spectral radius.
+        transpose of this system's one LU of M, and shares its spectral-radius
+        memo, so whichever of the two is asked first computes it for both.
         """
         AT = self.A.T.tocsr() if sp.issparse(self.A) else self.A.T.copy()
         adj = DiscreteLTISystem(AT, self.C.T.copy(), self.B.T.copy())
@@ -138,7 +147,7 @@ class DiscreteLTISystem:
             adj.M = self.M.T.tocsr() if sp.issparse(self.M) else self.M.T.copy()
             solve = self._mass_solve
             adj._mass_solve = lambda X, trans=False: solve(X, trans=not trans)
-        adj._spectral_radius = self._spectral_radius  # same spectrum
+        adj._rho = self._rho  # same spectrum
         return adj
 
     def side(self, name: str) -> "DiscreteLTISystem":
@@ -152,8 +161,7 @@ class DiscreteLTISystem:
 
     def dense_dynamics(self) -> np.ndarray:
         """Dense standard-form state matrix M^{-1} A."""
-        A = self.A.toarray() if sp.issparse(self.A) else self.A
-        return self.mass_solve(np.asarray(A, dtype=float))
+        return self.mass_solve(np.asarray(dense_array(self.A), dtype=float))
 
     def to_standard(self) -> "DiscreteLTISystem":
         """Explicit dense standard form (M eliminated)."""
@@ -163,21 +171,21 @@ class DiscreteLTISystem:
             self.dense_dynamics(), self.input_map(), self.C.copy(), meta=self.meta)
 
     def spectral_radius(self) -> float:
-        """Spectral radius of the (M, A) pencil, computed once per instance.
+        """Spectral radius of the (M, A) pencil, computed once per system and
+        its adjoints.
 
         Sparse A (n >= 3): ARPACK on M^{-1}A applied through
         :meth:`apply_dynamics`, from a fixed start vector so that reruns
         agree bit for bit; non-convergence raises :class:`EstimationError`.
         Dense A: dense eigensolve, guarded by the dense cap.
         """
-        if self._spectral_radius is None:
+        if self._rho[0] is None:
             if sp.issparse(self.A) and self.n >= 3:
-                self._spectral_radius = self._arpack_radius()
+                self._rho[0] = self._arpack_radius()
             else:
                 check_dense_cap(self.n, "dense spectral radius")
-                self._spectral_radius = float(
-                    np.max(np.abs(np.linalg.eigvals(self.dense_dynamics()))))
-        return self._spectral_radius
+                self._rho[0] = float(np.max(np.abs(np.linalg.eigvals(self.dense_dynamics()))))
+        return self._rho[0]
 
     def _arpack_radius(self) -> float:
         op = spla.LinearOperator((self.n, self.n), matvec=self.apply_dynamics,
@@ -194,6 +202,11 @@ class DiscreteLTISystem:
     def __repr__(self) -> str:
         tag = "generalized " if self.is_generalized else ""
         return f"DiscreteLTISystem({tag}n={self.n}, m={self.m}, p={self.p})"
+
+
+def dense_array(mat) -> np.ndarray:
+    """A sparse or dense matrix as a dense array."""
+    return mat.toarray() if sp.issparse(mat) else np.asarray(mat)
 
 
 def _is_triangular(csc) -> bool:
@@ -468,8 +481,7 @@ def read_system(path) -> DiscreteLTISystem:
     A = _read_matrix(path / _MATRIX_FILES["A"])
     B = _read_matrix(path / _MATRIX_FILES["B"])
     C = _read_matrix(path / _MATRIX_FILES["C"])
-    B = B.toarray() if sp.issparse(B) else B
-    C = C.toarray() if sp.issparse(C) else C
+    B, C = dense_array(B), dense_array(C)
     M = None
     if (path / _MATRIX_FILES["M"]).exists() or manifest.get("generalized"):
         M = _read_matrix(path / _MATRIX_FILES["M"])

@@ -23,7 +23,6 @@ from dtmor import (
     build_system,
     error_expr_tlbt,
     generate_example,
-    hsv_tail_bound,
     impulse_sequence,
     numerical_radius,
     rksm,
@@ -398,9 +397,9 @@ class TestTheorem32:
 class TestHsvTail:
     def test_examples(self):
         sp = HankelSpectrum(np.array([3.0, 1.0, 0.1]))
-        assert hsv_tail_bound(sp, 2) == pytest.approx(0.2)
-        assert hsv_tail_bound(sp, 3) == 0.0
-        assert hsv_tail_bound(HankelSpectrum(np.array([1.25])), 0) == pytest.approx(2.5)
+        assert sp.tail_sum(2) == pytest.approx(0.2)
+        assert sp.tail_sum(3) == 0.0
+        assert HankelSpectrum(np.array([1.25])).tail_sum(0) == pytest.approx(2.5)
 
     @given(st.lists(st.floats(min_value=1e-6, max_value=1e3), min_size=1, max_size=12),
            st.integers(min_value=0, max_value=14))
@@ -408,9 +407,9 @@ class TestHsvTail:
     def test_tail_monotone_property(self, values, r):
         vals = np.sort(np.array(values))[::-1]
         sp = HankelSpectrum(vals)
-        tail = hsv_tail_bound(sp, r)
+        tail = sp.tail_sum(r)
         assert tail >= 0.0
-        assert tail <= hsv_tail_bound(sp, max(r - 1, 0)) + 1e-12
+        assert tail <= sp.tail_sum(max(r - 1, 0)) + 1e-12
 
 
 class TestBoundReport:

@@ -21,10 +21,11 @@ from dtmor.lowrank import SolverConfig
 from dtmor.cli import (
     ConfigError,
     JobConfig,
-    emit_error_csv,
+    error_table,
     main,
     run_pipeline,
     write_bundle,
+    write_csv,
 )
 
 
@@ -164,24 +165,32 @@ class TestRunPipeline:
 
 
 class TestErrorCsv:
-    def test_identity_model_zero_error(self):
+    @staticmethod
+    def _csv(tmp_path, s, roms, horizon, tau):
+        # the pipeline's errors.csv writer, under an impulse input
+        u = dtmor.cli._build_input("impulse", s.m, horizon, 0)
+        header, rows, _ = error_table(s, roms, u, horizon, tau, {}, {})
+        write_csv(tmp_path / "errors.csv", header, rows)
+        return (tmp_path / "errors.csv").read_text()
+
+    def test_identity_model_zero_error(self, tmp_path):
         s = generate_example(ExampleSpec(kind="laplacian-grid", size=4, seed=2))
-        text = emit_error_csv(s, {"self": s}, "impulse", 10, 5)
+        text = self._csv(tmp_path, s, {"self": s}, 10, 5)
         rows = [line.split(",") for line in text.strip().splitlines()][1:]
         assert all(float(r[2]) == 0.0 for r in rows)
         assert [int(r[1]) for r in rows].count(1) == 1  # single window marker
 
     def test_zero_horizon_single_row(self, tmp_path):
         s = build_system([[0.5]], [[1.0]], [[1.0]])
-        text = emit_error_csv(s, {"m": s}, "impulse", 0, 2)
+        text = self._csv(tmp_path, s, {"m": s}, 0, 2)
         lines = text.strip().splitlines()
         assert len(lines) == 2  # header + k=0
         assert float(lines[1].split(",")[2]) == 0.0
 
-    def test_nilpotent_model_hand_convolution(self):
+    def test_nilpotent_model_hand_convolution(self, tmp_path):
         s = build_system([[0.5]], [[1.0]], [[1.0]])
         rom = build_system([[0.0]], [[1.0]], [[1.0]])
-        text = emit_error_csv(s, {"m": rom}, "impulse", 4, 4)
+        text = self._csv(tmp_path, s, {"m": rom}, 4, 4)
         rows = [line.split(",") for line in text.strip().splitlines()][1:]
         # impulse at k=0: error(k) = |h(k) - hhat(k)|, so 0.5 at k=2
         assert float(rows[2][2]) == pytest.approx(0.5)

@@ -312,12 +312,13 @@ class TestNextShift:
         s3 = next_shift(strat, state)
         assert s2 == 1.0 and s3 == -1.0
 
-    def test_adaptive_four_point_grid(self):
+    def test_adaptive_four_point_grid(self, monkeypatch):
         # |xi-0.5|/|xi-0.9| on {1, i, -1, -i} is maximized at xi = 1
+        monkeypatch.setattr(lowrank, "_SHIFT_GRID", 4)
         state = KrylovState(block_width=1)
         state.projected = np.array([[0.5]])
         state.shifts = [complex(0.9)]
-        strat = ShiftStrategy("adaptive-disc", grid_points=4)
+        strat = ShiftStrategy("adaptive-disc")
         assert next_shift(strat, state) == pytest.approx(1.0)
 
     def test_conjugate_pairing_contract(self):
@@ -332,11 +333,12 @@ class TestNextShift:
         state = KrylovState(block_width=1)
         assert next_shift(ShiftStrategy("adaptive-disc"), state) == -1.0
 
-    def test_used_grid_points_masked(self):
+    def test_used_grid_points_masked(self, monkeypatch):
+        monkeypatch.setattr(lowrank, "_SHIFT_GRID", 4)
         state = KrylovState(block_width=1)
         state.projected = np.array([[0.5]])
         state.shifts = [complex(1.0)]
-        got = next_shift(ShiftStrategy("adaptive-disc", grid_points=4), state)
+        got = next_shift(ShiftStrategy("adaptive-disc"), state)
         assert got != pytest.approx(1.0)
 
 

@@ -55,6 +55,29 @@ class TestSpectralRadius:
         assert s.dual().spectral_radius() == rho
         assert "_spectral_radius" not in s.meta
 
+    @pytest.mark.parametrize("first", ["system", "adjoint"])
+    @pytest.mark.parametrize("storage", ["sparse", "dense"])
+    def test_one_eigensolve_per_adjoint_pair(self, monkeypatch, first, storage):
+        # a system and its adjoint share one memo, whichever is asked first
+        if storage == "sparse":
+            s = generate_example(ExampleSpec(kind="jacobi", size=6, seed=2))
+            owner, name = dtmor.system.DiscreteLTISystem, "_arpack_radius"
+        else:
+            s = random_stable_system(4, 8, radius=0.7)
+            owner, name = dtmor.system.np.linalg, "eigvals"
+        calls = []
+        solve = getattr(owner, name)
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return solve(*args, **kwargs)
+        monkeypatch.setattr(owner, name, counting)
+        adj = s.dual()
+        asked = (s, adj) if first == "system" else (adj, s)
+        radii = [sys_.spectral_radius() for sys_ in (*asked, adj.dual())]
+        assert len(calls) == 1
+        assert radii[0] == radii[1] == radii[2]
+
     def test_arpack_failure_raises(self, monkeypatch):
         def no_convergence(*args, **kwargs):
             raise dtmor.system.spla.ArpackNoConvergence("no convergence", [], [])
@@ -146,6 +169,31 @@ class TestFactorize:
         alpha, beta = 0.3 - 0.2j, 1.5
         x = s.pencil_solver(alpha, beta)(b)
         assert np.linalg.norm((alpha * A - beta * M) @ x - M @ b) <= 1e-13 * np.linalg.norm(M @ b)
+
+    @pytest.mark.parametrize("storage", [np.asarray, sp.csr_matrix])
+    def test_pencil_solver_without_mass_is_the_pencil_solve(self, storage):
+        # no identity product per solve and no identity held: the only n x n
+        # array the closure reaches is the LU of a dense pencil
+        n = 30
+        rng = np.random.default_rng(8)
+        A = storage(rng.standard_normal((n, n)))
+        s = build_system(A, np.ones((n, 1)), np.ones((1, n)))
+        eye = np.eye(n) if storage is np.asarray else sp.identity(n, format="csr")
+        b = rng.standard_normal((n, 2))
+        for alpha, beta in ((1.0, 1.0), (0.3 - 0.2j, 1.5)):
+            solver = s.pencil_solver(alpha, beta)
+            want = dtmor.system.factorize(alpha * s.A - beta * eye)(b)
+            assert np.array_equal(solver(b), want)
+            held, todo = [], [solver]
+            while todo:
+                for cell in todo.pop().__closure__ or ():
+                    value = cell.cell_contents
+                    if callable(value) and hasattr(value, "__closure__"):
+                        todo.append(value)
+                    elif (isinstance(value, np.ndarray) or sp.issparse(value)) \
+                            and value.shape == (n, n):
+                        held.append(value)
+            assert len(held) == (1 if storage is np.asarray else 0)
 
     @staticmethod
     def _record_orders(monkeypatch):
@@ -360,20 +408,41 @@ class TestSystemIO:
             read_system(tmp_path / "sys")
 
 
+def _module_names(path: Path) -> set:
+    """Every name, attribute and dotted import part a module's source spells."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            dotted = [getattr(node, "module", None) or ""] + [a.name for a in node.names]
+            names |= {part for name in dotted for part in name.split(".") if part}
+    return names
+
+
+_SRC_MODULES = sorted(Path(dtmor.system.__file__).parent.glob("*.py"))
+
+
 def test_only_system_module_names_a_factorization():
     # the storage rule: system.factorize is the one sparse-or-dense LU
     banned = {"splu", "spilu", "factorized", "spsolve", "lu_factor", "lu_solve",
               "cho_factor", "cho_solve", "inv"}
-    src = Path(dtmor.system.__file__).parent
-    for path in sorted(src.glob("*.py")):
-        if path.name == "system.py":
-            continue
-        tree = ast.parse(path.read_text(encoding="utf-8"))
-        names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-        names |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
-        names |= {alias.name.split(".")[-1] for node in ast.walk(tree)
-                  if isinstance(node, (ast.Import, ast.ImportFrom)) for alias in node.names}
-        assert not names & banned, f"{path.name} names {sorted(names & banned)}"
+    for path in _SRC_MODULES:
+        if path.name != "system.py":
+            names = _module_names(path)
+            assert not names & banned, f"{path.name} names {sorted(names & banned)}"
+
+
+def test_only_system_module_knows_sparse_storage():
+    # the storage rule: system.py alone asks whether a matrix is sparse and
+    # densifies one (system.dense_array)
+    banned = {"sparse", "issparse", "toarray"}
+    for path in _SRC_MODULES:
+        if path.name != "system.py":
+            names = _module_names(path)
+            assert not names & banned, f"{path.name} names {sorted(names & banned)}"
 
 
 def test_only_the_solver_modules_name_a_gramian_type():
@@ -381,16 +450,10 @@ def test_only_the_solver_modules_name_a_gramian_type():
     # lowrank only; other modules use its factor(), matrix(), output_trace(C)
     # and basis
     banned = {"GramianApprox", "DenseGramianPair"}
-    src = Path(dtmor.system.__file__).parent
-    for path in sorted(src.glob("*.py")):
-        if path.name in ("dense_stein.py", "lowrank.py", "__init__.py"):
-            continue
-        tree = ast.parse(path.read_text(encoding="utf-8"))
-        names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-        names |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
-        names |= {alias.name for node in ast.walk(tree)
-                  if isinstance(node, ast.ImportFrom) for alias in node.names}
-        assert not names & banned, f"{path.name} names {sorted(names & banned)}"
+    for path in _SRC_MODULES:
+        if path.name not in ("dense_stein.py", "lowrank.py", "__init__.py"):
+            names = _module_names(path)
+            assert not names & banned, f"{path.name} names {sorted(names & banned)}"
 
 
 def _truncate(s, tau):
@@ -447,8 +510,7 @@ def test_only_system_module_compares_side_names():
         items = node.elts if isinstance(node, (ast.Tuple, ast.List, ast.Set)) else [node]
         return {item.value for item in items if isinstance(item, ast.Constant)}
 
-    src = Path(dtmor.system.__file__).parent
-    for path in sorted(src.glob("*.py")):
+    for path in _SRC_MODULES:
         if path.name == "system.py":
             continue
         tree = ast.parse(path.read_text(encoding="utf-8"))
