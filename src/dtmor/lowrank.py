@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from typing import Callable
 
 import numpy as np
 
@@ -80,21 +81,23 @@ class ConvergenceRecord:
 class KrylovState:
     """Bookkeeping of a running (rational) Arnoldi process.
 
-    ``basis`` has orthonormal columns; ``projected`` is basis^T A basis in
-    standard form for a leading block of the basis, extended to the whole
-    basis by :meth:`current_projected` where it is read (evaluations, and the
-    Ritz values of adaptive shifts); ``offspace_dir`` and ``offspace_coeff``
-    are U and C in G = image - basis @ projected = U C, the part of A*basis
-    that leaves the subspace, which is what the compressed residual formula
-    consumes.  U has about block-width columns and G is never stored, so
-    ``basis`` and ``image`` are the only arrays with n rows and k columns.
-    Inside ``rksm``, ``basis`` and ``image`` are views of the filled columns
-    of the solver's growth buffers; columns are written once, so a view stays
-    valid, but it keeps its whole buffer alive.
+    ``basis`` has orthonormal columns; ``dynamics`` applies the standard-form
+    state map A (M^{-1}A of a generalized system) as (X, trans=False) -> A X,
+    or A^T X with ``trans``, like ``DiscreteLTISystem.apply_dynamics``;
+    ``projected`` is basis^T A basis for a leading block of the basis,
+    extended to the whole basis by :meth:`current_projected` where it is read
+    (evaluations, and the Ritz values of adaptive shifts); ``offspace_dir``
+    and ``offspace_coeff`` are U and C in G = A basis - basis @ projected =
+    U C, the part of A*basis that leaves the subspace, which is what the
+    compressed residual formula consumes.  U has about block-width columns,
+    and neither A*basis nor G is stored, so ``basis`` is the only array with
+    n rows and k columns.  Inside ``rksm`` it is a view of the filled columns
+    of the solver's growth buffer; columns are written once, so a view stays
+    valid, but it keeps the whole buffer alive.
     """
     block_width: int
     basis: np.ndarray | None = None
-    image: np.ndarray | None = None        # A @ basis, kept in sync
+    dynamics: Callable[..., np.ndarray] | None = None
     projected: np.ndarray = field(default_factory=lambda: np.zeros((0, 0)))
     offspace_dir: np.ndarray | None = None
     offspace_coeff: np.ndarray | None = None
@@ -102,13 +105,18 @@ class KrylovState:
 
     def current_projected(self) -> np.ndarray:
         """Extend ``projected`` to the whole basis and return it; with Q = [Q0, Q1]
-        and W = [W0, W1] split at its order, it gains Q0^T W1, Q1^T W0, Q1^T W1."""
-        Q, W, H = self.basis, self.image, self.projected
+        split at its order, it gains Q0^T A Q1, Q1^T A Q1 and (Q0^T A^T Q1)^T,
+        so A is applied to the new columns alone, once forward and once
+        transposed."""
+        Q, H = self.basis, self.projected
         h = H.shape[0]
         if Q is not None and h < Q.shape[1]:
-            Q1, W1 = Q[:, h:], W[:, h:]
-            self.projected = np.block([[H, _thin_product(Q[:, :h].T, W1)],
-                                       [_thin_product(W[:, :h].T, Q1).T, Q1.T @ W1]])
+            Q0, Q1 = Q[:, :h], Q[:, h:]
+            AQ1 = self.dynamics(Q1)
+            right, corner = _thin_product(Q0.T, AQ1), Q1.T @ AQ1
+            del AQ1
+            below = _thin_product(Q0.T, self.dynamics(Q1, trans=True)).T
+            self.projected = np.block([[H, right], [below, corner]])
         return self.projected
 
     def ritz_values(self) -> np.ndarray | None:
@@ -337,23 +345,25 @@ def stein_residual_norm(state: KrylovState, core: np.ndarray) -> float:
     return float(np.linalg.norm(S @ inner @ S.T, 2))
 
 
-def _offspace_factor(Q: np.ndarray, W: np.ndarray, H: np.ndarray, m: int):
-    """Rank-revealing factorization G = (I - QQ^T) A Q = U C; returns (U, C, fell_back).
+def _offspace_factor(Q: np.ndarray, dynamics, H: np.ndarray, m: int):
+    """Rank-revealing factorization G = (I - QQ^T) A Q = U C, with A applied
+    by ``dynamics`` as (X, trans=False) -> A X or A^T X; returns (U, C, fell_back).
 
-    G = W - Q H has rank <= m on a rational Krylov basis, so U spans the sketch
-    G Omega = W Omega - Q (H Omega), Omega a fixed-seed Gaussian of width m + 2.
-    Round-off (clustered adaptive shifts) can add rank: the width doubles while
-    U C misses G, up to the basis width k; then a full QR of G, the only n x k
-    array formed, is the fallback.  The miss is judged at O(nk) per column on
-    a second fixed-seed Gaussian sketch of width 10 (Halko, Martinsson & Tropp,
-    SIAM Rev. 53 (2011), Sec. 4.3): U C is kept when ||(G - U C) Omega2||_F <=
+    G = A Q - Q H has rank <= m on a rational Krylov basis, so U spans the
+    sketch G Omega = A (Q Omega) - Q (H Omega), Omega a fixed-seed Gaussian of
+    width m + 2, and C = (A^T U)^T Q - (U^T Q) H.  Round-off (clustered
+    adaptive shifts) can add rank: the width doubles while U C misses G, up
+    to the basis width k; then a full QR of G, which forms A Q while it runs,
+    is the fallback.  The miss is judged at O(nk) per column on a second
+    fixed-seed Gaussian sketch of width 10 (Halko, Martinsson & Tropp, SIAM
+    Rev. 53 (2011), Sec. 4.3): U C is kept when ||(G - U C) Omega2||_F <=
     1e-10 ||G Omega2||_F.  Both sides estimate sqrt(10) times the Frobenius
     norms of the exact check, at its level; a U C missing G by 14 times the
     level passes with probability about 4e-10 at rank one (an F(10, 10) tail).
     """
     k = Q.shape[1]
     check = np.random.default_rng(1).standard_normal((k, _CHECK_WIDTH))
-    gcheck = _thin_product(W, check)
+    gcheck = dynamics(_thin_product(Q, check))
     gcheck -= _thin_product(Q, H @ check)
     gnorm = np.linalg.norm(gcheck)
     if gnorm == 0.0:
@@ -362,9 +372,9 @@ def _offspace_factor(Q: np.ndarray, W: np.ndarray, H: np.ndarray, m: int):
     width = m + 2
     while True:
         omega = rng.standard_normal((k, width))
-        sketch = _thin_product(W, omega) - _thin_product(Q, H @ omega)
+        sketch = dynamics(_thin_product(Q, omega)) - _thin_product(Q, H @ omega)
         U, _ = _orth_columns(sketch - _thin_product(Q, _thin_product(Q.T, sketch)), tol=1e-12)
-        C = _thin_product(W.T, U).T - _thin_product(Q.T, U).T @ H
+        C = _thin_product(Q.T, dynamics(U, trans=True)).T - _thin_product(Q.T, U).T @ H
         miss = U @ (C @ check)
         miss -= gcheck
         if np.linalg.norm(miss) <= 1e-10 * gnorm:
@@ -372,12 +382,14 @@ def _offspace_factor(Q: np.ndarray, W: np.ndarray, H: np.ndarray, m: int):
         if width >= k:
             break
         width *= 2
-    G = W - Q @ H
+    G = dynamics(Q)
+    G -= Q @ H
     Qg, Rg = np.linalg.qr(G)
+    del G
     Ur, svals, _ = np.linalg.svd(Rg)
     keep = svals > 1e-13 * svals[0]
     U = Qg @ Ur[:, keep]
-    C = U.T @ W - (U.T @ Q) @ H
+    C = (dynamics(U, trans=True).T @ Q) - (U.T @ Q) @ H
     return U, C, True
 
 
@@ -495,7 +507,9 @@ def rksm(sys: DiscreteLTISystem, side: str, tau,
 
     ``observer``, when given, is called as observer(state, core, tl_term,
     absolute_residual) at every evaluation; it exists for diagnostics and
-    verification harnesses.
+    verification harnesses.  ``state.basis`` (a view of the growth buffer) is
+    the walk's only array with n rows: A Q is not kept, and
+    ``state.dynamics`` applies A where it is needed.
     """
     tau = check_horizon(tau)
     work = sys.side(side)
@@ -512,8 +526,7 @@ def rksm(sys: DiscreteLTISystem, side: str, tau,
                              side, tau, 0, 0.0, [], [])
 
     Qbuf, Q = _append_columns(np.empty((work.n, 0), order="F"), 0, q1)
-    Wbuf, W = _append_columns(np.empty((work.n, 0), order="F"), 0, work.apply_dynamics(Q))
-    state = KrylovState(block_width=q1.shape[1], basis=Q, image=W)
+    state = KrylovState(block_width=q1.shape[1], basis=Q, dynamics=work.apply_dynamics)
 
     records: list[ConvergenceRecord] = []
     fhat_prev: np.ndarray | None = None
@@ -549,17 +562,14 @@ def rksm(sys: DiscreteLTISystem, side: str, tau,
         blocks = [expand(pole) for pole in poles]
         widths = [b.shape[1] for b in blocks]
         nb, _, core = _gram_schmidt_block(Q, np.hstack(blocks))
-        del blocks   # the solves' columns are in nb: free them before the buffers regrow
+        del blocks   # the solves' columns are in nb: free them before the buffer regrows
         deflated += sum(widths) - nb.shape[1]
         grew = nb.shape[1] > 0
         if grew:
             cores = np.split(core, np.cumsum(widths[:-1]), axis=1)
             newest = {pole: (nb, c) for pole, c in zip(poles, cores)}
-            Wn = work.apply_dynamics(nb)
-            state.basis = state.image = None   # so a regrown Q frees its old buffer before W regrows
             Qbuf, Q = _append_columns(Qbuf, Q.shape[1], nb)
-            Wbuf, W = _append_columns(Wbuf, W.shape[1], Wn)
-            state.basis, state.image = Q, W
+            state.basis = Q
 
         evaluate = (k % cfg.cadence == 0) or (k == cfg.max_iterations) or not grew
         if not evaluate:
@@ -590,7 +600,8 @@ def rksm(sys: DiscreteLTISystem, side: str, tau,
                     raise BreakdownError("basis saturated with unsolvable projected problem")
                 continue
 
-        state.offspace_dir, state.offspace_coeff, fell_back = _offspace_factor(Q, W, H, work.m)
+        state.offspace_dir, state.offspace_coeff, fell_back = _offspace_factor(
+            Q, state.dynamics, H, work.m)
         fallbacks += fell_back
         res_abs = stein_residual_norm(state, Y)
         scale = max(_gap_norm(Bk, Fhat), 1e-300)
@@ -600,8 +611,6 @@ def rksm(sys: DiscreteLTISystem, side: str, tau,
         records.append(ConvergenceRecord(k, Q.shape[1], res, fF, s))
 
         if res <= cfg.tol:
-            del W, Wbuf   # nothing reads A Q again: free its buffer before truncating
-            state.image = None
             approx = GramianApprox(
                 basis=Q, core=Y, tl_term=None if Fhat is None else _thin_product(Q, Fhat),
                 side=side, horizon=tau, iterations=k, residual=res,

@@ -102,11 +102,12 @@ class DiscreteLTISystem:
     def is_generalized(self) -> bool:
         return self.M is not None
 
-    def mass_solve(self, X: np.ndarray) -> np.ndarray:
-        """Solve M Z = X for Z (identity passthrough when M is absent)."""
+    def mass_solve(self, X: np.ndarray, trans: bool = False) -> np.ndarray:
+        """Solve M Z = X, or M^T Z = X with ``trans``, for Z through the one
+        factor of M (identity passthrough when M is absent)."""
         if self._mass_solve is None:
             return X
-        return self._mass_solve(X)
+        return self._mass_solve(X, trans=trans)
 
     def apply_mass(self, X: np.ndarray, trans: bool = False) -> np.ndarray:
         """M X, or M^T X with ``trans`` (X itself when M is absent)."""
@@ -114,8 +115,11 @@ class DiscreteLTISystem:
             return X
         return (self.M.T if trans else self.M) @ X
 
-    def apply_dynamics(self, X: np.ndarray) -> np.ndarray:
-        """Apply the standard-form state map M^{-1} A to the columns of X."""
+    def apply_dynamics(self, X: np.ndarray, trans: bool = False) -> np.ndarray:
+        """Apply the standard-form state map M^{-1} A, or with ``trans`` its
+        transpose A^T M^{-T}, to the columns of X."""
+        if trans:
+            return self.A.T @ self.mass_solve(X, trans=True)
         return self.mass_solve(self.A @ X)
 
     def pencil_solver(self, alpha, beta):
@@ -209,10 +213,11 @@ def dense_array(mat) -> np.ndarray:
     return mat.toarray() if sp.issparse(mat) else np.asarray(mat)
 
 
-def _is_triangular(csc) -> bool:
-    """True when the sparse matrix has no entry below, or none above, its diagonal."""
+def _triangles(csc) -> tuple[bool, bool]:
+    """Whether the sparse matrix has no entry above, and whether it has none
+    below, its diagonal."""
     cols = np.repeat(np.arange(csc.shape[1]), np.diff(csc.indptr))
-    return bool((csc.indices <= cols).all() or (csc.indices >= cols).all())
+    return bool((csc.indices >= cols).all()), bool((csc.indices <= cols).all())
 
 
 def factorize(mat):
@@ -226,16 +231,33 @@ def factorize(mat):
     fill at all.  Any other is ordered by minimum degree on A^T + A: the
     pencils of the grid systems have a symmetric pattern, on which that
     order gives about 0.6 times the factor entries of SuperLU's default
-    COLAMD, which orders A^T A, and solves about twice as fast.
+    COLAMD, which orders A^T A, and solves about twice as fast.  A real
+    diagonal one (the Jacobi M) is factored for SuperLU's pivot check only:
+    it solves by dividing by its diagonal, which is what SuperLU's solve
+    computes, bit for bit, at a quarter of its cost plain and an eighth
+    transposed, where SuperLU solves column by column.
     """
     dtype = complex if mat.dtype.kind == "c" else float
     if sp.issparse(mat):
         csc = mat.tocsc()
-        order = "NATURAL" if _is_triangular(csc) else "MMD_AT_PLUS_A"
+        lower, upper = _triangles(csc)
+        order = "NATURAL" if lower or upper else "MMD_AT_PLUS_A"
         try:  # SuperLU rejects an exactly zero pivot itself
             lu = spla.splu(csc, permc_spec=order)
         except RuntimeError as exc:
             raise np.linalg.LinAlgError(f"sparse LU failed: {exc}") from exc
+
+        if lower and upper and dtype is float:
+            diagonal = csc.diagonal()
+
+            def solve(X, trans=False):   # a diagonal is its own transpose
+                X = np.asarray(X)
+                if np.iscomplexobj(X):
+                    return solve(X.real) + 1j * solve(X.imag)
+                # Fortran order, as SuperLU returns it
+                return np.divide(X, diagonal.reshape((-1,) + (1,) * (X.ndim - 1)),
+                                 out=np.empty(X.shape, order="F"))
+            return solve
 
         def solve(X, trans=False):
             X = np.asarray(X)

@@ -9,6 +9,7 @@ import scipy.sparse as sp
 
 import oracles
 from conftest import random_stable_system
+import dtmor.lowrank
 import dtmor.system
 from dtmor import (
     DenseCapError,
@@ -159,6 +160,23 @@ class TestFactorize:
         got = dtmor.system.factorize(storage(mat))(X)
         assert np.linalg.norm(mat @ got - X) <= 1e-13 * np.linalg.norm(X)
 
+    def test_diagonal_factor_solves_as_superlu_does(self):
+        # a real sparse diagonal solves by division: SuperLU's own solve of
+        # the same matrix bit for bit, plain and transposed, in its order
+        rng = np.random.default_rng(12)
+        mat = sp.diags(rng.uniform(0.1, 10.0, 50)).tocsr()
+        solve = dtmor.system.factorize(mat)
+        lu = dtmor.system.spla.splu(mat.tocsc(), permc_spec="NATURAL")
+        X = rng.standard_normal((50, 3))
+        for rhs in (X, X[:, 0], np.asfortranarray(X), X + 1j * rng.standard_normal((50, 3))):
+            for trans in ("N", "T"):
+                got = solve(rhs, trans=trans == "T")
+                want = lu.solve(rhs.real, trans=trans)
+                if np.iscomplexobj(rhs):
+                    want = want + 1j * lu.solve(rhs.imag, trans=trans)
+                assert np.array_equal(got, want)
+                assert got.flags.f_contiguous == want.flags.f_contiguous
+
     @pytest.mark.parametrize("storage", [np.asarray, sp.csr_matrix])
     def test_pencil_solver(self, storage):
         rng = np.random.default_rng(4)
@@ -262,6 +280,28 @@ class TestFactorize:
         assert np.linalg.norm(M.T @ adj.mass_solve(X) - X) <= 1e-13 * np.linalg.norm(X)
         assert np.linalg.norm(M @ adj.dual().mass_solve(X) - X) <= 1e-13 * np.linalg.norm(X)
         assert np.array_equal(adj.M.toarray() if sp.issparse(adj.M) else adj.M, M.T)
+
+
+class TestTransposedMaps:
+    @pytest.mark.parametrize("storage", [np.asarray, sp.csr_matrix])
+    @pytest.mark.parametrize("mass", [False, True])
+    def test_dynamics_and_mass_solve_match_dense(self, storage, mass):
+        # M^{-1}A, (M^{-1}A)^T = A^T M^{-T}, M^{-1} and M^{-T} on a system, its
+        # adjoint (A^T, M^T) and the adjoint's adjoint
+        rng = np.random.default_rng(11)
+        n = 6
+        A = rng.standard_normal((n, n))
+        M = rng.standard_normal((n, n)) + 5 * np.eye(n) if mass else np.eye(n)
+        s = build_system(storage(A), np.ones((n, 2)), np.ones((1, n)),
+                         M=storage(M) if mass else None)
+        X = rng.standard_normal((n, 3))
+        for sys_, Ad, Md in ((s, A, M), (s.dual(), A.T, M.T), (s.dual().dual(), A, M)):
+            dyn = np.linalg.solve(Md, Ad)
+            for got, want in ((sys_.apply_dynamics(X), dyn @ X),
+                              (sys_.apply_dynamics(X, trans=True), dyn.T @ X),
+                              (sys_.mass_solve(X), np.linalg.solve(Md, X)),
+                              (sys_.mass_solve(X, trans=True), np.linalg.solve(Md.T, X))):
+                assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
 
 class TestImpulseResponse:
@@ -443,6 +483,17 @@ def test_only_system_module_knows_sparse_storage():
         if path.name != "system.py":
             names = _module_names(path)
             assert not names & banned, f"{path.name} names {sorted(names & banned)}"
+
+
+def test_low_rank_solvers_apply_a_system_through_its_methods():
+    # the storage rule: lowrank.py reads no system's A or M, nor its mass
+    # factor, so M^{-1}A and its transpose are applied by system.py
+    # (DiscreteLTISystem.apply_dynamics, forward or with trans=True)
+    tree = ast.parse(Path(dtmor.lowrank.__file__).read_text(encoding="utf-8"))
+    attributes = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    read = attributes & {"A", "M", "_mass_solve"}
+    assert not read, f"lowrank.py reads {sorted(read)}"
+    assert "apply_dynamics" in attributes
 
 
 def test_only_the_solver_modules_name_a_gramian_type():
