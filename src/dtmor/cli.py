@@ -351,7 +351,10 @@ def _system_from_args(args) -> tuple[str | None, ExampleSpec | None]:
 
 def _add_solver_flags(p: argparse.ArgumentParser):
     defaults = lowrank.SolverConfig   # its class attributes are the defaults
-    p.add_argument("--solver", choices=SOLVERS, default="dense")
+    p.add_argument("--solver", choices=SOLVERS, default="dense", help=(
+        "dense: dense Stein solves, up to the dense cap; smith: the exact polynomial walk "
+        "over a finite window, and the rksm-pm1 solve at --tau inf; rksm-pm1, rksm-disc: "
+        "rational Krylov with +-1 or adaptive unit-circle poles, at any horizon"))
     p.add_argument("--tol", type=float, default=defaults.tol)
     p.add_argument("--tl-tol", type=float, help="horizon-term settling tolerance "
                    f"(default: min(tol, {defaults.tl_term_tol:g}))")

@@ -1,12 +1,13 @@
 """Low-rank Gramian approximation for (time-limited) Stein equations.
 
 Two solvers are provided.  The Smith-Arnoldi method walks the polynomial
-block Krylov sequence B, AB, A^2 B, ... and orthonormalizes the stacked walk
-once; for a finite horizon tau its first tau blocks are an exact Gramian
-factor and the next block is the exact horizon term.  The rational Krylov
-subspace method expands a shifted-inverse basis by the system's pencil
+block Krylov sequence B, AB, A^2 B, ... over a finite window tau and
+orthonormalizes the stacked walk once: its first tau blocks are an exact
+Gramian factor and the next block is the exact horizon term.  The rational
+Krylov subspace method expands a shifted-inverse basis by the system's pencil
 solves, solves compressed Galerkin problems, and monitors the equation residual
-through a rank-2m compressed form that never assembles an n x n matrix.
+through a rank-2m compressed form that never assembles an n x n matrix; it
+also serves the Smith entry at tau = inf, with +-1 poles.
 """
 from __future__ import annotations
 
@@ -34,8 +35,9 @@ class SolverConfig:
     ``tol`` is the scaled-residual target, ``tl_term_tol`` the relative
     norm-wise change below which the horizon term is considered settled,
     and ``cadence`` how often (in steps) the projected problem is solved;
-    ``max_iterations`` also counts steps.  The returned factors are
-    compressed by :func:`truncate_factor`.
+    ``max_iterations`` caps the steps.  These settings steer ``rksm`` alone:
+    a Smith window walk takes tau steps, and its tau = inf solve is ``rksm``'s.
+    The returned factors are compressed by :func:`truncate_factor`.
     """
     tol: float = 1e-8
     tl_term_tol: float = 1e-8
@@ -405,13 +407,11 @@ def truncate_factor(approx: GramianApprox, tol: float = 1e-12) -> GramianApprox:
 
 
 def _lifted_residual(work: DiscreteLTISystem, Q: np.ndarray, Y: np.ndarray,
-                     B0: np.ndarray, F: np.ndarray | None):
+                     B0: np.ndarray, F: np.ndarray):
     """Exact residual norm of A P A^T - P + B B^T - F F^T for P = Q Y Q^T,
     computed inside the orthonormal extension of [Q, A Q, B, F]."""
     W = work.apply_dynamics(Q)
-    extras = [W, B0] + ([F] if F is not None else [])
-    E = np.hstack(extras)
-    U, _, _ = _gram_schmidt_block(Q, E)
+    U, _, _ = _gram_schmidt_block(Q, np.hstack([W, B0, F]))
 
     def coords(X):   # X in the basis [Q, U], without stacking the n-row basis
         return np.vstack([Q.T @ X, U.T @ X])
@@ -420,54 +420,39 @@ def _lifted_residual(work: DiscreteLTISystem, Q: np.ndarray, Y: np.ndarray,
     Atil = coords(W)                       # tot x ell
     Ypad = np.zeros((tot, tot))
     Ypad[:ell, :ell] = Y
-    Bt = coords(B0)
-    Rsmall = Atil @ Y @ Atil.T - Ypad + Bt @ Bt.T
-    Ft = None
-    if F is not None:
-        Ft = coords(F)
-        Rsmall -= Ft @ Ft.T
+    Bt, Ft = coords(B0), coords(F)
+    Rsmall = Atil @ Y @ Atil.T - Ypad + Bt @ Bt.T - Ft @ Ft.T
     return float(np.linalg.norm(Rsmall, 2)), _gap_norm(Bt, Ft)
 
 
 def smith_arnoldi(sys: DiscreteLTISystem, side: str, tau,
                   cfg: SolverConfig | None = None) -> GramianApprox:
-    """Polynomial block-Krylov (Smith) factor of a (time-limited) Gramian.
+    """Polynomial block-Krylov (Smith) factor of a time-limited Gramian.
 
     With X_j = (M^{-1}A)^j M^{-1}B the window Gramian is the sum of
     X_j X_j^T over j < tau, so the stacked walk Z = [X_0, ..., X_{tau-1}]
-    is an exact factor and X_tau is the exact horizon term.  For finite tau
-    the walk takes tau steps; for tau = inf it stops once the truncation
-    residual of the partial sum, ||X_k||_2^2 / ||B B^T||_2, drops below
-    cfg.tol, which follows the spectral radius, so it is monitored rather
-    than assumed.  Z is orthonormalized once, Z = Q R, giving the basis Q
-    and the core R R^T; the walk columns that orthonormalization drops are
-    ``deflated_columns``.
+    is an exact factor and X_tau is the exact horizon term; the walk takes
+    tau steps and reads no ``cfg``.  Z is orthonormalized once, Z = Q R,
+    giving the basis Q and the core R R^T; the walk columns that
+    orthonormalization drops are ``deflated_columns``.  At tau = inf the
+    walk would only truncate a series, so the solve is :func:`rksm` with
+    +-1 poles under ``cfg``.
     """
     tau = check_horizon(tau)
+    if math.isinf(tau):
+        return rksm(sys, side, tau, ShiftStrategy(), cfg)
     work = sys.side(side)
-    cfg = cfg or SolverConfig()
     B0 = work.input_map()
-    finite = not math.isinf(tau)
-
+    steps = int(tau)
     blocks = [B0]
-    records: list[ConvergenceRecord] = []
-    bb_norm = _gap_norm(B0)
-    for steps in range(1, (int(tau) if finite else cfg.max_iterations) + 1):
-        X = work.apply_dynamics(blocks[-1])
-        res = None if finite else _gap_norm(X) / max(bb_norm, 1e-300)
-        records.append(ConvergenceRecord(steps, steps * work.m, res, None, None))
-        if (steps == tau) if finite else (res <= cfg.tol):
-            break
-        blocks.append(X)
-    else:
-        raise ConvergenceError(
-            f"Smith accumulation hit {cfg.max_iterations} steps above tolerance; "
-            f"spectral radius is likely too close to 1")
+    for _ in range(steps):
+        blocks.append(work.apply_dynamics(blocks[-1]))
+    F = blocks.pop()
+    records = [ConvergenceRecord(j, j * work.m, None, None, None) for j in range(1, steps + 1)]
 
     Z = np.hstack(blocks)
     Q, R = _orth_columns(Z)
     Y = R @ R.T
-    F = X if finite else None
     res_abs, res_scale = _lifted_residual(work, Q, Y, B0, F)
     approx = GramianApprox(
         basis=Q, core=Y, tl_term=F, side=side, horizon=tau, iterations=steps,

@@ -360,8 +360,8 @@ class TestMainExitCodes:
         assert code == 4
 
     def test_solver_error(self, tmp_path, capsys):
-        # infinite-horizon Smith on a near-unit-radius pencil cannot converge
-        # in 3 iterations
+        # at --tau inf the smith solver runs rksm with +-1 poles, which cannot
+        # converge on a near-unit-radius pencil in 3 iterations
         code = main(["reduce", "--kind", "jacobi", "--size", "6", "--seed", "1",
                      "--tau", "inf", "--method", "bt", "--order", "3",
                      "--solver", "smith", "--max-iter", "3",
@@ -436,6 +436,29 @@ class TestMainExitCodes:
                      "--out", str(tmp_path / "j")])
         capsys.readouterr()
         assert code == 0
+
+    def test_smith_finishes_a_tlbt_job_on_a_grid(self, tmp_path, capsys):
+        # the report's optional tau = inf pair of a smith job is the +-1 rksm
+        # solve, which finishes where a polynomial walk would need ~800 steps
+        source = ["--kind", "jacobi", "--size", "20", "--inputs", "2", "--outputs", "2",
+                  "--seed", "1", "--tau", "50", "--order", "10"]
+        reports = {}
+        for solver, method in (("smith", "tlbt"), ("smith", "both"), ("rksm-pm1", "both")):
+            out = tmp_path / f"{solver}-{method}"
+            assert main(["pipeline", *source, "--solver", solver, "--method", method,
+                         "--out", str(out)]) == 0
+            reports[solver, method] = json.loads((out / "report.json").read_text())["reports"]
+        capsys.readouterr()
+        pm1 = _report_leaves(reports["rksm-pm1", "both"]["tlbt"])
+        for method in ("tlbt", "both"):
+            smith = _report_leaves(reports["smith", method]["tlbt"])
+            assert smith.keys() == pm1.keys()
+            for key, value in smith.items():
+                if not key.endswith("sides_relative_gap"):
+                    expect = pytest.approx(pm1[key], rel=1e-6) if type(value) is float else pm1[key]
+                    assert value == expect, key
+        # a BT model comes from the tau = inf pair alone: the same solves
+        assert reports["smith", "both"]["bt"] == reports["rksm-pm1", "both"]["bt"]
 
     def test_smith_gramian_past_dense_cap(self, tmp_path, capsys, monkeypatch):
         # the window walk does no dense full-order work

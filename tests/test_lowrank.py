@@ -78,11 +78,26 @@ class TestSmithArnoldi:
         assert np.linalg.norm(a.matrix() - ref) <= 1e-7 * np.linalg.norm(ref)
         assert a.tl_term is None
 
+    @pytest.mark.parametrize("side", ["reach", "obs"])
+    def test_infinite_horizon_is_the_pm1_rksm_solve(self, side):
+        # past a window the walk only truncates a series: tau = inf is rksm's
+        # +-1 solve under the same settings, bit for bit
+        s = generate_example(ExampleSpec(kind="gauss-seidel", size=6, inputs=2,
+                                         outputs=2, seed=1))
+        cfg = SolverConfig(tol=1e-9, tl_term_tol=1e-10, cadence=2)
+        a = smith_arnoldi(s, side, math.inf, cfg)
+        b = rksm(s, side, math.inf, ShiftStrategy(), cfg)
+        assert np.array_equal(a.basis, b.basis) and np.array_equal(a.core, b.core)
+        assert a.records == b.records and a.shifts == b.shifts and a.shifts
+        assert a.residual == b.residual and a.tl_term is None
+
     def test_iteration_cap(self):
+        # the cap is rksm's: at max_iterations=5 the +-1 steps span all of
+        # n = 10 and the solve converges, so 2 steps are asked for
         s = random_stable_system(34, 10, 1, 1, radius=0.999)
         with pytest.raises(ConvergenceError):
             smith_arnoldi(s, "reach", math.inf,
-                          SolverConfig(tol=1e-12, tl_term_tol=1e-13, max_iterations=5))
+                          SolverConfig(tol=1e-12, tl_term_tol=1e-13, max_iterations=2))
 
     def test_basis_orthonormal(self, jacobi_small):
         a = smith_arnoldi(jacobi_small, "obs", 15)
@@ -101,7 +116,7 @@ class TestSmithArnoldi:
         # the walk width is steps * m, and the one orthonormalization drops the rest
         assert a.records[-1].basis_columns == 50 * 2
         assert 0 < a.deflated_columns <= 50 * 2 - a.rank
-        # rho(M^-1 A) ~ 0.978 needs about 400 steps to reach the default tolerance
+        # at tau = inf the entry runs the +-1 rksm solve
         a = smith_arnoldi(s, side, math.inf, SolverConfig(max_iterations=800))
         ref = tl_gramian_dense(s, math.inf, side)
         assert np.linalg.norm(a.matrix() - ref.gramian) <= 1e-7 * np.linalg.norm(ref.gramian)
