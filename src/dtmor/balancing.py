@@ -52,9 +52,7 @@ class BalancedPartition:
     """Named blocks of a balanced realization split at order r."""
     A11: np.ndarray
     A12: np.ndarray
-    A21: np.ndarray
     B1: np.ndarray
-    B2: np.ndarray
     C1: np.ndarray
     C2: np.ndarray
     sigma1: np.ndarray
@@ -87,14 +85,23 @@ class BalancedRealization:
     def order(self) -> int:
         return self.a.shape[0]
 
+    def dual(self) -> "BalancedRealization":
+        """Adjoint realization (a^T, c^T, b^T): the same sigma, the projectors
+        and the horizon terms swapped and transposed.  Its C-side quantities
+        are the B-side quantities of this realization."""
+        def t(X):
+            return None if X is None else X.T.copy()
+        return BalancedRealization(
+            a=t(self.a), b=t(self.c), c=t(self.b), sigma=self.sigma,
+            transform=t(self.transform_inv), transform_inv=t(self.transform),
+            horizon=self.horizon, tl_b=t(self.tl_c), tl_c=t(self.tl_b))
+
     def partition(self, r: int) -> BalancedPartition:
         n = self.order
         if not 0 < r <= n:
             raise ValueError(f"partition order r={r} out of range 1..{n}")
         return BalancedPartition(
-            A11=self.a[:r, :r], A12=self.a[:r, r:],
-            A21=self.a[r:, :r],
-            B1=self.b[:r], B2=self.b[r:],
+            A11=self.a[:r, :r], A12=self.a[:r, r:], B1=self.b[:r],
             C1=self.c[:, :r], C2=self.c[:, r:],
             sigma1=self.sigma[:r], sigma2=self.sigma[r:],
             F1=None if self.tl_b is None else self.tl_b[:r],

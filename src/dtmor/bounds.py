@@ -189,50 +189,39 @@ class BalancedErrorExpression:
     sides_relative_gap: float
 
 
-def _balanced_error_terms(bal: BalancedRealization, r: int) -> tuple[dict, dict]:
-    """C-side and B-side trace terms of the squared error norm of truncating
-    ``bal`` at order r over its own horizon: the neglected block, the
-    coupling through the cross Gramians and the ROM-Gramian gap, plus the
-    horizon residual when ``bal`` is time-limited.  Each side sums to the
-    squared norm.
-
-    At infinite horizon the ROM-Gramian gaps P^ - Sigma1 and Q^ - Sigma1
-    solve the Stein equations driven by -A12 Sigma2 A12^T and
-    -A21^T Sigma2 A21 (the leading block of the balanced Lyapunov
-    equations), so they are not formed by subtracting Sigma1."""
+def _balanced_side_terms(bal: BalancedRealization, r: int) -> dict:
+    """C-side trace terms of the squared error norm of truncating ``bal`` at
+    order r over its own horizon: the neglected block, the coupling through
+    the cross Gramian Z and the ROM-Gramian gap P^ - Sigma1, plus the
+    horizon residual when ``bal`` is time-limited.  They sum to the squared
+    norm.  At infinite horizon the gap solves the Stein equation driven by
+    -A12 Sigma2 A12^T (the leading block of the balanced Lyapunov
+    equation), so it is not formed by subtracting Sigma1."""
     tau = bal.horizon
     part = bal.partition(r)
-    full = DiscreteLTISystem(bal.a, bal.b, bal.c)
     rom = bal.reduced_system(r)
-    Y = solve_cross_sylvester(full, rom, tau, "Y")
-    Z = solve_cross_sylvester(full, rom, tau, "Z")
+    Z = solve_cross_sylvester(DiscreteLTISystem(bal.a, bal.b, bal.c), rom, tau, "Z")
     S1 = np.diag(part.sigma1)
     if bal.tl_b is None:
-        gap_p = -solve_projected_tl(rom.A, part.A12 * np.sqrt(part.sigma2))
-        gap_q = -solve_projected_tl(rom.A.T, part.A21.T * np.sqrt(part.sigma2))
+        gap = -solve_projected_tl(rom.A, part.A12 * np.sqrt(part.sigma2))
     else:
-        rom_reach = tl_gramian_dense(rom, tau, "reach")
-        rom_obs = tl_gramian_dense(rom, tau, "obs")
-        gap_p, gap_q = rom_reach.gramian - S1, rom_obs.gramian - S1
-    c = {
+        gap = tl_gramian_dense(rom, tau, "reach").gramian - S1
+    terms = {
         "neglected_block": float(np.trace((part.C2 * part.sigma2) @ part.C2.T)),
         "coupling": 2.0 * float(np.trace((part.A12 * part.sigma2) @ bal.a[:, r:].T @ Z)),
-        "rom_gramian_gap": float(np.trace(part.C1 @ gap_p @ part.C1.T)),
-    }
-    b = {
-        "neglected_block": float(np.trace(part.B2.T @ (part.sigma2[:, None] * part.B2))),
-        "coupling": 2.0 * float(np.trace(
-            part.A21.T @ (part.sigma2[:, None] * (bal.a[r:, :] @ Y)))),
-        "rom_gramian_gap": float(np.trace(part.B1.T @ gap_q @ part.B1)),
+        "rom_gramian_gap": float(np.trace(part.C1 @ gap @ part.C1.T)),
     }
     if bal.tl_b is not None:
-        Fh = rom_reach.tl_term          # Ahat^tau Bhat
-        Gh = rom_obs.tl_term.T          # Chat Ahat^tau, from the adjoint side
-        c["tl_residual"] = 2.0 * (float(np.trace(S1 @ part.G1.T @ Gh))
-                                  - float(np.trace(part.F1 @ bal.tl_b.T @ Z)))
-        b["tl_residual"] = 2.0 * (float(np.trace(S1 @ part.F1 @ Fh.T))
-                                  - float(np.trace(part.G1.T @ bal.tl_c @ Y)))
-    return c, b
+        Gh = tl_gramian_dense(rom, tau, "obs").tl_term.T   # Chat Ahat^tau
+        terms["tl_residual"] = 2.0 * (float(np.trace(S1 @ part.G1.T @ Gh))
+                                      - float(np.trace(part.F1 @ bal.tl_b.T @ Z)))
+    return terms
+
+
+def _balanced_error_terms(bal: BalancedRealization, r: int) -> tuple[dict, dict]:
+    """C-side and B-side terms of truncating ``bal`` at order r; the B side
+    is the C side of the adjoint realization ``bal.dual()``."""
+    return _balanced_side_terms(bal, r), _balanced_side_terms(bal.dual(), r)
 
 
 def error_expr_tlbt(bal: BalancedRealization, r: int) -> BalancedErrorExpression:
@@ -417,7 +406,7 @@ def bound_theorem32(bal: BalancedRealization, r: int, tau,
         rom = bal.reduced_system(r)
         nZ = nrm(solve_cross_sylvester(full, rom, tau, "Z"))
         rom_reach = tl_gramian_dense(rom, tau, "reach").gramian
-        Gh = tl_gramian_dense(rom, tau, "obs").tl_term   # (Chat Ahat^tau)^T, None at inf
+        Gh = None if math.isinf(tau) else tl_gramian_dense(rom, tau, "obs").tl_term
         gap = nrm(rom_reach - np.diag(part.sigma1))
         j = p * nC2 ** 2 + 2.0 * r * nA12 * nAc2 * nZ
         j_tl = (p * nC1 ** 2 * gap + 2.0 * p * sigma_1 * nrm(part.G1) * nrm(Gh)

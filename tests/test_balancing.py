@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -151,6 +152,30 @@ class TestBalanceDense:
         ref_c = bal.c @ np.linalg.matrix_power(bal.a, 9)
         assert np.allclose(bal.tl_b, ref_b, atol=1e-12)
         assert np.allclose(bal.tl_c, ref_c, atol=1e-12)
+
+    @pytest.mark.parametrize("tau", [9, math.inf])
+    def test_dual_is_the_adjoint_realization(self, tau):
+        _, bal = _balanced(12, 8, 2, 3, tau)
+        adj = bal.dual()
+        for got, ref in ((adj.a, bal.a.T), (adj.b, bal.c.T), (adj.c, bal.b.T),
+                         (adj.transform, bal.transform_inv.T),
+                         (adj.transform_inv, bal.transform.T)):
+            assert np.array_equal(got, ref)
+        assert np.array_equal(adj.sigma, bal.sigma) and adj.horizon == bal.horizon
+        if math.isinf(tau):
+            assert adj.tl_b is None and adj.tl_c is None
+        else:
+            assert np.array_equal(adj.tl_b, bal.tl_c.T)
+            assert np.array_equal(adj.tl_c, bal.tl_b.T)
+        twice = adj.dual()
+        for field in dataclasses.fields(bal):
+            got, ref = getattr(twice, field.name), getattr(bal, field.name)
+            if ref is None:
+                assert got is None, field.name
+            elif isinstance(ref, np.ndarray):
+                assert got.dtype == ref.dtype and np.array_equal(got, ref), field.name
+            else:
+                assert got == ref, field.name
 
     def test_singular_product_balanced_at_its_rank(self):
         # rank-deficient Q: the pair is balanced at the numerical rank 1

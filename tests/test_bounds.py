@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 import oracles
 from conftest import random_stable_system
 from dtmor import (
+    DiscreteLTISystem,
     EstimationError,
     ExampleSpec,
     ShiftStrategy,
@@ -32,6 +33,8 @@ from dtmor import (
     tl_h2_inner,
     tl_h2_norm,
 )
+from dtmor.bounds import _balanced_error_terms
+from dtmor.dense_stein import solve_cross_sylvester, solve_projected_tl
 
 SQRT2P1 = 1.0 + math.sqrt(2.0)
 
@@ -311,6 +314,56 @@ class TestTlbtErrorExpression:
             vals.append(abs(error_expr_tlbt(bal, 5).residual_term))
         assert vals[1] <= vals[0] * (0.7 ** 8) * 1.1 + 1e-14
         assert vals[2] <= vals[1] * (0.7 ** 16) * 1.1 + 1e-14
+
+
+def _explicit_b_side(bal, r):
+    """The B-side (observability) terms of truncating ``bal`` at order r,
+    written out on the balanced blocks: trace(B2^T S2 B2), the coupling
+    2 trace(A21^T S2 a[r:, :] Y), the ROM-Gramian gap Q^ - S1 (solved at
+    tau = inf, subtracted at a window) and the horizon residual
+    2 (trace(S1 F1 Fh^T) - trace(G1^T tl_c Y))."""
+    tau, a = bal.horizon, bal.a
+    s1, s2 = bal.sigma[:r], bal.sigma[r:]
+    A21, B1, B2 = a[r:, :r], bal.b[:r], bal.b[r:]
+    full = DiscreteLTISystem(a, bal.b, bal.c)
+    rom = DiscreteLTISystem(a[:r, :r], B1, bal.c[:, :r])
+    Y = solve_cross_sylvester(full, rom, tau, "Y")
+    if math.isinf(tau):
+        gap = -solve_projected_tl(rom.A.T, A21.T * np.sqrt(s2))
+    else:
+        gap = tl_gramian_dense(rom, tau, "obs").gramian - np.diag(s1)
+    ref = {
+        "neglected_block": np.trace(B2.T @ (s2[:, None] * B2)),
+        "coupling": 2.0 * np.trace(A21.T @ (s2[:, None] * (a[r:, :] @ Y))),
+        "rom_gramian_gap": np.trace(B1.T @ gap @ B1),
+    }
+    if not math.isinf(tau):
+        Fh = tl_gramian_dense(rom, tau, "reach").tl_term
+        G1 = bal.tl_c[:, :r]
+        ref["tl_residual"] = 2.0 * (np.trace(np.diag(s1) @ bal.tl_b[:r] @ Fh.T)
+                                    - np.trace(G1.T @ bal.tl_c @ Y))
+    return ref
+
+
+class TestBalancedErrorTermsBSide:
+    @pytest.mark.parametrize("kind", ["random-stable", "gauss-seidel"])
+    @pytest.mark.parametrize("tau", [12, math.inf])
+    def test_b_side_matches_explicit_formulas(self, kind, tau):
+        if kind == "random-stable":
+            s = random_stable_system(21, 10, 2, 2, radius=0.8)
+        else:
+            s = generate_example(ExampleSpec(kind="gauss-seidel", size=6, inputs=2,
+                                             outputs=2, seed=1))
+        bal = balance_dense(s, tl_gramian_dense(s, tau, "reach"),
+                            tl_gramian_dense(s, tau, "obs"), tau)
+        k = bal.order
+        for r in (k // 2, k):
+            ref = _explicit_b_side(bal, r)
+            _, b = _balanced_error_terms(bal, r)
+            assert sorted(b) == sorted(ref)
+            scale = max(abs(v) for v in ref.values())
+            for name, value in ref.items():
+                assert abs(b[name] - value) <= 1e-12 * scale, (kind, tau, r, name)
 
 
 class TestAsymptoticConstants:
