@@ -28,7 +28,7 @@ from .bounds import (
     tl_h2_norm,
 )
 from .dense_stein import (
-    DenseGramianPair,
+    Gramian,
     solve_cross_sylvester,
     solve_projected_tl,
     solve_stein_dense,
@@ -50,7 +50,6 @@ from .exceptions import (
 )
 from .lowrank import (
     ConvergenceRecord,
-    GramianApprox,
     KrylovState,
     ShiftStrategy,
     SolverConfig,

@@ -189,29 +189,35 @@ class BalancedErrorExpression:
     sides_relative_gap: float
 
 
+def _rom_gramian_gap(part, rom: DiscreteLTISystem, tau) -> np.ndarray:
+    """The ROM-Gramian gap P^ - Sigma1 of the truncated model ``rom`` of a
+    realization balanced over ``tau`` (``part`` its partition).  At infinite
+    horizon the gap solves the Stein equation driven by -A12 Sigma2 A12^T
+    (the leading block of the balanced Lyapunov equation), so it is not
+    formed by subtracting Sigma1."""
+    if math.isinf(tau):
+        return -solve_projected_tl(rom.A, part.A12 * np.sqrt(part.sigma2))
+    return tl_gramian_dense(rom, tau, "reach").matrix() - np.diag(part.sigma1)
+
+
 def _balanced_side_terms(bal: BalancedRealization, r: int) -> dict:
     """C-side trace terms of the squared error norm of truncating ``bal`` at
     order r over its own horizon: the neglected block, the coupling through
     the cross Gramian Z and the ROM-Gramian gap P^ - Sigma1, plus the
     horizon residual when ``bal`` is time-limited.  They sum to the squared
-    norm.  At infinite horizon the gap solves the Stein equation driven by
-    -A12 Sigma2 A12^T (the leading block of the balanced Lyapunov
-    equation), so it is not formed by subtracting Sigma1."""
+    norm."""
     tau = bal.horizon
     part = bal.partition(r)
     rom = bal.reduced_system(r)
     Z = solve_cross_sylvester(DiscreteLTISystem(bal.a, bal.b, bal.c), rom, tau, "Z")
-    S1 = np.diag(part.sigma1)
-    if bal.tl_b is None:
-        gap = -solve_projected_tl(rom.A, part.A12 * np.sqrt(part.sigma2))
-    else:
-        gap = tl_gramian_dense(rom, tau, "reach").gramian - S1
+    gap = _rom_gramian_gap(part, rom, tau)
     terms = {
         "neglected_block": float(np.trace((part.C2 * part.sigma2) @ part.C2.T)),
         "coupling": 2.0 * float(np.trace((part.A12 * part.sigma2) @ bal.a[:, r:].T @ Z)),
         "rom_gramian_gap": float(np.trace(part.C1 @ gap @ part.C1.T)),
     }
     if bal.tl_b is not None:
+        S1 = np.diag(part.sigma1)
         Gh = tl_gramian_dense(rom, tau, "obs").tl_term.T   # Chat Ahat^tau
         terms["tl_residual"] = 2.0 * (float(np.trace(S1 @ part.G1.T @ Gh))
                                       - float(np.trace(part.F1 @ bal.tl_b.T @ Z)))
@@ -368,8 +374,11 @@ def bound_theorem32(bal: BalancedRealization, r: int, tau,
     When either envelope rate reaches 1 the asymptotic form is invalid and
     an explicit variant is used instead, bounding the same trace terms with
     computed norms of the cross solution, the ROM Gramian gap and the
-    horizon terms; at tau = inf it needs a stable reduced block.
+    horizon terms; at tau = inf it needs a stable reduced block.  ``tau``
+    must be the horizon ``bal`` was balanced over (ValueError otherwise).
     """
+    if check_horizon(tau) != bal.horizon:
+        raise ValueError(f"tau {float(tau):g} is not the balancing horizon {bal.horizon:g}")
     cf, cr = consts
     part = bal.partition(r)
     n = bal.order
@@ -405,9 +414,8 @@ def bound_theorem32(bal: BalancedRealization, r: int, tau,
         full = DiscreteLTISystem(bal.a, bal.b, bal.c)
         rom = bal.reduced_system(r)
         nZ = nrm(solve_cross_sylvester(full, rom, tau, "Z"))
-        rom_reach = tl_gramian_dense(rom, tau, "reach").gramian
         Gh = None if math.isinf(tau) else tl_gramian_dense(rom, tau, "obs").tl_term
-        gap = nrm(rom_reach - np.diag(part.sigma1))
+        gap = nrm(_rom_gramian_gap(part, rom, tau))
         j = p * nC2 ** 2 + 2.0 * r * nA12 * nAc2 * nZ
         j_tl = (p * nC1 ** 2 * gap + 2.0 * p * sigma_1 * nrm(part.G1) * nrm(Gh)
                 + 2.0 * m * nZ * nrm(part.F1) * nrm(bal.tl_b))

@@ -449,25 +449,19 @@ def _cmd_gramian(args) -> int:
     result = compute_gramian(system, args.tau, args.side, cfg)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
+    summary = {"rank": result.rank, "iterations": result.iterations, "side": result.side,
+               "tau": "inf" if math.isinf(result.horizon) else int(result.horizon)}
     if result.basis is not None:
         sio.mmwrite(out / "basis.mtx", result.basis, precision=17)
         sio.mmwrite(out / "core.mtx", result.core, precision=17)
-        summary = {"rank": result.rank, "iterations": result.iterations,
-                   "residual": result.residual, "deflated_columns": result.deflated_columns}
+        summary.update(residual=result.residual, deflated_columns=result.deflated_columns)
         if result.records:
             write_csv(out / "convergence.csv", *_records_csv(result.records))
     else:
-        P = result.matrix()
-        sio.mmwrite(out / "gramian.mtx", P, precision=17)
-        lam = np.linalg.eigvalsh(0.5 * (P + P.T))
-        # the numerical rank, by the 1e-12 rule of lowrank.truncate_factor
-        summary = {"rank": int(np.sum(lam > 1e-12 * lam.max(initial=0.0))),
-                   "iterations": None,
-                   "residual": dense_stein.stein_residual_dense(system, result)}
+        sio.mmwrite(out / "gramian.mtx", result.matrix(), precision=17)
+        summary["residual"] = dense_stein.stein_residual_dense(system, result)
     if result.tl_term is not None:
         sio.mmwrite(out / "tl_term.mtx", result.tl_term, precision=17)
-    summary.update(side=result.side,
-                   tau="inf" if math.isinf(result.horizon) else int(result.horizon))
     with open(out / "summary.json", "w", encoding="utf-8") as fh:
         json.dump(summary, fh, indent=2, sort_keys=True)
         fh.write("\n")

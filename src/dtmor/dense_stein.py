@@ -12,7 +12,7 @@ bases.  Sizes are guarded by the dense cap.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg as sla
@@ -23,39 +23,69 @@ from .system import DiscreteLTISystem, check_horizon, dense_array
 
 _SOLVABILITY_TOL = 1e-10
 _SMITH_MAX_DOUBLINGS = 64
+RANK_TOL = 1e-12   # eigenvalues of a core below this times its largest are negligible
 
 
 @dataclass(frozen=True)
-class DenseGramianPair:
-    """A dense (time-limited) Gramian together with its inhomogeneity term.
+class Gramian:
+    """A (time-limited) Gramian basis @ core @ basis^T; ``basis`` None means
+    the dense matrix ``core`` itself (the identity as basis).
 
-    For the reachability side ``gramian`` is P_tau and ``tl_term`` the
-    standard-form matrix (M^{-1}A)^tau M^{-1}B; for the observability side
-    (solved on the adjoint system) ``gramian`` is the mass-adjusted Q and
-    ``tl_term`` the adjoint analogue.  ``tl_term`` is None for the infinite
-    horizon.  It shares the Gramian interface of ``lowrank.GramianApprox``
-    (:meth:`matrix`, :meth:`factor`, :meth:`output_trace` and ``basis``), so
-    no other module needs to know how a Gramian is stored.
+    For the reachability side it is P_tau and ``tl_term`` the standard-form
+    (M^{-1}A)^tau M^{-1}B (lifted through the basis for a Krylov solve); for
+    the observability side (solved on the adjoint system) it is the
+    mass-adjusted Q and ``tl_term`` the adjoint analogue.  ``tl_term`` is
+    None for the infinite horizon.  A Krylov solve also fills the solver
+    fields: ``deflated_columns`` counts candidate basis directions dropped as
+    numerically dependent during the build, ``offspace_fallbacks`` the
+    residual evaluations whose off-space factor needed the full QR.  Other
+    modules use :meth:`matrix`, :meth:`factor`, :meth:`output_trace` and
+    ``basis`` only, so no other module needs to know how it is stored.
     """
-    gramian: np.ndarray
+    basis: np.ndarray | None
+    core: np.ndarray
     tl_term: np.ndarray | None
-    horizon: float
     side: str
-    basis = None   # dense storage has no Krylov basis
+    horizon: float
+    iterations: int | None = None
+    residual: float | None = None
+    shifts: list = field(default_factory=list)
+    records: list = field(default_factory=list)
+    deflated_columns: int = 0
+    offspace_fallbacks: int = 0
+
+    @property
+    def gramian(self) -> np.ndarray:
+        """The dense matrix, as :meth:`matrix`."""
+        return self.matrix()
+
+    @property
+    def rank(self) -> int:
+        """The basis width if factored; if dense, the eigenvalues above RANK_TOL
+        times the largest (the rule by which ``lowrank.truncate_factor`` compresses)."""
+        if self.basis is not None:
+            return self.basis.shape[1]
+        lam = np.linalg.eigvalsh(0.5 * (self.core + self.core.T))
+        return int(np.sum(lam > RANK_TOL * lam.max(initial=0.0)))
 
     def matrix(self) -> np.ndarray:
-        """The dense Gramian itself."""
-        return self.gramian
+        """The Gramian as a dense matrix (assembled from a basis at desk scale only)."""
+        if self.basis is None:
+            return self.core
+        return self.basis @ self.core @ self.basis.T
 
     def factor(self) -> np.ndarray:
         """Z with Z Z^T equal to the Gramian, negligible directions dropped."""
-        return psd_factor(self.gramian)
+        Z = psd_factor(self.core)
+        return Z if self.basis is None else self.basis @ Z
 
     def output_trace(self, C: np.ndarray) -> float:
-        """trace(C P C^T).  On the observability side P is the reachability
-        Gramian of the adjoint system, whose C is B^T (the mass-adjusted
-        Gramian makes the original B correct here)."""
-        return float(np.trace(C @ self.gramian @ C.T))
+        """trace(C P C^T), through the basis when there is one.  On the
+        observability side P is the reachability Gramian of the adjoint
+        system, whose C is B^T (the mass-adjusted Gramian makes the original
+        B correct here)."""
+        CQ = C if self.basis is None else C @ self.basis
+        return float(np.trace(CQ @ self.core @ CQ.T))
 
 
 def psd_factor(P: np.ndarray, tol: float = 1e-14) -> np.ndarray:
@@ -171,7 +201,7 @@ def window_sum(apply, X: np.ndarray, tau: int, apply_hat=None, Xh: np.ndarray | 
     return S, X, X if same else Xh
 
 
-def tl_gramian_dense(sys: DiscreteLTISystem, tau, side: str = "reach") -> DenseGramianPair:
+def tl_gramian_dense(sys: DiscreteLTISystem, tau, side: str = "reach") -> Gramian:
     """Dense (time-limited) Gramian of one side.
 
     Finite tau: direct summation, which satisfies the defining Stein
@@ -194,10 +224,10 @@ def tl_gramian_dense(sys: DiscreteLTISystem, tau, side: str = "reach") -> DenseG
         Ad = work.dense_dynamics()
         P = _smith_squared(Ad, B0 @ B0.T)
         P = 0.5 * (P + P.T)
-        return DenseGramianPair(P, None, tau, side)
+        return Gramian(None, P, None, side, tau)
 
     P, F, _ = window_sum(work.apply_dynamics, B0, tau)
-    return DenseGramianPair(0.5 * (P + P.T), F, tau, side)
+    return Gramian(None, 0.5 * (P + P.T), F, side, tau)
 
 
 def solve_cross_sylvester(sys: DiscreteLTISystem, rom: DiscreteLTISystem,
@@ -298,7 +328,7 @@ def solve_projected_tl(H: np.ndarray, Bk: np.ndarray, Fk: np.ndarray | None = No
     return 0.5 * (Y + Y.T)
 
 
-def stein_residual_dense(sys: DiscreteLTISystem, pair: DenseGramianPair) -> float:
+def stein_residual_dense(sys: DiscreteLTISystem, pair: Gramian) -> float:
     """Relative residual of the defining (generalized) Stein equation.
 
     For the reachability side this checks
@@ -309,7 +339,7 @@ def stein_residual_dense(sys: DiscreteLTISystem, pair: DenseGramianPair) -> floa
     A = dense_array(work.A)
     M = np.eye(work.n) if work.M is None else dense_array(work.M)
     B = work.B
-    P = pair.gramian
+    P = pair.matrix()
     W = B @ B.T
     if pair.tl_term is not None:
         FM = M @ pair.tl_term

@@ -17,7 +17,7 @@ from typing import Callable
 
 import numpy as np
 
-from .dense_stein import psd_factor, solve_projected_tl, window_sum
+from .dense_stein import RANK_TOL, Gramian, solve_projected_tl, window_sum
 from .exceptions import BreakdownError, ConvergenceError, SolvabilityError
 from .system import DiscreteLTISystem, check_horizon
 
@@ -79,7 +79,7 @@ class ConvergenceRecord:
     shift: complex | None
 
 
-@dataclass
+@dataclass(slots=True)
 class KrylovState:
     """Bookkeeping of a running (rational) Arnoldi process.
 
@@ -124,47 +124,6 @@ class KrylovState:
     def ritz_values(self) -> np.ndarray | None:
         H = self.current_projected()
         return np.linalg.eigvals(H) if H.size else None
-
-
-@dataclass
-class GramianApprox:
-    """Low-rank factored Gramian approximation basis @ core @ basis^T, with
-    the Gramian interface of ``dense_stein.DenseGramianPair``.
-
-    ``tl_term`` is the lifted horizon term (approximates the standard-form
-    (M^{-1}A)^tau M^{-1}B on the solved side), None for infinite horizons.
-    ``deflated_columns`` counts candidate basis directions dropped as
-    numerically dependent during the build; ``offspace_fallbacks`` counts
-    the residual evaluations whose off-space factor needed the full QR.
-    """
-    basis: np.ndarray
-    core: np.ndarray
-    tl_term: np.ndarray | None
-    side: str
-    horizon: float
-    iterations: int
-    residual: float
-    shifts: list
-    records: list
-    deflated_columns: int = 0
-    offspace_fallbacks: int = 0
-
-    @property
-    def rank(self) -> int:
-        return self.basis.shape[1]
-
-    def factor(self) -> np.ndarray:
-        """Cholesky-like factor Z with Z Z^T equal to the approximation."""
-        return self.basis @ psd_factor(self.core)
-
-    def output_trace(self, C: np.ndarray) -> float:
-        """trace(C P C^T), as ``DenseGramianPair.output_trace``, through the basis."""
-        CQ = C @ self.basis
-        return float(np.trace(CQ @ self.core @ CQ.T))
-
-    def matrix(self) -> np.ndarray:
-        """Assemble the dense approximation (desk scale only)."""
-        return self.basis @ self.core @ self.basis.T
 
 
 def _shift_solver(work: DiscreteLTISystem, s: complex):
@@ -395,7 +354,7 @@ def _offspace_factor(Q: np.ndarray, dynamics, H: np.ndarray, m: int):
     return U, C, True
 
 
-def truncate_factor(approx: GramianApprox, tol: float = 1e-12) -> GramianApprox:
+def truncate_factor(approx: Gramian, tol: float = RANK_TOL) -> Gramian:
     """Compress a factored approximation by dropping eigenpairs of the core
     below ``tol`` times the largest eigenvalue (negatives included)."""
     Y = 0.5 * (approx.core + approx.core.T)
@@ -426,7 +385,7 @@ def _lifted_residual(work: DiscreteLTISystem, Q: np.ndarray, Y: np.ndarray,
 
 
 def smith_arnoldi(sys: DiscreteLTISystem, side: str, tau,
-                  cfg: SolverConfig | None = None) -> GramianApprox:
+                  cfg: SolverConfig | None = None) -> Gramian:
     """Polynomial block-Krylov (Smith) factor of a time-limited Gramian.
 
     With X_j = (M^{-1}A)^j M^{-1}B the window Gramian is the sum of
@@ -454,9 +413,9 @@ def smith_arnoldi(sys: DiscreteLTISystem, side: str, tau,
     Q, R = _orth_columns(Z)
     Y = R @ R.T
     res_abs, res_scale = _lifted_residual(work, Q, Y, B0, F)
-    approx = GramianApprox(
+    approx = Gramian(
         basis=Q, core=Y, tl_term=F, side=side, horizon=tau, iterations=steps,
-        residual=res_abs / max(res_scale, 1e-300), shifts=[], records=records,
+        residual=res_abs / max(res_scale, 1e-300), records=records,
         deflated_columns=Z.shape[1] - Q.shape[1])
     return truncate_factor(approx)
 
@@ -472,7 +431,7 @@ def _pad_rows(c: np.ndarray, rows: int) -> np.ndarray:
 def rksm(sys: DiscreteLTISystem, side: str, tau,
          shifts: ShiftStrategy | None = None,
          cfg: SolverConfig | None = None,
-         observer=None) -> GramianApprox:
+         observer=None) -> Gramian:
     """Rational Krylov subspace solver for (time-limited) Stein equations.
 
     A step applies one pole, a conjugate pair (one complex solve), or with
@@ -507,8 +466,8 @@ def rksm(sys: DiscreteLTISystem, side: str, tau,
     q1, _ = _orth_columns(B0)
     if q1.shape[1] == 0:
         z = np.zeros((work.n, 0))
-        return GramianApprox(z, np.zeros((0, 0)), np.zeros((work.n, work.m)) if finite else None,
-                             side, tau, 0, 0.0, [], [])
+        return Gramian(z, np.zeros((0, 0)), np.zeros((work.n, work.m)) if finite else None,
+                       side, tau, 0, 0.0)
 
     Qbuf, Q = _append_columns(np.empty((work.n, 0), order="F"), 0, q1)
     state = KrylovState(block_width=q1.shape[1], basis=Q, dynamics=work.apply_dynamics)
@@ -596,7 +555,7 @@ def rksm(sys: DiscreteLTISystem, side: str, tau,
         records.append(ConvergenceRecord(k, Q.shape[1], res, fF, s))
 
         if res <= cfg.tol:
-            approx = GramianApprox(
+            approx = Gramian(
                 basis=Q, core=Y, tl_term=None if Fhat is None else _thin_product(Q, Fhat),
                 side=side, horizon=tau, iterations=k, residual=res,
                 shifts=list(state.shifts), records=records, deflated_columns=deflated,

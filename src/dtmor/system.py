@@ -316,17 +316,12 @@ class SimulationTrace:
 def impulse_response(sys: DiscreteLTISystem, k: int) -> np.ndarray:
     """Impulse-response coefficient at step k.
 
-    h(0) = 0 and h(k) = C (M^{-1}A)^{k-1} M^{-1}B for k >= 1, evaluated by
-    repeated solves/products; matrix powers are never formed densely.
+    h(0) = 0 and h(k) = C (M^{-1}A)^{k-1} M^{-1}B for k >= 1, the last
+    entry of :func:`impulse_sequence`.
     """
     if k < 0:
         raise ValueError("k must be nonnegative")
-    if k == 0:
-        return np.zeros((sys.p, sys.m))
-    X = sys.input_map()
-    for _ in range(k - 1):
-        X = sys.apply_dynamics(X)
-    return sys.C @ X
+    return impulse_sequence(sys, k)[k]
 
 
 def impulse_sequence(sys: DiscreteLTISystem, horizon: int) -> np.ndarray:

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 import oracles
 from conftest import random_stable_system
 from dtmor import (
+    AsymptoticConstants,
     DiscreteLTISystem,
     EstimationError,
     ExampleSpec,
@@ -33,6 +34,7 @@ from dtmor import (
     tl_h2_inner,
     tl_h2_norm,
 )
+from dtmor import bounds
 from dtmor.bounds import _balanced_error_terms
 from dtmor.dense_stein import solve_cross_sylvester, solve_projected_tl
 
@@ -416,6 +418,31 @@ class TestTheorem32:
         cf = asymptotic_constants(bal.a, "eigen")
         t32 = bound_theorem32(bal, 8, math.inf, (cf, cf))
         assert t32.total == 0.0
+
+    def test_explicit_infinite_horizon_path_needs_no_dense_rom_gramian(self, monkeypatch):
+        # at tau = inf the ROM-Gramian gap is solved from -A12 Sigma2 A12^T,
+        # as in the balanced error expressions, not by subtracting Sigma1
+        _, bal = _balanced(18, 8, 2, 2, math.inf, radius=0.7)
+        dense = bounds.tl_gramian_dense
+
+        def finite_only(sys, tau, side="reach"):
+            assert not math.isinf(tau), "tau = inf dense Gramian asked for"
+            return dense(sys, tau, side)
+
+        monkeypatch.setattr(bounds, "tl_gramian_dense", finite_only)
+        c = AsymptoticConstants(1.0, 1.0, "eigen")
+        t32 = bound_theorem32(bal, 4, math.inf, (c, c))
+        assert t32.path == "explicit"
+        assert t32.total >= bound_inf_horizon(bal, 4).value_sq
+
+    def test_tau_must_match_the_balancing_horizon(self):
+        # the tau = inf gap is solved from the balanced Lyapunov equation, which
+        # holds only for a realization balanced at infinite horizon
+        _, bal = _balanced(18, 8, 2, 2, 12, radius=0.7)
+        c = AsymptoticConstants(1.0, 1.0, "eigen")
+        with pytest.raises(ValueError, match="balancing horizon"):
+            bound_theorem32(bal, 4, math.inf, (c, c))
+        bound_theorem32(bal, 4, 12.0, (c, c))
 
     def test_dominates_error_expression(self):
         for seed in range(10):

@@ -10,11 +10,13 @@ from conftest import random_stable_system
 from dtmor import (
     DenseCapError,
     ExampleSpec,
+    Gramian,
     ShiftStrategy,
     SolvabilityError,
     build_system,
     generate_example,
     rksm,
+    smith_arnoldi,
     solve_cross_sylvester,
     solve_projected_tl,
     solve_stein_dense,
@@ -130,6 +132,23 @@ class TestTlGramianDense:
         for side in ("reach", "obs"):
             pair = tl_gramian_dense(gs_small, 12, side)
             assert stein_residual_dense(gs_small, pair) <= 1e-12
+
+    def test_one_gramian_type_for_every_solver(self, gs_small):
+        # a dense Gramian is the factored type without a basis
+        dense = tl_gramian_dense(gs_small, 12, "reach")
+        smith = smith_arnoldi(gs_small, "reach", 12)
+        krylov = rksm(gs_small, "reach", 12)
+        assert type(dense) is type(smith) is type(krylov) is Gramian
+        assert dense.basis is None and smith.basis is not None and krylov.basis is not None
+
+    def test_dense_rank_and_gramian_alias(self, gs_small):
+        pair = tl_gramian_dense(gs_small, 12, "obs")
+        P = pair.matrix()
+        assert pair.gramian is P
+        # the 1e-12 eigenvalue rule of truncate_factor, on the dense matrix
+        lam = np.linalg.eigvalsh(0.5 * (P + P.T))
+        assert pair.rank == int(np.sum(lam > 1e-12 * lam.max(initial=0.0)))
+        assert 0 < pair.rank <= gs_small.n
 
     def test_obs_side_matches_dual_sum(self, jacobi_small):
         pair = tl_gramian_dense(jacobi_small, 9, "obs")

@@ -10,7 +10,7 @@ from conftest import random_stable_system
 from dtmor import (
     ConvergenceError,
     ExampleSpec,
-    GramianApprox,
+    Gramian,
     KrylovState,
     ShiftStrategy,
     SolverConfig,
@@ -288,12 +288,17 @@ class TestResidualFormula:
     def test_exact_solution_gives_zero(self, scalar_system):
         state = KrylovState(block_width=1)
         state.basis = np.array([[1.0]])
-        state.image = np.array([[0.5]])
         state.projected = np.array([[0.5]])
         state.offspace_dir = np.zeros((1, 0))
         state.offspace_coeff = np.zeros((0, 1))
         Y = solve_projected_tl(state.projected, np.array([[1.0]]), np.array([[0.25]]))
         assert stein_residual_norm(state, Y) <= 1e-10
+
+    def test_krylov_state_rejects_unknown_fields(self):
+        # slots: a field the state does not declare raises instead of being added
+        state = KrylovState(block_width=1)
+        with pytest.raises(AttributeError):
+            state.image = np.zeros((1, 1))
 
     def test_scalar_one_step_matches_hand_residual(self):
         # 2-state system, 1-dim basis: residual must equal the assembled one
@@ -302,12 +307,12 @@ class TestResidualFormula:
         b = s.B / np.linalg.norm(s.B)
         state = KrylovState(block_width=1)
         state.basis = b
-        state.image = Ad @ b
+        AQ = Ad @ b
         state.projected = b.T @ Ad @ b
-        G = state.image - state.basis @ state.projected
+        G = AQ - state.basis @ state.projected
         U, _ = np.linalg.qr(G)
         state.offspace_dir = U
-        state.offspace_coeff = U.T @ state.image
+        state.offspace_coeff = U.T @ AQ
         bk = b.T @ s.B
         fk = np.linalg.matrix_power(state.projected, 2) @ bk
         Y = solve_projected_tl(state.projected, bk, fk)
@@ -359,9 +364,9 @@ class TestNextShift:
 
 class TestTruncateFactor:
     def _approx(self, Q, Y):
-        return GramianApprox(basis=Q, core=Y, tl_term=None, side="reach",
-                             horizon=math.inf, iterations=0, residual=0.0,
-                             shifts=[], records=[])
+        return Gramian(basis=Q, core=Y, tl_term=None, side="reach",
+                       horizon=math.inf, iterations=0, residual=0.0,
+                       shifts=[], records=[])
 
     def test_threshold_drop(self):
         a = self._approx(np.eye(2), np.diag([1.0, 1e-20]))
@@ -382,7 +387,7 @@ class TestTruncateFactor:
         # factor product and output trace
         s = random_stable_system(62, 30, 2, 3)
         a = smith_arnoldi(s, "reach", 12)
-        d = dense_stein.DenseGramianPair(a.matrix(), a.tl_term, a.horizon, a.side)
+        d = dense_stein.Gramian(None, a.matrix(), a.tl_term, a.side, a.horizon)
         assert a.basis is not None and d.basis is None
         P = a.matrix()
         for g in (a, d):
