@@ -23,7 +23,7 @@ from .system import DiscreteLTISystem, check_horizon
 
 _DEFLATION_TOL = 1e-13
 _REAL_SHIFT_TOL = 1e-14
-_THIN_COLUMNS = 4   # widest block that _thin_product shapes by hand
+_THIN_COLUMNS = 4   # widest block that _thin_product reorders for a wide product
 _CHECK_WIDTH = 10   # probe columns of the off-space factor's check
 _SHIFT_GRID = 200   # equispaced unit-circle points the adaptive shifts score
 
@@ -160,16 +160,21 @@ def _thin_product(A: np.ndarray, X: np.ndarray) -> np.ndarray:
     """A @ X in the form that runs at memory speed when X is thin: a plain
     gemm with a handful of columns runs well below it.  One or two columns
     take one gemv each; a tall A (a basis times coefficients) is multiplied
-    as (X^T A^T)^T; a wide A (a basis transposed) takes one gemm on a
-    Fortran-ordered X."""
+    as (X^T A^T)^T at any width, into a Fortran-ordered array of its own; a
+    wide A (a basis transposed) takes one gemm on a Fortran-ordered X of up
+    to ``_THIN_COLUMNS`` columns."""
     w = X.shape[1]
-    if not 0 < w <= _THIN_COLUMNS:
+    if w == 0:
         return A @ X
     if w <= 2:
         return np.column_stack([A @ X[:, j] for j in range(w)])
     if A.shape[0] > A.shape[1]:
-        return (X.T @ A.T).T
-    return A @ np.asfortranarray(X)
+        out = np.empty((A.shape[0], w), order="F")
+        np.matmul(X.T, A.T, out=out.T)
+        return out
+    if w <= _THIN_COLUMNS:
+        return A @ np.asfortranarray(X)
+    return A @ X
 
 
 def _thin_norm(X: np.ndarray) -> float:
@@ -217,26 +222,70 @@ def _gram_schmidt_block(Q: np.ndarray | None, X: np.ndarray, tol: float = _DEFLA
     direction far below that norm is not orthogonal to Q (Giraud, Langou &
     Rozložník, Comput. Math. Appl. 50 (2005)).  When the smallest kept
     singular value is below half the norm after the first pass, the
-    normalized block is orthogonalized against Q once more.
+    normalized block is orthogonalized against Q once more.  The Smith
+    residual extends its basis by it; a rational Krylov step is
+    :func:`_gram_schmidt_step`.
     """
     scale = _thin_norm(X)
     if Q is None or Q.shape[1] == 0:
         nb, core = _orth_columns(X, tol, scale)
         return nb, np.zeros((0, X.shape[1])), core
-    c1 = _thin_product(Q.T, X)
-    X = X - _thin_product(Q, c1)
+    c1 = Q.T @ X
+    X = X - Q @ c1
     first_norm = _thin_norm(X)
-    c2 = _thin_product(Q.T, X)
-    X = X - _thin_product(Q, c2)
+    c2 = Q.T @ X
+    X = X - Q @ c2
     nb, core = _orth_columns(X, tol, scale)
     coeffs = c1 + c2
     if nb.shape[1] and np.linalg.norm(core, axis=1).min() < 0.5 * first_norm:
-        c3 = _thin_product(Q.T, nb)
-        nb = nb - _thin_product(Q, c3)
+        c3 = Q.T @ nb
+        nb = nb - Q @ c3
         nb, fix = _orth_columns(nb, 1e-8)
         coeffs = coeffs + c3 @ core
         core = fix @ core
     return nb, coeffs, core
+
+
+def _gram_schmidt_step(Q: np.ndarray, P: np.ndarray, X: np.ndarray):
+    """One step of a low-synchronization block Gram-Schmidt, which reads Q twice.
+
+    P is the pending block: orthonormal and projected once against Q.  One
+    reduction S = Q^T [P, X] and one update [P, X] - Q S give P its second
+    pass and X its first.  With s = Q^T P and G = P^T P - s^T s = R^T R
+    (Cholesky), the finished block is (P - Q s) R^{-1}, and X is projected
+    against it through P^T X, so no third read of Q is needed (Świrydowicz,
+    Langou, Ananthan, Yang & Thomas, Numer. Linear Algebra Appl. 28 (2021);
+    Carson, Lund, Rozložník & Thomas, Linear Algebra Appl. 638 (2022)).
+    When lambda_min(G) < 1/4 the second pass removed more than half of a
+    direction of P, so P - Q s is projected against Q once more and
+    orthonormalized, as in the third pass of :func:`_gram_schmidt_block`.
+    The projected X is normalized by :func:`_orth_columns`, its deflation
+    judged against its incoming norm, and becomes the next pending block.
+
+    Returns (finished, pending, core) with X = Q c + finished d + pending @ core
+    up to deflated directions.
+    """
+    w = P.shape[1]
+    scale = _thin_norm(X)
+    V = np.hstack([P, X])
+    S = _thin_product(Q.T, V)
+    PV = P.T @ V
+    V -= _thin_product(Q, S)
+    finished, X = V[:, :w], V[:, w:]
+    if w:
+        s = S[:, :w]
+        G = PV[:, :w] - s.T @ s
+        if np.linalg.eigvalsh(G)[0] >= 0.25:
+            T = np.linalg.solve(np.linalg.cholesky(G).T, np.eye(w))   # R^{-1}
+            finished = finished @ T
+            d = T.T @ (PV[:, w:] - s.T @ S[:, w:])
+        else:
+            finished = finished - _thin_product(Q, _thin_product(Q.T, finished))
+            finished, _ = _orth_columns(finished, 1e-8)
+            d = finished.T @ X
+        X = X - finished @ d
+    pending, core = _orth_columns(X, _DEFLATION_TOL, scale)
+    return finished, pending, core
 
 
 def next_shift(strategy: ShiftStrategy, state: KrylovState) -> complex:
@@ -362,7 +411,7 @@ def truncate_factor(approx: Gramian, tol: float = RANK_TOL) -> Gramian:
         return approx
     lam, U = np.linalg.eigh(Y)
     keep = lam > tol * float(lam.max(initial=0.0))   # none kept when no eigenvalue is positive
-    return replace(approx, basis=approx.basis @ U[:, keep], core=np.diag(lam[keep]))
+    return replace(approx, basis=_thin_product(approx.basis, U[:, keep]), core=np.diag(lam[keep]))
 
 
 def _lifted_residual(work: DiscreteLTISystem, Q: np.ndarray, Y: np.ndarray,
@@ -437,8 +486,11 @@ def rksm(sys: DiscreteLTISystem, side: str, tau,
     A step applies one pole, a conjugate pair (one complex solve), or with
     ``alternating-pm1`` both +1 and -1: a rational Krylov space depends only
     on its poles (Berljafa & Güttel, SIAM J. Sci. Comput. 39 (2017)), so one
-    Gram-Schmidt pass over the basis serves both poles' 2m columns.  Both
-    poles enter ``shifts``; a record keeps the first.
+    Gram-Schmidt step over the basis serves both poles' 2m columns.  Both
+    poles enter ``shifts``; a record keeps the first.  A step reads the basis
+    twice (:func:`_gram_schmidt_step`): its new block stays pending, projected
+    once, until the next step or until the basis is read (an evaluation, an
+    adaptive pole) finishes it; records count the pending columns.
 
     At every cadence point the projected problem is solved and the scaled
     residual is evaluated through the compressed formula.  For finite tau
@@ -479,6 +531,7 @@ def rksm(sys: DiscreteLTISystem, side: str, tau,
     deflated = fallbacks = 0
 
     newest: dict = {}   # pole of the last grown step -> (that step's new block, its core columns)
+    pending = np.zeros((work.n, 0))   # the newest block, projected once: Q's next columns
 
     def expand(pole):
         """The pole's candidate columns: its solve continued from the pole's own
@@ -500,26 +553,42 @@ def rksm(sys: DiscreteLTISystem, side: str, tau,
         state.shifts.append(pole.conjugate())
         return np.hstack([g.real, g.imag])
 
+    def grow(X):
+        """Append the finished pending block to Q, make X, projected once, the
+        pending block, and return X's core."""
+        nonlocal Qbuf, Q, pending, deflated
+        done, nb, core = _gram_schmidt_step(Q, pending, X)
+        deflated += pending.shape[1] + X.shape[1] - done.shape[1] - nb.shape[1]
+        if done.shape[1]:
+            Qbuf, Q = _append_columns(Qbuf, Q.shape[1], done)
+            state.basis = Q
+        pending = nb
+        return core
+
+    def finish():
+        """Finish the pending block, before Q is read."""
+        if pending.shape[1]:
+            grow(pending[:, :0])
+
     for k in range(1, cfg.max_iterations + 1):
+        if shifts.kind == "adaptive-disc":
+            finish()   # the pole reads the Ritz values of H over every built column
         s = next_shift(shifts, state)
         poles = [s, -s] if shifts.kind == "alternating-pm1" else [s]   # a +-1 step applies both
         blocks = [expand(pole) for pole in poles]
         widths = [b.shape[1] for b in blocks]
-        nb, _, core = _gram_schmidt_block(Q, np.hstack(blocks))
-        del blocks   # the solves' columns are in nb: free them before the buffer regrows
-        deflated += sum(widths) - nb.shape[1]
-        grew = nb.shape[1] > 0
+        core = grow(np.hstack(blocks))
+        grew = pending.shape[1] > 0
         if grew:
             cores = np.split(core, np.cumsum(widths[:-1]), axis=1)
-            newest = {pole: (nb, c) for pole, c in zip(poles, cores)}
-            Qbuf, Q = _append_columns(Qbuf, Q.shape[1], nb)
-            state.basis = Q
+            newest = {pole: (pending, c) for pole, c in zip(poles, cores)}
 
         evaluate = (k % cfg.cadence == 0) or (k == cfg.max_iterations) or not grew
         if not evaluate:
-            records.append(ConvergenceRecord(k, Q.shape[1], None, None, s))
+            records.append(ConvergenceRecord(k, Q.shape[1] + pending.shape[1], None, None, s))
             continue
 
+        finish()
         H = state.current_projected()
         Bk = _thin_product(Q.T, B0)
         Fhat = None

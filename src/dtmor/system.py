@@ -13,6 +13,7 @@ import json
 import math
 import warnings
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -61,8 +62,9 @@ class DiscreteLTISystem:
 
     A and M may be scipy sparse matrices or dense arrays; B and C are dense.
     Instances are immutable after construction and safe to share read-only;
-    the spectral radius is computed on first use and kept privately, in one
-    memo shared with the adjoints built by :meth:`dual`.
+    the spectral radius and the factors of the unit pencils A - M and A + M are
+    computed on first use and kept privately, each in one memo shared with
+    the adjoints built by :meth:`dual`.
     """
 
     def __init__(self, A, B, C, M=None, meta: dict | None = None):
@@ -88,6 +90,10 @@ class DiscreteLTISystem:
         self.p = self.C.shape[0]
         self._mass_solve = None
         self._rho = [None]  # one memo cell, shared with every adjoint
+        # the unit-pencil memo, shared with every adjoint: beta = +-1 -> the
+        # factor of A - beta M, the pencil of the system that made the memo,
+        # and whether this system is that one's adjoint
+        self._units = ({}, (self.A, self.M), False)
         if self.M is not None:
             try:
                 self._mass_solve = factorize(self.M)
@@ -126,11 +132,25 @@ class DiscreteLTISystem:
         """Solve closure b -> (alpha A - beta M)^{-1} M b = (alpha M^{-1}A - beta I)^{-1} b
         (M = I when absent) from one :func:`factorize` of the pencil; raises
         ``np.linalg.LinAlgError`` if the pencil is exactly singular.  Without
-        M the solve of that factor is the closure itself."""
+        M the solve of that factor is the closure itself.
+
+        The unit pencils A - M and A + M (alpha = 1, beta = +-1, the poles of
+        every +-1 walk) are factored once for a system and all its adjoints:
+        the memo always factors the pencil of the system that made it, and an
+        adjoint solves through that factor's transpose, so a solve's bits do
+        not depend on which side asked first.  Every other pencil is factored
+        per call."""
+        if alpha == 1 and beta in (1, -1):
+            memo, (A, M), adjoint = self._units
+            if beta not in memo:
+                memo[beta] = factorize(_pencil(A, M, 1.0, beta))
+            solve = memo[beta]
+            if adjoint:
+                solve = partial(solve, trans=True)
+        else:
+            solve = factorize(_pencil(self.A, self.M, alpha, beta))
         if self.M is None:
-            eye = sp.identity(self.n, format="csr") if sp.issparse(self.A) else np.eye(self.n)
-            return factorize(alpha * self.A - beta * eye)
-        solve = factorize(alpha * self.A - beta * self.M)
+            return solve
         return lambda b: solve(self.apply_mass(b))
 
     def input_map(self) -> np.ndarray:
@@ -143,7 +163,8 @@ class DiscreteLTISystem:
         Its reachability-side quantities are the observability-side
         quantities of the original system.  It solves with M^T through the
         transpose of this system's one LU of M, and shares its spectral-radius
-        memo, so whichever of the two is asked first computes it for both.
+        and unit-pencil memos, so whichever of the two is asked first computes
+        them for both.
         """
         AT = self.A.T.tocsr() if sp.issparse(self.A) else self.A.T.copy()
         adj = DiscreteLTISystem(AT, self.C.T.copy(), self.B.T.copy())
@@ -152,6 +173,8 @@ class DiscreteLTISystem:
             solve = self._mass_solve
             adj._mass_solve = lambda X, trans=False: solve(X, trans=not trans)
         adj._rho = self._rho  # same spectrum
+        memo, pencil, adjoint = self._units
+        adj._units = (memo, pencil, not adjoint)   # the transposed unit pencils
         return adj
 
     def side(self, name: str) -> "DiscreteLTISystem":
@@ -206,6 +229,13 @@ class DiscreteLTISystem:
     def __repr__(self) -> str:
         tag = "generalized " if self.is_generalized else ""
         return f"DiscreteLTISystem({tag}n={self.n}, m={self.m}, p={self.p})"
+
+
+def _pencil(A, M, alpha, beta):
+    """alpha A - beta M in A's storage, M = I when absent."""
+    if M is None:
+        M = sp.identity(A.shape[0], format="csr") if sp.issparse(A) else np.eye(A.shape[0])
+    return alpha * A - beta * M
 
 
 def dense_array(mat) -> np.ndarray:

@@ -164,6 +164,24 @@ class TestRunPipeline:
         assert sum(mass) == 1
 
 
+    @pytest.mark.parametrize("methods", [("bt", "tlbt"), ("bt",)])
+    def test_pipeline_factors_each_unit_pencil_once(self, monkeypatch, methods):
+        # every +-1 walk of the job, on either side and at either horizon,
+        # solves through the system's one factor of A - M and of A + M: with
+        # the one factor of M that is three factorizations in all
+        spec = ExampleSpec(kind="jacobi", size=20, inputs=2, outputs=2, seed=1)
+        factorize, calls = dtmor.system.factorize, []
+
+        def counting(mat, *args, **kwargs):
+            calls.append(mat.shape)
+            return factorize(mat, *args, **kwargs)
+
+        monkeypatch.setattr(dtmor.system, "factorize", counting)
+        run_pipeline(JobConfig(example=spec, tau=50, methods=methods, order=10,
+                               solver="rksm-pm1"))
+        assert calls == [(400, 400)] * 3
+
+
 class TestErrorCsv:
     @staticmethod
     def _csv(tmp_path, s, roms, horizon, tau):

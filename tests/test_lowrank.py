@@ -550,14 +550,17 @@ class TestLazyProjection:
         assert seen and max(seen) <= 1e-12
 
     def test_basis_wide_products_per_step(self, monkeypatch):
-        # per step (both poles, one 2m-column block): two Gram-Schmidt passes of
-        # two products each, and two more for a third pass; per evaluation: two
-        # to extend H, one for Q^T B, eight for the off-space factor at one
-        # sketch width and one for the residual.  H is not extended between
-        # evaluations, and a pole's continuation reads only the new block.
+        # per step (both poles, one 2m-column block): one reduction and one
+        # update, which finish the pending block and project the new one, and
+        # two more for a fallback; per evaluation: two to finish the pending
+        # block, two to extend H, one for Q^T B, eight for the off-space factor
+        # at one sketch width and one for the residual; one to truncate the
+        # factor.  H is not extended between evaluations, and a pole's
+        # continuation reads only the new block.
         s = generate_example(ExampleSpec(kind="jacobi", size=20, inputs=2, outputs=2, seed=1))
         count = dict(products=0, orth=0, thirds=0, evaluations=0)
-        product, orth, gram_schmidt = lowrank._thin_product, lowrank._orth_columns, lowrank._gram_schmidt_block
+        product, orth = lowrank._thin_product, lowrank._orth_columns
+        gram_schmidt = lowrank._gram_schmidt_step
         solve = lowrank.solve_projected_tl
 
         def counted_product(A, X):
@@ -571,7 +574,7 @@ class TestLazyProjection:
         def counted_gram_schmidt(*args):
             before = count["orth"]
             out = gram_schmidt(*args)
-            count["thirds"] += count["orth"] - before - 1   # one orthonormalization per pass after two
+            count["thirds"] += count["orth"] - before - 1   # one orthonormalization per fallback
             return out
 
         def counted_solve(*args):
@@ -580,31 +583,32 @@ class TestLazyProjection:
 
         monkeypatch.setattr(lowrank, "_thin_product", counted_product)
         monkeypatch.setattr(lowrank, "_orth_columns", counted_orth)
-        monkeypatch.setattr(lowrank, "_gram_schmidt_block", counted_gram_schmidt)
+        monkeypatch.setattr(lowrank, "_gram_schmidt_step", counted_gram_schmidt)
         monkeypatch.setattr(lowrank, "solve_projected_tl", counted_solve)
         a = rksm(s, "reach", math.inf, ShiftStrategy("alternating-pm1"), SolverConfig(cadence=5))
         assert a.residual <= SolverConfig().tol and a.offspace_fallbacks == 0
         assert count["evaluations"] == math.ceil(a.iterations / 5)
-        assert count["products"] <= 4 * a.iterations + 2 * count["thirds"] + 12 * count["evaluations"]
+        assert count["products"] <= (2 * a.iterations + 2 * count["thirds"]
+                                     + 14 * count["evaluations"] + 1)
 
     def test_dynamics_applied_only_at_evaluations(self, monkeypatch):
         # a +-1 step makes its two pencil solves and no product with M^{-1}A:
         # the forward and the transposed map run where H is extended and the
         # off-space factor is formed, at every evaluation and nowhere else
         s = generate_example(ExampleSpec(kind="jacobi", size=20, inputs=2, outputs=2, seed=1))
-        dynamics, gram_schmidt = type(s).apply_dynamics, lowrank._gram_schmidt_block
+        dynamics, gram_schmidt = type(s).apply_dynamics, lowrank._gram_schmidt_step
         steps, calls = [0], []
 
-        def counted_gram_schmidt(*args):
-            steps[0] += 1
-            return gram_schmidt(*args)
+        def counted_gram_schmidt(Q, P, X):
+            steps[0] += X.shape[1] > 0   # an evaluation finishes the pending block alone
+            return gram_schmidt(Q, P, X)
 
         def counted_dynamics(self, X, trans=False):
             calls.append((steps[0], trans))
             return dynamics(self, X, trans)
 
         monkeypatch.setattr(type(s), "apply_dynamics", counted_dynamics)
-        monkeypatch.setattr(lowrank, "_gram_schmidt_block", counted_gram_schmidt)
+        monkeypatch.setattr(lowrank, "_gram_schmidt_step", counted_gram_schmidt)
         for side in ("reach", "obs"):
             for tau in (50, math.inf):
                 steps[0] = 0
@@ -615,6 +619,65 @@ class TestLazyProjection:
                 assert {k for k, _ in calls} == evaluations
                 for k in evaluations:
                     assert {trans for j, trans in calls if j == k} == {False, True}
+
+
+class TestTwoReadSteps:
+    """A step reads the basis twice; the newest block is finished where the basis is read."""
+
+    # (kind, tau) -> (iterations, basis columns) of both sides, as the
+    # four-pass Gram-Schmidt step walked them
+    WALKS = {("jacobi", 50): (20, 82), ("jacobi", math.inf): (20, 82),
+             ("gauss-seidel", 50): (20, 82), ("gauss-seidel", math.inf): (15, 62)}
+
+    @pytest.mark.parametrize("kind, tau", sorted(WALKS, key=str))
+    @pytest.mark.parametrize("side", ["reach", "obs"])
+    def test_pm1_walks_keep_their_steps_and_an_orthonormal_basis(self, kind, tau, side):
+        s = generate_example(ExampleSpec(kind=kind, size=20, inputs=2, outputs=2, seed=1))
+        loss = []
+
+        def observer(state, core, tl_term, res_abs):
+            Q = state.basis
+            loss.append(np.linalg.norm(Q.T @ Q - np.eye(Q.shape[1]), 2))
+
+        a = rksm(s, side, tau, ShiftStrategy("alternating-pm1"), observer=observer)
+        assert (a.iterations, a.records[-1].basis_columns) == self.WALKS[kind, tau]
+        assert [r.basis_columns for r in a.records] == [2 + 4 * k for k in range(1, a.iterations + 1)]
+        assert a.deflated_columns == a.offspace_fallbacks == 0
+        assert loss and max(loss) <= 1e-12
+
+    def test_adaptive_poles_read_every_built_column(self, monkeypatch):
+        # the Ritz values that pick a pole come from H over the whole basis,
+        # the newest block included
+        s = generate_example(ExampleSpec(kind="gauss-seidel", size=12, inputs=2, outputs=2, seed=1))
+        ritz, seen = lowrank.KrylovState.ritz_values, []
+
+        def recorded(state):
+            values = ritz(state)
+            seen.append((state.basis.shape[1], state.projected.shape[0]))
+            return values
+
+        monkeypatch.setattr(lowrank.KrylovState, "ritz_values", recorded)
+        a = rksm(s, "reach", 30, ShiftStrategy("adaptive-disc"))
+        assert len(seen) == a.iterations
+        built = [2] + [r.basis_columns for r in a.records[:-1]]
+        assert seen == [(k, k) for k in built]
+
+    def test_adaptive_walk_is_reproducible_under_round_off(self):
+        # an adaptive pole continues from the newest m columns; a finished
+        # block keeps the column order of its SVD, so a B scaled by round-off
+        # walks as many steps (the third pass of two-pass Gram-Schmidt once
+        # re-rotated them: 60, 70 and 50 steps at these scales)
+        s = generate_example(ExampleSpec(kind="jacobi", size=20, inputs=2, outputs=2, seed=1))
+        steps = {rksm(build_system(s.A, scale * s.B, s.C, s.M), "reach", 50,
+                      ShiftStrategy("adaptive-disc")).iterations
+                 for scale in (1.0, 1.0 + 2.0 ** -52, 1.0 + 2.0 ** -50)}
+        assert len(steps) == 1
+
+    def test_complex_poles_leave_no_factor_on_the_system(self):
+        s = generate_example(ExampleSpec(kind="gauss-seidel", size=12, inputs=2, outputs=2, seed=1))
+        a = rksm(s, "reach", 30, ShiftStrategy("adaptive-disc"))
+        assert any(abs(p.imag) > 0 for p in a.shifts)
+        assert set(s._units[0]) <= {1.0, -1.0}
 
 
 class TestPairedSteps:
@@ -647,7 +710,7 @@ class TestPairedSteps:
 
     def test_two_factorizations_and_two_solves_per_step(self, monkeypatch):
         s = generate_example(ExampleSpec(kind="jacobi", size=20, inputs=2, outputs=2, seed=1))
-        shift_solver, gram_schmidt = lowrank._shift_solver, lowrank._gram_schmidt_block
+        shift_solver, gram_schmidt = lowrank._shift_solver, lowrank._gram_schmidt_step
         count = dict(factorizations=0, solves=0)
         widths = []
 
@@ -660,12 +723,13 @@ class TestPairedSteps:
                 return solve(b)
             return counted_solve
 
-        def recorded_gram_schmidt(Q, X):
-            widths.append(X.shape[1])
-            return gram_schmidt(Q, X)
+        def recorded_gram_schmidt(Q, P, X):
+            if X.shape[1]:   # an evaluation finishes the pending block alone
+                widths.append(X.shape[1])
+            return gram_schmidt(Q, P, X)
 
         monkeypatch.setattr(lowrank, "_shift_solver", counted_shift_solver)
-        monkeypatch.setattr(lowrank, "_gram_schmidt_block", recorded_gram_schmidt)
+        monkeypatch.setattr(lowrank, "_gram_schmidt_step", recorded_gram_schmidt)
         m = 2
         for side in ("reach", "obs"):
             for tau in (50, math.inf):
@@ -681,7 +745,7 @@ class TestPairedSteps:
 
 
 class TestThinProduct:
-    @pytest.mark.parametrize("width", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("width", [1, 2, 3, 4, 5, 8, 40])
     @pytest.mark.parametrize("order", ["C", "F"])
     def test_matches_the_plain_product(self, width, order):
         rng = np.random.default_rng(10)
@@ -748,6 +812,50 @@ class TestGramSchmidtBlock:
         Q, inside, outside = self._basis_and_block()
         r, s = outside[:, :1], outside[:, 1:]
         assert self._run(monkeypatch, Q, inside + np.hstack([r, r + 1e-10 * s])) == 2
+
+
+class TestGramSchmidtStep:
+    """``_gram_schmidt_step`` finishes a pending block and projects a new one."""
+
+    @staticmethod
+    def _run(monkeypatch, Q, P, X):
+        calls = []
+        orth = lowrank._orth_columns
+        monkeypatch.setattr(lowrank, "_orth_columns",
+                            lambda *args: calls.append(args) or orth(*args))
+        done, pending, core = lowrank._gram_schmidt_step(Q, P, X)
+        assert done.shape == P.shape and pending.shape == X.shape
+        assert np.linalg.norm(Q.T @ done) <= 1e-13
+        assert np.linalg.norm(done.T @ done - np.eye(P.shape[1])) <= 1e-13
+        rest = P - Q @ (Q.T @ P)   # the finished block spans what P adds to Q
+        assert np.linalg.norm(rest - done @ (done.T @ rest)) <= 1e-12 * np.linalg.norm(rest)
+        assert np.linalg.norm(np.hstack([Q, done]).T @ pending) <= 1e-12
+        rest = X - Q @ (Q.T @ X) - done @ (done.T @ X)
+        assert np.linalg.norm(rest - pending @ core) <= 1e-12 * np.linalg.norm(X)
+        return len(calls)
+
+    @staticmethod
+    def _inputs():
+        rng = np.random.default_rng(9)
+        Q, _ = np.linalg.qr(rng.standard_normal((500, 40)))
+        draw = rng.standard_normal
+        return Q, draw((40, 4)), draw((500, 4)), draw((500, 4))
+
+    def test_pending_block_of_one_pass_is_finished_by_its_gram_matrix(self, monkeypatch):
+        Q, inside, outside, X = self._inputs()
+        Y = Q @ inside + outside
+        P, _ = lowrank._orth_columns(Y - Q @ (Q.T @ Y))
+        assert self._run(monkeypatch, Q, P, X) == 1
+        assert self._run(monkeypatch, Q, P, X[:, :0]) == 1   # finished alone, as at an evaluation
+
+    def test_pending_block_almost_inside_the_basis_takes_the_fallback(self, monkeypatch):
+        # P is orthonormal but nine tenths inside span(Q): lambda_min(P^T P - s^T s)
+        # is about 0.01, below 1/4, so P - Q s is projected once more
+        Q, inside, outside, X = self._inputs()
+        P, _ = lowrank._orth_columns(Q @ inside + 0.1 * outside)
+        s = Q.T @ P
+        assert np.linalg.eigvalsh(P.T @ P - s.T @ s)[0] < 0.25
+        assert self._run(monkeypatch, Q, P, X) == 2
 
 
 class TestOffspaceFactor:

@@ -282,6 +282,45 @@ class TestFactorize:
         assert np.array_equal(adj.M.toarray() if sp.issparse(adj.M) else adj.M, M.T)
 
 
+class TestUnitPencilMemo:
+    @pytest.mark.parametrize("storage", [np.asarray, sp.csr_matrix])
+    @pytest.mark.parametrize("mass", [False, True])
+    def test_adjoint_solves_through_the_system_factor(self, storage, mass):
+        # the memo factors the system's own A -+ M whichever side asks first,
+        # so the adjoint's solve has the same bits either way
+        rng = np.random.default_rng(13)
+        n = 6
+        A = rng.standard_normal((n, n))
+        M = rng.standard_normal((n, n)) + 4 * np.eye(n) if mass else None
+        Md = np.eye(n) if M is None else M
+        b = rng.standard_normal((n, 2))
+        got = []
+        for adjoint_first in (True, False):
+            s = build_system(storage(A), np.ones((n, 1)), np.ones((1, n)),
+                             M=None if M is None else storage(M))
+            adj = s.dual()
+            if not adjoint_first:
+                s.pencil_solver(1.0, -1.0)
+            for beta in (1.0, -1.0):
+                x = s.pencil_solver(1.0, beta)(b)
+                assert np.linalg.norm((A - beta * Md) @ x - Md @ b) <= 1e-12 * np.linalg.norm(b)
+                y = adj.pencil_solver(1.0, beta)(b)
+                assert np.linalg.norm((A - beta * Md).T @ y - Md.T @ b) <= 1e-12 * np.linalg.norm(b)
+                got.append(y)
+            assert sorted(s._units[0]) == [-1.0, 1.0] and adj._units[0] is s._units[0]
+        assert all(np.array_equal(x, y) for x, y in zip(got[:2], got[2:]))
+
+    def test_other_pencils_are_factored_per_call(self, monkeypatch):
+        s = generate_example(ExampleSpec(kind="gauss-seidel", size=6, seed=1))
+        factorize, calls = dtmor.system.factorize, []
+        monkeypatch.setattr(dtmor.system, "factorize",
+                            lambda mat: calls.append(mat) or factorize(mat))
+        for alpha, beta in ((1.0, 1.0), (1.0, 0.5 + 0.5j), (1.0, 1.0), (0.5, 1.0),
+                            (1.0, 0.5 + 0.5j), (1.0, -1.0)):
+            s.dual().pencil_solver(alpha, beta)
+        assert len(calls) == 5 and sorted(s._units[0]) == [-1.0, 1.0]
+
+
 class TestTransposedMaps:
     @pytest.mark.parametrize("storage", [np.asarray, sp.csr_matrix])
     @pytest.mark.parametrize("mass", [False, True])
