@@ -65,7 +65,6 @@ from .system import (
     SimulationTrace,
     build_system,
     generate_example,
-    impulse_response,
     impulse_sequence,
     read_system,
     simulate,

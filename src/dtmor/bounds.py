@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -187,6 +187,7 @@ class BalancedErrorExpression:
     residual_term: float          # time-limited residual term, C-side form
     terms: dict
     sides_relative_gap: float
+    c_solves: tuple = field(default=(), repr=False, compare=False)   # Z, P^ - Sigma1, Gh of the C side
 
 
 def _rom_gramian_gap(part, rom: DiscreteLTISystem, tau) -> np.ndarray:
@@ -200,17 +201,19 @@ def _rom_gramian_gap(part, rom: DiscreteLTISystem, tau) -> np.ndarray:
     return tl_gramian_dense(rom, tau, "reach").matrix() - np.diag(part.sigma1)
 
 
-def _balanced_side_terms(bal: BalancedRealization, r: int) -> dict:
+def _balanced_side_terms(bal: BalancedRealization, r: int):
     """C-side trace terms of the squared error norm of truncating ``bal`` at
     order r over its own horizon: the neglected block, the coupling through
     the cross Gramian Z and the ROM-Gramian gap P^ - Sigma1, plus the
     horizon residual when ``bal`` is time-limited.  They sum to the squared
-    norm."""
+    norm.  Returns the terms and the solves they took: Z, the gap and the
+    model's obs horizon term (Chat Ahat^tau)^T (None at infinite horizon)."""
     tau = bal.horizon
     part = bal.partition(r)
     rom = bal.reduced_system(r)
     Z = solve_cross_sylvester(DiscreteLTISystem(bal.a, bal.b, bal.c), rom, tau, "Z")
     gap = _rom_gramian_gap(part, rom, tau)
+    Gh = None
     terms = {
         "neglected_block": float(np.trace((part.C2 * part.sigma2) @ part.C2.T)),
         "coupling": 2.0 * float(np.trace((part.A12 * part.sigma2) @ bal.a[:, r:].T @ Z)),
@@ -218,16 +221,16 @@ def _balanced_side_terms(bal: BalancedRealization, r: int) -> dict:
     }
     if bal.tl_b is not None:
         S1 = np.diag(part.sigma1)
-        Gh = tl_gramian_dense(rom, tau, "obs").tl_term.T   # Chat Ahat^tau
-        terms["tl_residual"] = 2.0 * (float(np.trace(S1 @ part.G1.T @ Gh))
+        Gh = tl_gramian_dense(rom, tau, "obs").tl_term
+        terms["tl_residual"] = 2.0 * (float(np.trace(S1 @ part.G1.T @ Gh.T))
                                       - float(np.trace(part.F1 @ bal.tl_b.T @ Z)))
-    return terms
+    return terms, (Z, gap, Gh)
 
 
 def _balanced_error_terms(bal: BalancedRealization, r: int) -> tuple[dict, dict]:
     """C-side and B-side terms of truncating ``bal`` at order r; the B side
     is the C side of the adjoint realization ``bal.dual()``."""
-    return _balanced_side_terms(bal, r), _balanced_side_terms(bal.dual(), r)
+    return _balanced_side_terms(bal, r)[0], _balanced_side_terms(bal.dual(), r)[0]
 
 
 def error_expr_tlbt(bal: BalancedRealization, r: int) -> BalancedErrorExpression:
@@ -237,13 +240,13 @@ def error_expr_tlbt(bal: BalancedRealization, r: int) -> BalancedErrorExpression
     error; the equality is the module's central correctness test."""
     if bal.tl_b is None:
         raise ValueError("needs a time-limited balanced realization")
-    c, b = _balanced_error_terms(bal, r)
+    (c, solves), (b, _) = _balanced_side_terms(bal, r), _balanced_side_terms(bal.dual(), r)
     c_side, b_side = sum(c.values()), sum(b.values())
     return BalancedErrorExpression(
         value=abs(0.5 * (c_side + b_side)), c_side=c_side, b_side=b_side,
         residual_term=c["tl_residual"],
         terms={name: 0.5 * (c[name] + b[name]) for name in c},
-        sides_relative_gap=_relative_gap(c_side, b_side))
+        sides_relative_gap=_relative_gap(c_side, b_side), c_solves=solves)
 
 
 @dataclass
@@ -377,6 +380,12 @@ def bound_theorem32(bal: BalancedRealization, r: int, tau,
     horizon terms; at tau = inf it needs a stable reduced block.  ``tau``
     must be the horizon ``bal`` was balanced over (ValueError otherwise).
     """
+    return _theorem32(bal, r, tau, consts, ())
+
+
+def _theorem32(bal: BalancedRealization, r: int, tau, consts, solves: tuple) -> Theorem32Bound:
+    """:func:`bound_theorem32`, whose explicit path takes its solves from
+    ``solves`` (thm31's ``c_solves``) and solves them when it is empty."""
     if check_horizon(tau) != bal.horizon:
         raise ValueError(f"tau {float(tau):g} is not the balancing horizon {bal.horizon:g}")
     cf, cr = consts
@@ -411,11 +420,8 @@ def bound_theorem32(bal: BalancedRealization, r: int, tau,
             * nC * nC1 * (1.0 + mix)
         path = "asymptotic"
     else:
-        full = DiscreteLTISystem(bal.a, bal.b, bal.c)
-        rom = bal.reduced_system(r)
-        nZ = nrm(solve_cross_sylvester(full, rom, tau, "Z"))
-        Gh = None if math.isinf(tau) else tl_gramian_dense(rom, tau, "obs").tl_term
-        gap = nrm(_rom_gramian_gap(part, rom, tau))
+        Z, gap, Gh = solves or _balanced_side_terms(bal, r)[1]
+        nZ, gap = nrm(Z), nrm(gap)
         j = p * nC2 ** 2 + 2.0 * r * nA12 * nAc2 * nZ
         j_tl = (p * nC1 ** 2 * gap + 2.0 * p * sigma_1 * nrm(part.G1) * nrm(Gh)
                 + 2.0 * m * nZ * nrm(part.F1) * nrm(bal.tl_b))
@@ -548,7 +554,7 @@ def build_bound_report(sys: DiscreteLTISystem, rom, tau, pair=None,
         if constants_method:
             constants = (asymptotic_constants(bal.a, constants_method),
                          asymptotic_constants(bal.partition(rom.r).A11, constants_method))
-            thm32 = bound_theorem32(bal, rom.r, tau, constants)
+            thm32 = _theorem32(bal, rom.r, tau, constants, thm31.c_solves)
     return BoundReport(method=rom.method, tau=tau, r=rom.r, rom_spectral_radius=rho,
                        hsv_tail=rom.hsv_tail(), prop23=prop23, inf_horizon=inf,
                        thm31=thm31, thm32=thm32, constants=constants)

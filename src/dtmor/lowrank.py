@@ -1,13 +1,12 @@
 """Low-rank Gramian approximation for (time-limited) Stein equations.
 
-Two solvers are provided.  The Smith-Arnoldi method walks the polynomial
-block Krylov sequence B, AB, A^2 B, ... over a finite window tau and
-orthonormalizes the stacked walk once: its first tau blocks are an exact
-Gramian factor and the next block is the exact horizon term.  The rational
-Krylov subspace method expands a shifted-inverse basis by the system's pencil
-solves, solves compressed Galerkin problems, and monitors the equation residual
-through a rank-2m compressed form that never assembles an n x n matrix; it
-also serves the Smith entry at tau = inf, with +-1 poles.
+Both solvers drive one block rational Krylov walk and read its residual
+through one rank-2m compressed form that never assembles an n x n matrix.
+The rational Krylov subspace method expands the basis by the system's pencil
+solves and solves compressed Galerkin problems; it also serves the Smith
+entry at tau = inf, with +-1 poles.  The Smith-Arnoldi method walks a finite
+window with every pole at infinity, the polynomial block Krylov space, on
+which one evaluation gives the exact Gramian and horizon term.
 """
 from __future__ import annotations
 
@@ -36,8 +35,8 @@ class SolverConfig:
     norm-wise change below which the horizon term is considered settled,
     and ``cadence`` how often (in steps) the projected problem is solved;
     ``max_iterations`` caps the steps.  These settings steer ``rksm`` alone:
-    a Smith window walk takes tau steps, and its tau = inf solve is ``rksm``'s.
-    The returned factors are compressed by :func:`truncate_factor`.
+    a Smith window walk takes tau - 1 steps, and its tau = inf solve is
+    ``rksm``'s.  The returned factors are compressed by :func:`truncate_factor`.
     """
     tol: float = 1e-8
     tl_term_tol: float = 1e-8
@@ -93,8 +92,8 @@ class KrylovState:
     U C, the part of A*basis that leaves the subspace, which is what the
     compressed residual formula consumes.  U has about block-width columns,
     and neither A*basis nor G is stored, so ``basis`` is the only array with
-    n rows and k columns.  Inside ``rksm`` it is a view of the filled columns
-    of the solver's growth buffer; columns are written once, so a view stays
+    n rows and k columns.  Inside a solver's walk it is a view of the filled
+    columns of the growth buffer; columns are written once, so a view stays
     valid, but it keeps the whole buffer alive.
     """
     block_width: int
@@ -145,15 +144,11 @@ def _orth_columns(X: np.ndarray, tol: float = _DEFLATION_TOL, scale: float | Non
     size below tol relative to ``scale`` (the pre-orthogonalization block
     norm; defaults to the block's own largest singular value).
     """
-    if X.size == 0:
+    if not X.any():   # empty or zero
         return np.zeros((X.shape[0], 0)), np.zeros((0, X.shape[1]))
     U, svals, Vt = np.linalg.svd(X, full_matrices=False)
-    if svals.size == 0 or svals[0] == 0.0:
-        return np.zeros((X.shape[0], 0)), np.zeros((0, X.shape[1]))
     keep = svals > tol * (scale if scale is not None else svals[0])
-    U = U[:, keep]
-    R = (svals[keep, None] * Vt[keep])
-    return U, R
+    return U[:, keep], svals[keep, None] * Vt[keep]
 
 
 def _thin_product(A: np.ndarray, X: np.ndarray) -> np.ndarray:
@@ -210,42 +205,6 @@ def _append_columns(buf: np.ndarray, used: int, X: np.ndarray):
     return buf, buf[:, :need]
 
 
-def _gram_schmidt_block(Q: np.ndarray | None, X: np.ndarray, tol: float = _DEFLATION_TOL):
-    """Classical Gram-Schmidt of the block X against Q: two passes, and a
-    third when the second left a direction that needs it.
-
-    Returns (new_block, coeffs, core) with X = Q @ coeffs + new_block @ core
-    up to deflated directions, judged against the incoming block norm so a
-    fully represented block deflates away entirely.  After two passes the
-    remainder is orthogonal to Q up to round-off relative to its norm after
-    the first pass, and the SVD that normalizes it errs by as much; so a kept
-    direction far below that norm is not orthogonal to Q (Giraud, Langou &
-    Rozložník, Comput. Math. Appl. 50 (2005)).  When the smallest kept
-    singular value is below half the norm after the first pass, the
-    normalized block is orthogonalized against Q once more.  The Smith
-    residual extends its basis by it; a rational Krylov step is
-    :func:`_gram_schmidt_step`.
-    """
-    scale = _thin_norm(X)
-    if Q is None or Q.shape[1] == 0:
-        nb, core = _orth_columns(X, tol, scale)
-        return nb, np.zeros((0, X.shape[1])), core
-    c1 = Q.T @ X
-    X = X - Q @ c1
-    first_norm = _thin_norm(X)
-    c2 = Q.T @ X
-    X = X - Q @ c2
-    nb, core = _orth_columns(X, tol, scale)
-    coeffs = c1 + c2
-    if nb.shape[1] and np.linalg.norm(core, axis=1).min() < 0.5 * first_norm:
-        c3 = Q.T @ nb
-        nb = nb - Q @ c3
-        nb, fix = _orth_columns(nb, 1e-8)
-        coeffs = coeffs + c3 @ core
-        core = fix @ core
-    return nb, coeffs, core
-
-
 def _gram_schmidt_step(Q: np.ndarray, P: np.ndarray, X: np.ndarray):
     """One step of a low-synchronization block Gram-Schmidt, which reads Q twice.
 
@@ -258,7 +217,7 @@ def _gram_schmidt_step(Q: np.ndarray, P: np.ndarray, X: np.ndarray):
     Carson, Lund, Rozložník & Thomas, Linear Algebra Appl. 638 (2022)).
     When lambda_min(G) < 1/4 the second pass removed more than half of a
     direction of P, so P - Q s is projected against Q once more and
-    orthonormalized, as in the third pass of :func:`_gram_schmidt_block`.
+    orthonormalized, as the third pass of two-pass Gram-Schmidt does.
     The projected X is normalized by :func:`_orth_columns`, its deflation
     judged against its incoming norm, and becomes the next pending block.
 
@@ -329,13 +288,15 @@ def next_shift(strategy: ShiftStrategy, state: KrylovState) -> complex:
     return complex(best)
 
 
-def stein_residual_norm(state: KrylovState, core: np.ndarray) -> float:
+def stein_residual_norm(state: KrylovState, core: np.ndarray, offspace_term=None) -> float:
     """2-norm of the Stein residual for the Galerkin solution ``core``,
     evaluated from the rank-2m compressed form.
 
     With G = (I - QQ^T) A Q factored as U S, the residual equals
     [U, w] [[S Y S^T, I], [I, 0]] [U, w]^T for w = Q H Y S^T, so its norm
-    is read off a small QR factorization.
+    is read off a small QR factorization.  ``offspace_term`` (f, g) is a
+    horizon term F = Q f + U g with a part off the basis (a polynomial
+    walk's): then w = Q (H Y S^T - f g^T) and the corner is S Y S^T - g g^T.
     """
     if state.basis is None or state.projected is None:
         raise ValueError("state has no basis/projected data")
@@ -345,10 +306,14 @@ def stein_residual_norm(state: KrylovState, core: np.ndarray) -> float:
         return 0.0
     if Cf.shape[1] != core.shape[0]:
         raise ValueError("state and core dimensions disagree")
-    w = _thin_product(state.basis, state.current_projected() @ (core @ Cf.T))
+    cross, corner = state.current_projected() @ (core @ Cf.T), Cf @ core @ Cf.T
+    if offspace_term is not None:
+        f, g = offspace_term
+        cross, corner = cross - f @ g.T, corner - g @ g.T
+    w = _thin_product(state.basis, cross)
     k = U.shape[1]
     inner = np.block([
-        [Cf @ core @ Cf.T, np.eye(k)],
+        [corner, np.eye(k)],
         [np.eye(k), np.zeros((k, k))],
     ])
     S = np.linalg.qr(np.hstack([U, w]), mode="r")
@@ -414,67 +379,134 @@ def truncate_factor(approx: Gramian, tol: float = RANK_TOL) -> Gramian:
     return replace(approx, basis=_thin_product(approx.basis, U[:, keep]), core=np.diag(lam[keep]))
 
 
-def _lifted_residual(work: DiscreteLTISystem, Q: np.ndarray, Y: np.ndarray,
-                     B0: np.ndarray, F: np.ndarray):
-    """Exact residual norm of A P A^T - P + B B^T - F F^T for P = Q Y Q^T,
-    computed inside the orthonormal extension of [Q, A Q, B, F]."""
-    W = work.apply_dynamics(Q)
-    U, _, _ = _gram_schmidt_block(Q, np.hstack([W, B0, F]))
+class _Walk:
+    """A block rational Krylov walk of one side of a system from its
+    orthonormalized input map: Q in a Fortran-ordered growth buffer, the
+    pending block (Q's next columns, projected once), and in ``state`` Q, H
+    and the poles.  A step expands each pole from its continuation block by
+    the pole's pencil solve, or for a pole at infinity by the dynamics
+    itself, so poles at infinity span the polynomial block Krylov space
+    (Berljafa & Güttel, SIAM J. Matrix Anal. Appl. 36 (2015)).
+    """
 
-    def coords(X):   # X in the basis [Q, U], without stacking the n-row basis
-        return np.vstack([Q.T @ X, U.T @ X])
+    def __init__(self, sys: DiscreteLTISystem, side: str):
+        self.work, self.side = sys.side(side), side
+        self.B0 = self.work.input_map()
+        q1, _ = _orth_columns(self.B0)
+        self.buf, Q = _append_columns(np.empty((self.work.n, 0), order="F"), 0, q1)
+        self.state = KrylovState(q1.shape[1], basis=Q, dynamics=self.work.apply_dynamics)
+        self.pending = np.zeros((self.work.n, 0))
+        self.solvers: dict = {}   # pole -> its solve
+        self.newest: dict = {}    # pole of the last grown step -> (that step's new block, its core columns)
+        self.deflated = self.fallbacks = 0
 
-    ell, tot = Q.shape[1], Q.shape[1] + U.shape[1]
-    Atil = coords(W)                       # tot x ell
-    Ypad = np.zeros((tot, tot))
-    Ypad[:ell, :ell] = Y
-    Bt, Ft = coords(B0), coords(F)
-    Rsmall = Atil @ Y @ Atil.T - Ypad + Bt @ Bt.T - Ft @ Ft.T
-    return float(np.linalg.norm(Rsmall, 2)), _gap_norm(Bt, Ft)
+    def expand(self, pole):
+        """The pole's candidate columns: its solve continued from the pole's own
+        newest directions (the left singular vectors of its columns of the last
+        Gram-Schmidt core), or from the newest basis columns for a new pole."""
+        self.state.shifts.append(pole)
+        if pole not in self.solvers:
+            self.solvers[pole] = (self.work.apply_dynamics if pole == math.inf
+                                  else _shift_solver(self.work, pole))
+        Q = self.state.basis
+        if pole in self.newest:
+            block, part = self.newest[pole]
+            start = block @ np.linalg.svd(part, full_matrices=False)[0]
+        else:
+            start = Q[:, -min(self.work.m, Q.shape[1]):]
+        g = self.solvers[pole](start)
+        if abs(pole.imag) <= _REAL_SHIFT_TOL:
+            return np.real(g)
+        # one complex solve yields the whole conjugate pair as two real
+        # columns; mark the conjugate shift as consumed
+        self.state.shifts.append(pole.conjugate())
+        return np.hstack([g.real, g.imag])
+
+    def step(self, poles) -> bool:
+        """Expand every pole and append all their columns by one Gram-Schmidt
+        step: a rational Krylov space depends only on its poles (Berljafa &
+        Güttel, SIAM J. Sci. Comput. 39 (2017)).  Returns whether Q grew."""
+        blocks = [self.expand(pole) for pole in poles]
+        core = self.grow(np.hstack(blocks))
+        grew = self.pending.shape[1] > 0
+        if grew:
+            cores = np.split(core, np.cumsum([b.shape[1] for b in blocks[:-1]]), axis=1)
+            self.newest = {pole: (self.pending, c) for pole, c in zip(poles, cores)}
+        return grew
+
+    def grow(self, X):
+        """Append the finished pending block to Q, make X, projected once, the
+        pending block, and return X's core."""
+        done, nb, core = _gram_schmidt_step(self.state.basis, self.pending, X)
+        self.deflated += self.pending.shape[1] + X.shape[1] - done.shape[1] - nb.shape[1]
+        if done.shape[1]:
+            self.buf, self.state.basis = _append_columns(self.buf, self.state.basis.shape[1], done)
+        self.pending = nb
+        return core
+
+    def finish(self):
+        """Finish the pending block, before Q is read."""
+        if self.pending.shape[1]:
+            self.grow(self.pending[:, :0])
+
+    def project(self):
+        """Finish the pending block; return H and Q^T B."""
+        self.finish()
+        return self.state.current_projected(), _thin_product(self.state.basis.T, self.B0)
+
+    def factor_offspace(self):
+        """Factor G = A Q - Q H = U C into ``state``, after :meth:`project`;
+        returns U and C."""
+        st = self.state
+        st.offspace_dir, st.offspace_coeff, fell_back = _offspace_factor(
+            st.basis, st.dynamics, st.projected, self.work.m)
+        self.fallbacks += fell_back
+        return st.offspace_dir, st.offspace_coeff
+
+    def gramian(self, core, tl_term, horizon, **stats) -> Gramian:
+        """Q core Q^T with the walk's poles and counts, truncated."""
+        return truncate_factor(Gramian(
+            self.state.basis, core, tl_term, self.side, horizon, shifts=list(self.state.shifts),
+            deflated_columns=self.deflated, offspace_fallbacks=self.fallbacks, **stats))
 
 
 def smith_arnoldi(sys: DiscreteLTISystem, side: str, tau,
                   cfg: SolverConfig | None = None) -> Gramian:
     """Polynomial block-Krylov (Smith) factor of a time-limited Gramian.
 
-    With X_j = (M^{-1}A)^j M^{-1}B the window Gramian is the sum of
-    X_j X_j^T over j < tau, so the stacked walk Z = [X_0, ..., X_{tau-1}]
-    is an exact factor and X_tau is the exact horizon term; the walk takes
-    tau steps and reads no ``cfg``.  Z is orthonormalized once, Z = Q R,
-    giving the basis Q and the core R R^T; the walk columns that
-    orthonormalization drops are ``deflated_columns``.  At tau = inf the
-    walk would only truncate a series, so the solve is :func:`rksm` with
-    +-1 poles under ``cfg``.
+    With X_j = (M^{-1}A)^j M^{-1}B the window Gramian is the sum of X_j X_j^T
+    over j < tau.  The walk takes tau - 1 steps with one pole at infinity
+    each, or stops where a step adds no column (an invariant space), so Q
+    spans X_0, ..., X_{tau-1} and Q H^j Q^T B = X_j for j < tau (Saad, SIAM
+    J. Numer. Anal. 29 (1992), Lemma 3.1).  One evaluation follows:
+    :func:`window_sum` on H and Q^T B gives the core, and with G = A Q - Q H
+    = U C the exact horizon term is X_tau = Q H^tau Q^T B + U C H^{tau-1}
+    Q^T B, whose U part enters the residual.  The walk reads no ``cfg``; at
+    tau = inf it would only truncate a series, so the solve is :func:`rksm`
+    with +-1 poles under ``cfg``.
     """
     tau = check_horizon(tau)
     if math.isinf(tau):
         return rksm(sys, side, tau, ShiftStrategy(), cfg)
-    work = sys.side(side)
-    B0 = work.input_map()
-    steps = int(tau)
-    blocks = [B0]
-    for _ in range(steps):
-        blocks.append(work.apply_dynamics(blocks[-1]))
-    F = blocks.pop()
-    records = [ConvergenceRecord(j, j * work.m, None, None, None) for j in range(1, steps + 1)]
-
-    Z = np.hstack(blocks)
-    Q, R = _orth_columns(Z)
-    Y = R @ R.T
-    res_abs, res_scale = _lifted_residual(work, Q, Y, B0, F)
-    approx = Gramian(
-        basis=Q, core=Y, tl_term=F, side=side, horizon=tau, iterations=steps,
-        residual=res_abs / max(res_scale, 1e-300), records=records,
-        deflated_columns=Z.shape[1] - Q.shape[1])
-    return truncate_factor(approx)
-
-
-def _pad_rows(c: np.ndarray, rows: int) -> np.ndarray:
-    if c.shape[0] == rows:
-        return c
-    out = np.zeros((rows, c.shape[1]))
-    out[:c.shape[0]] = c
-    return out
+    walk, steps, records = _Walk(sys, side), int(tau), []
+    for k in range(1, steps):
+        grew = walk.step([math.inf])
+        records.append(ConvergenceRecord(
+            k, walk.state.basis.shape[1] + walk.pending.shape[1], None, None, math.inf))
+        if not grew:
+            break
+    H, Bk = walk.project()
+    Y, X, _ = window_sum(lambda Z: H @ Z, Bk, steps - 1)
+    Y += X @ X.T   # the sum's last term, with X = H^{tau-1} Q^T B
+    Fhat = H @ X
+    U, C = walk.factor_offspace()
+    g = C @ X
+    res = stein_residual_norm(walk.state, Y, (Fhat, g)) / max(
+        _gap_norm(np.vstack([Bk, np.zeros_like(g)]), np.vstack([Fhat, g])), 1e-300)
+    Q = walk.state.basis
+    records.append(ConvergenceRecord(steps, Q.shape[1], res, None, None))
+    return walk.gramian(Y, _thin_product(Q, Fhat) + U @ g, tau, iterations=steps,
+                        residual=res, records=records)
 
 
 def rksm(sys: DiscreteLTISystem, side: str, tau,
@@ -483,14 +515,11 @@ def rksm(sys: DiscreteLTISystem, side: str, tau,
          observer=None) -> Gramian:
     """Rational Krylov subspace solver for (time-limited) Stein equations.
 
-    A step applies one pole, a conjugate pair (one complex solve), or with
-    ``alternating-pm1`` both +1 and -1: a rational Krylov space depends only
-    on its poles (Berljafa & Güttel, SIAM J. Sci. Comput. 39 (2017)), so one
-    Gram-Schmidt step over the basis serves both poles' 2m columns.  Both
-    poles enter ``shifts``; a record keeps the first.  A step reads the basis
-    twice (:func:`_gram_schmidt_step`): its new block stays pending, projected
-    once, until the next step or until the basis is read (an evaluation, an
-    adaptive pole) finishes it; records count the pending columns.
+    A step of the walk applies one pole, a conjugate pair (one complex
+    solve), or with ``alternating-pm1`` both +1 and -1, whose new block stays
+    pending until the basis is read (an evaluation, an adaptive pole); both
+    poles enter ``shifts``, and a record keeps the first and counts the
+    pending columns.
 
     At every cadence point the projected problem is solved and the scaled
     residual is evaluated through the compressed formula.  For finite tau
@@ -508,96 +537,36 @@ def rksm(sys: DiscreteLTISystem, side: str, tau,
     ``state.dynamics`` applies A where it is needed.
     """
     tau = check_horizon(tau)
-    work = sys.side(side)
     shifts = shifts or ShiftStrategy()
     cfg = cfg or SolverConfig()
-    solvers: dict[complex, object] = {}   # shift -> its solve closure
-    B0 = work.input_map()
     finite = not math.isinf(tau)
+    walk = _Walk(sys, side)
+    state = walk.state
+    if state.basis.shape[1] == 0:
+        z = np.zeros((walk.work.n, walk.work.m)) if finite else None
+        return walk.gramian(np.zeros((0, 0)), z, tau, iterations=0, residual=0.0)
 
-    q1, _ = _orth_columns(B0)
-    if q1.shape[1] == 0:
-        z = np.zeros((work.n, 0))
-        return Gramian(z, np.zeros((0, 0)), np.zeros((work.n, work.m)) if finite else None,
-                       side, tau, 0, 0.0)
-
-    Qbuf, Q = _append_columns(np.empty((work.n, 0), order="F"), 0, q1)
-    state = KrylovState(block_width=q1.shape[1], basis=Q, dynamics=work.apply_dynamics)
-
-    records: list[ConvergenceRecord] = []
-    fhat_prev: np.ndarray | None = None
+    records, fhat_prev, fF = [], None, None
     tl_settled = not finite
-    fF: float | None = None
-    deflated = fallbacks = 0
-
-    newest: dict = {}   # pole of the last grown step -> (that step's new block, its core columns)
-    pending = np.zeros((work.n, 0))   # the newest block, projected once: Q's next columns
-
-    def expand(pole):
-        """The pole's candidate columns: its solve continued from the pole's own
-        newest directions (the left singular vectors of its columns of the last
-        Gram-Schmidt core), or from the newest basis columns for a new pole."""
-        state.shifts.append(pole)
-        if pole not in solvers:
-            solvers[pole] = _shift_solver(work, pole)
-        if pole in newest:
-            block, part = newest[pole]
-            start = block @ np.linalg.svd(part, full_matrices=False)[0]
-        else:
-            start = Q[:, -min(work.m, Q.shape[1]):]
-        g = solvers[pole](start)
-        if abs(pole.imag) <= _REAL_SHIFT_TOL:
-            return np.real(g)
-        # one complex solve yields the whole conjugate pair as two real
-        # columns; mark the conjugate shift as consumed
-        state.shifts.append(pole.conjugate())
-        return np.hstack([g.real, g.imag])
-
-    def grow(X):
-        """Append the finished pending block to Q, make X, projected once, the
-        pending block, and return X's core."""
-        nonlocal Qbuf, Q, pending, deflated
-        done, nb, core = _gram_schmidt_step(Q, pending, X)
-        deflated += pending.shape[1] + X.shape[1] - done.shape[1] - nb.shape[1]
-        if done.shape[1]:
-            Qbuf, Q = _append_columns(Qbuf, Q.shape[1], done)
-            state.basis = Q
-        pending = nb
-        return core
-
-    def finish():
-        """Finish the pending block, before Q is read."""
-        if pending.shape[1]:
-            grow(pending[:, :0])
 
     for k in range(1, cfg.max_iterations + 1):
         if shifts.kind == "adaptive-disc":
-            finish()   # the pole reads the Ritz values of H over every built column
+            walk.finish()   # the pole reads the Ritz values of H over every built column
         s = next_shift(shifts, state)
-        poles = [s, -s] if shifts.kind == "alternating-pm1" else [s]   # a +-1 step applies both
-        blocks = [expand(pole) for pole in poles]
-        widths = [b.shape[1] for b in blocks]
-        core = grow(np.hstack(blocks))
-        grew = pending.shape[1] > 0
-        if grew:
-            cores = np.split(core, np.cumsum(widths[:-1]), axis=1)
-            newest = {pole: (pending, c) for pole, c in zip(poles, cores)}
-
+        grew = walk.step([s, -s] if shifts.kind == "alternating-pm1" else [s])   # a +-1 step applies both
         evaluate = (k % cfg.cadence == 0) or (k == cfg.max_iterations) or not grew
         if not evaluate:
-            records.append(ConvergenceRecord(k, Q.shape[1] + pending.shape[1], None, None, s))
+            records.append(ConvergenceRecord(
+                k, state.basis.shape[1] + walk.pending.shape[1], None, None, s))
             continue
 
-        finish()
-        H = state.current_projected()
-        Bk = _thin_product(Q.T, B0)
-        Fhat = None
+        H, Bk = walk.project()
+        Q, Fhat = state.basis, None
         if finite:
             Y, Fhat, _ = window_sum(lambda X: H @ X, Bk, tau)
             if fhat_prev is not None:
-                prev = _pad_rows(fhat_prev, Fhat.shape[0])
-                denom = max(float(np.linalg.norm(fhat_prev)) ** 2, 1e-300)
-                fF = _gap_norm(Fhat, prev) / denom
+                prev = np.vstack([fhat_prev, np.zeros_like(Fhat[fhat_prev.shape[0]:])])
+                fF = _gap_norm(Fhat, prev) / max(float(np.linalg.norm(fhat_prev)) ** 2, 1e-300)
                 tl_settled = fF <= cfg.tl_term_tol
             fhat_prev = Fhat
             if not tl_settled:
@@ -613,23 +582,16 @@ def rksm(sys: DiscreteLTISystem, side: str, tau,
                     raise BreakdownError("basis saturated with unsolvable projected problem")
                 continue
 
-        state.offspace_dir, state.offspace_coeff, fell_back = _offspace_factor(
-            Q, state.dynamics, H, work.m)
-        fallbacks += fell_back
+        walk.factor_offspace()
         res_abs = stein_residual_norm(state, Y)
-        scale = max(_gap_norm(Bk, Fhat), 1e-300)
-        res = res_abs / scale
+        res = res_abs / max(_gap_norm(Bk, Fhat), 1e-300)
         if observer is not None:
             observer(state, Y, None if Fhat is None else _thin_product(Q, Fhat), res_abs)
         records.append(ConvergenceRecord(k, Q.shape[1], res, fF, s))
 
         if res <= cfg.tol:
-            approx = Gramian(
-                basis=Q, core=Y, tl_term=None if Fhat is None else _thin_product(Q, Fhat),
-                side=side, horizon=tau, iterations=k, residual=res,
-                shifts=list(state.shifts), records=records, deflated_columns=deflated,
-                offspace_fallbacks=fallbacks)
-            return truncate_factor(approx)
+            return walk.gramian(Y, None if Fhat is None else _thin_product(Q, Fhat), tau,
+                                iterations=k, residual=res, records=records)
         if not grew:
             raise BreakdownError(
                 f"basis saturated at dimension {Q.shape[1]} with residual {res:.3e} "

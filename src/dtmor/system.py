@@ -343,19 +343,9 @@ class SimulationTrace:
             raise DimensionMismatchError("trace length must equal horizon + 1")
 
 
-def impulse_response(sys: DiscreteLTISystem, k: int) -> np.ndarray:
-    """Impulse-response coefficient at step k.
-
-    h(0) = 0 and h(k) = C (M^{-1}A)^{k-1} M^{-1}B for k >= 1, the last
-    entry of :func:`impulse_sequence`.
-    """
-    if k < 0:
-        raise ValueError("k must be nonnegative")
-    return impulse_sequence(sys, k)[k]
-
-
 def impulse_sequence(sys: DiscreteLTISystem, horizon: int) -> np.ndarray:
-    """Stack h(0), ..., h(horizon) into an array of shape (horizon+1, p, m)."""
+    """Stack h(0), ..., h(horizon) into an array of shape (horizon+1, p, m):
+    h(0) = 0 and h(k) = C (M^{-1}A)^{k-1} M^{-1}B for k >= 1."""
     out = np.zeros((horizon + 1, sys.p, sys.m))
     if horizon == 0:
         return out

@@ -473,6 +473,29 @@ class TestTheorem32:
         assert t32.path == "explicit"
         assert t32.total >= error_expr_tlbt(bal, r).value
 
+    def test_explicit_path_in_a_report_reuses_the_solves_of_thm31(self, monkeypatch):
+        # the explicit path's Z, ROM-Gramian gap and obs horizon term are the
+        # C-side solves of thm31: the report solves nothing more for thm32,
+        # and its thm32 equals the standalone bound that solves them itself
+        s = random_stable_system(8006, 16, 2, 2, radius=0.97)
+        tau, r = 8, 6
+        reach, obs = tl_gramian_dense(s, tau, "reach"), tl_gramian_dense(s, tau, "obs")
+        bal = balance_dense(s, reach, obs, tau)
+        rom, _ = square_root_truncate(reach, obs, s, tau, order=r)
+        calls = {"solve_cross_sylvester": 0, "tl_gramian_dense": 0}
+        for name in calls:
+            def counted(*args, _real=getattr(bounds, name), _name=name):
+                calls[_name] += 1
+                return _real(*args)
+            monkeypatch.setattr(bounds, name, counted)
+        error_expr_tlbt(bal, r)
+        thm31_calls = dict(calls)
+        assert thm31_calls == {"solve_cross_sylvester": 2, "tl_gramian_dense": 4}
+        report = build_bound_report(s, rom, tau, bal=bal, constants_method="eigen")
+        assert report.thm32.path == "explicit"
+        assert calls == {name: 2 * count for name, count in thm31_calls.items()}
+        assert report.thm32 == bound_theorem32(bal, r, tau, report.constants)
+
 
 class TestHsvTail:
     def test_examples(self):

@@ -23,6 +23,7 @@ from dtmor import (
     smith_arnoldi,
     solve_projected_tl,
     stein_residual_norm,
+    system,
     tl_gramian_dense,
     truncate_factor,
 )
@@ -113,9 +114,10 @@ class TestSmithArnoldi:
         ref = tl_gramian_dense(s, 50, side)
         assert np.linalg.norm(a.matrix() - ref.gramian) <= 1e-10 * np.linalg.norm(ref.gramian)
         assert np.linalg.norm(a.tl_term - ref.tl_term) <= 1e-12 * np.linalg.norm(ref.tl_term)
-        # the walk width is steps * m, and the one orthonormalization drops the rest
-        assert a.records[-1].basis_columns == 50 * 2
-        assert 0 < a.deflated_columns <= 50 * 2 - a.rank
+        # the walk keeps at most tau * m columns, and truncation keeps the rank
+        # that the SVD of the stacked walk kept (33), the dense Gramian's
+        assert a.records[-1].basis_columns <= 50 * 2
+        assert a.rank == ref.rank == 33
         # at tau = inf the entry runs the +-1 rksm solve
         a = smith_arnoldi(s, side, math.inf, SolverConfig(max_iterations=800))
         ref = tl_gramian_dense(s, math.inf, side)
@@ -131,6 +133,32 @@ class TestSmithArnoldi:
             assert a.tl_term is None
         else:
             assert a.tl_term.shape == (3, 2) and not a.tl_term.any()
+
+    @pytest.mark.parametrize("side", ["reach", "obs"])
+    @pytest.mark.parametrize("tau", [1, 5, 50])
+    def test_horizon_term_is_the_dense_walks(self, tau, side):
+        # X_tau = Q H^tau Q^T B + U C H^{tau-1} Q^T B: the walk's projected
+        # term plus the part of A X_{tau-1} that leaves its basis
+        s = generate_example(ExampleSpec(kind="gauss-seidel", size=12, inputs=2,
+                                         outputs=2, seed=1))
+        F = smith_arnoldi(s, side, tau).tl_term
+        ref = tl_gramian_dense(s, tau, side).tl_term
+        assert np.linalg.norm(F - ref) <= 1e-12 * np.linalg.norm(ref)
+
+    def test_window_walk_factors_only_the_mass_matrix(self, monkeypatch):
+        # poles at infinity apply M^{-1}A: the one factorization is M's, made
+        # when the system is built
+        factored = []
+        factorize = system.factorize
+        monkeypatch.setattr(system, "factorize",
+                            lambda mat: factored.append(mat) or factorize(mat))
+        s = generate_example(ExampleSpec(kind="gauss-seidel", size=12, inputs=2,
+                                         outputs=2, seed=1))
+        assert len(factored) == 1 and factored[0] is s.M
+        for side in ("reach", "obs"):
+            a = smith_arnoldi(s, side, 30)
+            assert a.residual <= 1e-12 and set(a.shifts) == {math.inf}
+        assert len(factored) == 1
 
     def test_bitwise_reproducible(self, jacobi_small):
         for tau in (12, math.inf):
@@ -321,6 +349,28 @@ class TestResidualFormula:
         F = state.basis @ fk
         R = Ad @ P @ Ad.T - P + s.B @ s.B.T - F @ F.T
         assert got == pytest.approx(np.linalg.norm(R, 2), rel=1e-10)
+
+    def test_offspace_horizon_term_matches_hand_residual(self):
+        # on a polynomial Krylov basis with the window sum as core, the
+        # residual of a horizon term Q f + U g is the compressed form with
+        # g's corner and cross terms, for the exact g and for any other
+        s = random_stable_system(53, 30, 2, 2)
+        tau = 4
+        Q, _ = np.linalg.qr(np.hstack([np.linalg.matrix_power(s.A, j) @ s.B for j in range(tau)]))
+        state = KrylovState(block_width=2, basis=Q, projected=Q.T @ s.A @ Q)
+        H = state.projected
+        U = np.linalg.svd(s.A @ Q - Q @ H)[0][:, :2]   # G has rank m = 2
+        state.offspace_dir, state.offspace_coeff = U, U.T @ (s.A @ Q)
+        Bk = Q.T @ s.B
+        Y, X, _ = dense_stein.window_sum(lambda Z: H @ Z, Bk, tau - 1)
+        Y += X @ X.T
+        f = H @ X
+        for g in (state.offspace_coeff @ X, np.random.default_rng(5).standard_normal((U.shape[1], 2))):
+            F = Q @ f + U @ g
+            P = Q @ Y @ Q.T
+            R = s.A @ P @ s.A.T - P + s.B @ s.B.T - F @ F.T
+            got = stein_residual_norm(state, Y, (f, g))
+            assert got == pytest.approx(np.linalg.norm(R, 2), rel=1e-10)
 
 
 class TestNextShift:
@@ -780,38 +830,6 @@ class TestThinNorms:
                              (lowrank._gap_norm(U, V), U @ U.T - V @ V.T)):
                 want = np.linalg.norm(mat, 2)
                 assert abs(got - want) <= 1e-12 * want
-
-
-class TestGramSchmidtBlock:
-    @staticmethod
-    def _run(monkeypatch, Q, X):
-        calls = []
-        orth = lowrank._orth_columns
-        monkeypatch.setattr(lowrank, "_orth_columns",
-                            lambda *args: calls.append(args) or orth(*args))
-        nb, coeffs, core = lowrank._gram_schmidt_block(Q, X)
-        assert nb.shape[1] == X.shape[1]
-        assert np.linalg.norm(Q.T @ nb) <= 1e-13
-        assert np.linalg.norm(X - Q @ coeffs - nb @ core) <= 1e-12 * np.linalg.norm(X)
-        return len(calls)
-
-    @staticmethod
-    def _basis_and_block():
-        rng = np.random.default_rng(9)
-        Q, _ = np.linalg.qr(rng.standard_normal((500, 40)))
-        return Q, Q @ rng.standard_normal((40, 2)), rng.standard_normal((500, 2))
-
-    def test_generic_block_skips_the_third_pass(self, monkeypatch):
-        Q, inside, outside = self._basis_and_block()
-        assert self._run(monkeypatch, Q, inside + outside) == 1
-
-    def test_remainder_far_below_its_input_gets_the_third_pass(self, monkeypatch):
-        # the remainders of the two columns agree but for 1e-10 of the input, so
-        # one kept direction is 1e-10 of the block: two passes and the SVD
-        # leave it about 1e-6 off orthogonal to Q
-        Q, inside, outside = self._basis_and_block()
-        r, s = outside[:, :1], outside[:, 1:]
-        assert self._run(monkeypatch, Q, inside + np.hstack([r, r + 1e-10 * s])) == 2
 
 
 class TestGramSchmidtStep:

@@ -20,7 +20,6 @@ from dtmor import (
     SystemIOError,
     build_system,
     generate_example,
-    impulse_response,
     impulse_sequence,
     read_system,
     simulate,
@@ -345,16 +344,17 @@ class TestTransposedMaps:
 
 class TestImpulseResponse:
     def test_scalar_sequence(self, scalar_system):
-        vals = [impulse_response(scalar_system, k)[0, 0] for k in range(4)]
+        vals = impulse_sequence(scalar_system, 3)[:, 0, 0]
         assert vals == pytest.approx([0.0, 1.0, 0.5, 0.25])
 
     def test_k_zero_is_zero(self, jacobi_small):
-        assert np.all(impulse_response(jacobi_small, 0) == 0.0)
+        h = impulse_sequence(jacobi_small, 0)
+        assert h.shape == (1, jacobi_small.p, jacobi_small.m) and np.all(h[0] == 0.0)
 
     def test_matches_dense_power_oracle(self, gs_small):
         for s, k in [(random_stable_system(42, 8, 2, 2), 5)] + [(gs_small, k) for k in (1, 4, 7)]:
             ref = oracles.impulse_coeff(*oracles.dense_standard(s), k)
-            got = impulse_response(s, k)
+            got = impulse_sequence(s, k)[k]
             assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
 
 
