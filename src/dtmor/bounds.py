@@ -439,10 +439,10 @@ class BoundReport:
 
     ``prop23`` is the general output bound over ``tau``.  ``inf_horizon`` is
     the infinite-horizon error norm: from the balanced blocks
-    (:class:`InfiniteHorizonBound`), from the trace form
-    (:class:`OutputErrorBound`), or None.  ``thm31``, ``thm32`` and the
-    envelope ``constants`` (full, reduced) that thm32 used come from a
-    time-limited balanced realization.
+    (:class:`InfiniteHorizonBound`), the trace form (:class:`OutputErrorBound`),
+    or None, then with the message of a failed solve in ``inf_horizon_error``.
+    ``thm31``, ``thm32`` and the envelope ``constants`` (full, reduced) that
+    thm32 used come from a time-limited balanced realization.
     """
     method: str
     tau: float
@@ -451,6 +451,7 @@ class BoundReport:
     hsv_tail: float
     prop23: OutputErrorBound
     inf_horizon: InfiniteHorizonBound | OutputErrorBound | None = None
+    inf_horizon_error: str | None = None
     thm31: BalancedErrorExpression | None = None
     thm32: Theorem32Bound | None = None
     constants: tuple[AsymptoticConstants, AsymptoticConstants] | None = None
@@ -496,7 +497,8 @@ class BoundReport:
             # only the balanced-block expression has an upper variant
             "inf_horizon": section(inf, "sides_relative_gap", "backend", "cancellation",
                                    value_sq="epsilon_squared")
-            | {"upper_sq": getattr(inf, "upper_sq", None)},
+            | {"upper_sq": getattr(inf, "upper_sq", None)}
+            | ({"error": self.inf_horizon_error} if self.inf_horizon_error else {}),
             "thm31": section(self.thm31, "value", "terms", "residual_term"),
             "thm32": section(self.thm32, "total", "path", j="j_term", j_tl="j_tl_term")
             | {"constants": constants},
@@ -539,14 +541,14 @@ def build_bound_report(sys: DiscreteLTISystem, rom, tau, pair=None,
         reach, obs = pair(math.inf)   # unguarded: a failing solve fails the report
     prop23 = bound_output_tl(sys, rsys, tau, reach, obs)
 
-    inf = prop23 if math.isinf(tau) else None
+    inf, inf_error = (prop23 if math.isinf(tau) else None), None
     try:
         if balanced_inf:
             inf = bound_inf_horizon(bal, rom.r)
         elif uses_pair and inf is None:
             inf = bound_output_tl(sys, rsys, math.inf, reach, obs)
-    except SolvabilityError:
-        pass
+    except SolvabilityError as exc:
+        inf_error = str(exc)
 
     thm31 = thm32 = constants = None
     if bal is not None and bal.tl_b is not None:
@@ -557,4 +559,4 @@ def build_bound_report(sys: DiscreteLTISystem, rom, tau, pair=None,
             thm32 = _theorem32(bal, rom.r, tau, constants, thm31.c_solves)
     return BoundReport(method=rom.method, tau=tau, r=rom.r, rom_spectral_radius=rho,
                        hsv_tail=rom.hsv_tail(), prop23=prop23, inf_horizon=inf,
-                       thm31=thm31, thm32=thm32, constants=constants)
+                       inf_horizon_error=inf_error, thm31=thm31, thm32=thm32, constants=constants)

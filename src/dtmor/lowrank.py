@@ -92,9 +92,8 @@ class KrylovState:
     U C, the part of A*basis that leaves the subspace, which is what the
     compressed residual formula consumes.  U has about block-width columns,
     and neither A*basis nor G is stored, so ``basis`` is the only array with
-    n rows and k columns.  Inside a solver's walk it is a view of the filled
-    columns of the growth buffer; columns are written once, so a view stays
-    valid, but it keeps the whole buffer alive.
+    n rows and k columns.  Inside a solver's walk it is a view of the written
+    columns of the walk's reservation, which no returned Gramian keeps.
     """
     block_width: int
     basis: np.ndarray | None = None
@@ -190,19 +189,6 @@ def _gap_norm(U: np.ndarray, V: np.ndarray | None = None) -> float:
     R = np.linalg.qr(np.hstack([U, V]), mode="r")
     J = np.concatenate([np.ones(U.shape[1]), -np.ones(V.shape[1])])
     return float(np.abs(np.linalg.eigvalsh((R * J) @ R.T)).max(initial=0.0))
-
-
-def _append_columns(buf: np.ndarray, used: int, X: np.ndarray):
-    """Write X after column ``used`` of the Fortran-ordered buffer ``buf``; if X
-    does not fit, the buffer grows to the next power of two at or above the
-    columns it needs.  Returns the buffer and its filled columns."""
-    need = used + X.shape[1]
-    if need > buf.shape[1]:
-        grown = np.empty((buf.shape[0], 1 << (need - 1).bit_length()), order="F")
-        grown[:, :used] = buf[:, :used]
-        buf = grown
-    buf[:, used:need] = X
-    return buf, buf[:, :need]
 
 
 def _gram_schmidt_step(Q: np.ndarray, P: np.ndarray, X: np.ndarray):
@@ -372,8 +358,6 @@ def truncate_factor(approx: Gramian, tol: float = RANK_TOL) -> Gramian:
     """Compress a factored approximation by dropping eigenpairs of the core
     below ``tol`` times the largest eigenvalue (negatives included)."""
     Y = 0.5 * (approx.core + approx.core.T)
-    if Y.size == 0:
-        return approx
     lam, U = np.linalg.eigh(Y)
     keep = lam > tol * float(lam.max(initial=0.0))   # none kept when no eigenvalue is positive
     return replace(approx, basis=_thin_product(approx.basis, U[:, keep]), core=np.diag(lam[keep]))
@@ -381,20 +365,26 @@ def truncate_factor(approx: Gramian, tol: float = RANK_TOL) -> Gramian:
 
 class _Walk:
     """A block rational Krylov walk of one side of a system from its
-    orthonormalized input map: Q in a Fortran-ordered growth buffer, the
+    orthonormalized input map: Q in a Fortran-ordered reservation, the
     pending block (Q's next columns, projected once), and in ``state`` Q, H
     and the poles.  A step expands each pole from its continuation block by
     the pole's pencil solve, or for a pole at infinity by the dynamics
     itself, so poles at infinity span the polynomial block Krylov space
     (Berljafa & Güttel, SIAM J. Matrix Anal. Appl. 36 (2015)).
+
+    The reservation, n x min(n, m ``blocks``) for m the input map's width,
+    is allocated once; Q is written into it in place, never regrown or
+    copied.  Only written pages are resident, but all of it is address
+    space (128 MB at n = 10^4 for ``rksm``'s defaults and m = 2).
     """
 
-    def __init__(self, sys: DiscreteLTISystem, side: str):
+    def __init__(self, sys: DiscreteLTISystem, side: str, blocks: int):
         self.work, self.side = sys.side(side), side
         self.B0 = self.work.input_map()
         q1, _ = _orth_columns(self.B0)
-        self.buf, Q = _append_columns(np.empty((self.work.n, 0), order="F"), 0, q1)
-        self.state = KrylovState(q1.shape[1], basis=Q, dynamics=self.work.apply_dynamics)
+        self.buf = np.empty((self.work.n, min(self.work.n, blocks * self.work.m)), order="F")
+        self.state = KrylovState(q1.shape[1], basis=self.buf[:, :0], dynamics=self.work.apply_dynamics)
+        self.append(q1)
         self.pending = np.zeros((self.work.n, 0))
         self.solvers: dict = {}   # pole -> its solve
         self.newest: dict = {}    # pole of the last grown step -> (that step's new block, its core columns)
@@ -434,13 +424,18 @@ class _Walk:
             self.newest = {pole: (self.pending, c) for pole, c in zip(poles, cores)}
         return grew
 
+    def append(self, X):
+        """Write X into the reservation after Q's columns."""
+        k = self.state.basis.shape[1]
+        self.buf[:, k:k + X.shape[1]] = X
+        self.state.basis = self.buf[:, :k + X.shape[1]]
+
     def grow(self, X):
         """Append the finished pending block to Q, make X, projected once, the
         pending block, and return X's core."""
         done, nb, core = _gram_schmidt_step(self.state.basis, self.pending, X)
         self.deflated += self.pending.shape[1] + X.shape[1] - done.shape[1] - nb.shape[1]
-        if done.shape[1]:
-            self.buf, self.state.basis = _append_columns(self.buf, self.state.basis.shape[1], done)
+        self.append(done)
         self.pending = nb
         return core
 
@@ -488,7 +483,7 @@ def smith_arnoldi(sys: DiscreteLTISystem, side: str, tau,
     tau = check_horizon(tau)
     if math.isinf(tau):
         return rksm(sys, side, tau, ShiftStrategy(), cfg)
-    walk, steps, records = _Walk(sys, side), int(tau), []
+    walk, steps, records = _Walk(sys, side, int(tau)), int(tau), []   # a step adds <= m columns
     for k in range(1, steps):
         grew = walk.step([math.inf])
         records.append(ConvergenceRecord(
@@ -523,31 +518,31 @@ def rksm(sys: DiscreteLTISystem, side: str, tau,
 
     At every cadence point the projected problem is solved and the scaled
     residual is evaluated through the compressed formula.  For finite tau
-    one walk of H over the window (:func:`window_sum` on H and Q^T B) gives
-    both the projected solution and the horizon term H^tau (Q^T B), so no
-    projected Stein solve runs; the horizon term must settle (relative
-    norm-wise change below cfg.tl_term_tol) before the residual is checked.
+    the horizon term H^tau (Q^T B) must settle (relative norm-wise change
+    below cfg.tl_term_tol) before the residual is checked; once it has, one
+    walk of H over the window (:func:`window_sum` on H and Q^T B) gives the
+    projected solution, so no projected Stein solve runs.
     For tau = inf the projected equation is solved by
     :func:`solve_projected_tl`.
 
     ``observer``, when given, is called as observer(state, core, tl_term,
     absolute_residual) at every evaluation; it exists for diagnostics and
-    verification harnesses.  ``state.basis`` (a view of the growth buffer) is
-    the walk's only array with n rows: A Q is not kept, and
-    ``state.dynamics`` applies A where it is needed.
+    verification harnesses.  ``state.basis`` (a view of the reservation, with
+    room for the 2m columns of each of ``cfg.max_iterations`` steps) is the
+    walk's only array with n rows: A Q is not kept, and ``state.dynamics``
+    applies A where it is needed.
     """
     tau = check_horizon(tau)
     shifts = shifts or ShiftStrategy()
     cfg = cfg or SolverConfig()
     finite = not math.isinf(tau)
-    walk = _Walk(sys, side)
+    walk = _Walk(sys, side, 1 + 2 * cfg.max_iterations)   # a step adds at most 2m columns
     state = walk.state
     if state.basis.shape[1] == 0:
         z = np.zeros((walk.work.n, walk.work.m)) if finite else None
         return walk.gramian(np.zeros((0, 0)), z, tau, iterations=0, residual=0.0)
 
-    records, fhat_prev, fF = [], None, None
-    tl_settled = not finite
+    records, fhat_prev, fF, tl_settled = [], None, None, not finite
 
     for k in range(1, cfg.max_iterations + 1):
         if shifts.kind == "adaptive-disc":
@@ -563,7 +558,9 @@ def rksm(sys: DiscreteLTISystem, side: str, tau,
         H, Bk = walk.project()
         Q, Fhat = state.basis, None
         if finite:
-            Y, Fhat, _ = window_sum(lambda X: H @ X, Bk, tau)
+            Fhat = Bk
+            for _ in range(int(tau)):   # the horizon term alone, as window_sum walks it
+                Fhat = H @ Fhat
             if fhat_prev is not None:
                 prev = np.vstack([fhat_prev, np.zeros_like(Fhat[fhat_prev.shape[0]:])])
                 fF = _gap_norm(Fhat, prev) / max(float(np.linalg.norm(fhat_prev)) ** 2, 1e-300)
@@ -572,6 +569,7 @@ def rksm(sys: DiscreteLTISystem, side: str, tau,
             if not tl_settled:
                 records.append(ConvergenceRecord(k, Q.shape[1], None, fF, s))
                 continue
+            Y = window_sum(lambda X: H @ X, Bk, tau)[0]
         else:
             try:
                 Y = solve_projected_tl(H, Bk)

@@ -14,6 +14,7 @@ from dtmor import (
     EstimationError,
     ExampleSpec,
     ShiftStrategy,
+    SolvabilityError,
     SolverConfig,
     HankelSpectrum,
     asymptotic_constants,
@@ -592,3 +593,24 @@ class TestBoundReport:
         dense = build_bound_report(s, rom, tau).to_dict()
         assert dense["inf_horizon"]["backend"] == "dense"
         assert s.meta == meta
+
+    def test_dropped_inf_horizon_says_why(self, monkeypatch):
+        # a stable model whose tau=inf norm fails to solve: the report keeps
+        # the message beside the null value; a report that solved it has no
+        # error key, so its JSON is unchanged
+        s = random_stable_system(21, 10, 2, 2)
+        tau = 20
+        rom, _ = square_root_truncate(tl_gramian_dense(s, tau, "reach"),
+                                      tl_gramian_dense(s, tau, "obs"), s, tau, order=4)
+        solved = build_bound_report(s, rom, tau).to_dict()["inf_horizon"]
+        assert solved["value_sq"] is not None and "error" not in solved
+
+        def unsolvable(*args, **kw):
+            raise SolvabilityError("cross Sylvester pencil is singular")
+        monkeypatch.setattr(bounds, "solve_cross_sylvester", unsolvable)
+        report = build_bound_report(s, rom, tau)
+        assert report.inf_horizon is None and not report.flags["rom_unstable"]
+        doc = report.to_dict()["inf_horizon"]
+        assert doc["error"] == "cross Sylvester pencil is singular"
+        assert doc["value_sq"] is None and doc["backend"] is None
+        assert report.prop23.epsilon >= 0

@@ -521,10 +521,10 @@ class TestGrowthBuffers:
         assert a.basis.base is None
 
     def test_regrowth_peak_near_one_buffer_pair(self):
-        # n=2500 and 142 columns: the last regrowth takes Q from 128 to 256
-        # columns; Q is the only n-row array of the walk, so the peak is the
-        # old and the new buffer and little else (a second n x k buffer beside
-        # Q takes it to about 1.7 times that)
+        # n=2500 and 142 columns in a reservation of 1602 (the budget of 400
+        # +-1 steps); Q is the only n-row array of the walk and is never
+        # regrown, so the peak is the reservation and little else (a second
+        # n x k array beside Q adds at least Q's written bytes)
         s = generate_example(ExampleSpec(kind="jacobi", size=50, inputs=2, outputs=2, seed=1))
         tracemalloc.start()
         try:
@@ -533,33 +533,69 @@ class TestGrowthBuffers:
         finally:
             tracemalloc.stop()
         columns = a.records[-1].basis_columns
-        capacity = 2 ** math.ceil(math.log2(columns))   # the buffer starts at m = 2 columns
-        assert columns > capacity // 2 > 2
-        old, new = 8 * s.n * capacity // 2, 8 * s.n * capacity
-        assert peak < 1.25 * (old + new)
+        reservation = 8 * s.n * min(s.n, 2 * (1 + 2 * SolverConfig().max_iterations))
+        assert columns == 142
+        assert peak - reservation < 8 * s.n * columns
 
-    def test_capacities_are_powers_of_two(self):
-        # a +-1 step appends 2m columns to an m-column start: the capacity is
-        # the next power of two at or above the filled columns
-        m, n = 2, 7
-        buf, filled = lowrank._append_columns(np.empty((n, 0), order="F"), 0, np.ones((n, m)))
-        capacities = [buf.shape[1]]
-        for j in range(1, 70):
-            block = np.full((n, 2 * m), float(j))
-            buf, filled = lowrank._append_columns(buf, filled.shape[1], block)
-            columns = m + 2 * m * j
-            assert filled.shape == (n, columns) and buf.flags.f_contiguous
-            assert np.array_equal(filled[:, -2 * m:], block) and not (filled[:, :m] - 1.0).any()
-            assert buf.shape[1] == 2 ** math.ceil(math.log2(columns))
-            capacities.append(buf.shape[1])
-        assert sorted(set(capacities)) == [2, 8, 16, 32, 64, 128, 256, 512]
+    def test_walks_fill_at_most_their_budget(self, monkeypatch):
+        # the reservation holds the most columns a walk can write: m at the
+        # start and 2m per +-1 step or complex pair for rksm, m per step of a
+        # Smith window; a walk with nothing to deflate fills it exactly
+        walks = []
+
+        class Recorded(lowrank._Walk):
+            def __init__(self, *args):
+                super().__init__(*args)
+                walks.append(self)
+        monkeypatch.setattr(lowrank, "_Walk", Recorded)
+
+        def filled():
+            walk = walks.pop()
+            assert walk.buf.flags.f_contiguous and np.shares_memory(walk.state.basis, walk.buf)
+            return walk.state.basis.shape[1], walk.buf.shape
+        s = generate_example(ExampleSpec(kind="jacobi", size=20, inputs=2, outputs=2, seed=1))
+        with pytest.raises(ConvergenceError):
+            rksm(s, "reach", 50, ShiftStrategy("alternating-pm1"), SolverConfig(max_iterations=10))
+        assert filled() == (42, (s.n, 42))
+        disc = rksm(s, "reach", math.inf, ShiftStrategy("adaptive-disc"),
+                    SolverConfig(max_iterations=60))
+        assert any(abs(z.imag) > 0 for z in disc.shifts)
+        columns, shape = filled()
+        assert shape == (s.n, 2 * (1 + 2 * 60)) and columns <= 2 * (1 + 2 * disc.iterations)
+        smith_arnoldi(s, "obs", 12)
+        assert filled() == (24, (s.n, 24))
+        gs = generate_example(ExampleSpec(kind="gauss-seidel", size=8, inputs=2, outputs=2, seed=1))
+        rksm(gs, "reach", 30)
+        columns, shape = filled()
+        assert shape == (gs.n, gs.n) and columns <= gs.n
+
+    def test_basis_stays_in_place_and_no_result_keeps_it(self):
+        # every evaluation reads Q at the reservation's address; the returned
+        # factors own their data, so no Gramian keeps the reservation alive
+        s = generate_example(ExampleSpec(kind="jacobi", size=20, inputs=2, outputs=2, seed=1))
+        results, walks = [], []
+        for tau in (50, math.inf):
+            for kind in ("alternating-pm1", "adaptive-disc"):
+                addresses = []
+                walks.append(addresses)
+
+                def observer(state, core, tl_term, res_abs):
+                    addresses.append(state.basis.__array_interface__["data"][0])
+                results.append(rksm(s, "reach", tau, ShiftStrategy(kind), TIGHT, observer=observer))
+        assert max(map(len, walks)) > 1 and all(len(set(a)) == 1 for a in walks)
+        zero = build_system(np.diag([0.5, -0.3, 0.2]), np.zeros((3, 2)), np.ones((1, 3)))
+        results += [rksm(zero, "reach", tau) for tau in (5, math.inf)]
+        results += [smith_arnoldi(s, "reach", 12), smith_arnoldi(zero, "reach", 5)]
+        assert results[-3].basis.shape == (3, 0)
+        for g in results:
+            assert g.basis.base is None
 
     def test_truncation_peak_within_one_buffer_pair(self, monkeypatch):
-        # n=1600 and 122 columns in a 128-column buffer: truncate_factor starts
-        # with Q's buffer and k x k matrices held, and no second n x k array;
-        # inside it, only the truncated basis (rank 40) joins them, so its peak
-        # keeps the regrowth bound of the 64 -> 128-column buffer pair (a
-        # truncated basis formed from an n x k product breaks it)
+        # n=1600 and 122 columns in a reservation of all n columns:
+        # truncate_factor starts with the reservation and k x k matrices
+        # held, and no second n x k array; inside it, only the truncated
+        # basis (rank 40) joins them (a truncated basis formed from an n x k
+        # product adds at least Q's written bytes)
         s = generate_example(ExampleSpec(kind="jacobi", size=40, inputs=2, outputs=2, seed=1))
         real, held, peaks = lowrank.truncate_factor, [], []
 
@@ -575,10 +611,10 @@ class TestGrowthBuffers:
             a = rksm(s, "reach", 50)
         finally:
             tracemalloc.stop()
-        assert a.records[-1].basis_columns == 122
-        buffer = 8 * s.n * 128
-        assert held[0] < 1.5 * buffer
-        assert peaks[0] < 1.25 * (buffer // 2 + buffer)
+        assert a.records[-1].basis_columns == 122 and a.basis.shape[1] == 40
+        reservation, written = 8 * s.n * s.n, 8 * s.n * 122
+        assert held[0] - reservation < 0.5 * written
+        assert peaks[0] - held[0] < 8 * s.n * 40 + 0.5 * written
 
 
 class TestLazyProjection:
