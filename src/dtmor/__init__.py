@@ -31,7 +31,6 @@ from .dense_stein import (
     Gramian,
     solve_cross_sylvester,
     solve_projected_tl,
-    solve_stein_dense,
     solve_stein_sylvester,
     stein_residual_dense,
     tl_gramian_dense,
@@ -63,7 +62,6 @@ from .system import (
     DiscreteLTISystem,
     ExampleSpec,
     SimulationTrace,
-    build_system,
     generate_example,
     impulse_sequence,
     read_system,

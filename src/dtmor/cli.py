@@ -32,7 +32,6 @@ from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
-import scipy.io as sio
 
 from . import balancing, bounds as bounds_mod, dense_stein, lowrank
 from .exceptions import (
@@ -52,6 +51,7 @@ from .system import (
     generate_example,
     read_system,
     simulate,
+    write_matrix,
     write_system,
 )
 
@@ -452,16 +452,16 @@ def _cmd_gramian(args) -> int:
     summary = {"rank": result.rank, "iterations": result.iterations, "side": result.side,
                "tau": "inf" if math.isinf(result.horizon) else int(result.horizon)}
     if result.basis is not None:
-        sio.mmwrite(out / "basis.mtx", result.basis, precision=17)
-        sio.mmwrite(out / "core.mtx", result.core, precision=17)
+        write_matrix(out / "basis.mtx", result.basis)
+        write_matrix(out / "core.mtx", result.core)
         summary.update(residual=result.residual, deflated_columns=result.deflated_columns)
         if result.records:
             write_csv(out / "convergence.csv", *_records_csv(result.records))
     else:
-        sio.mmwrite(out / "gramian.mtx", result.matrix(), precision=17)
+        write_matrix(out / "gramian.mtx", result.matrix())
         summary["residual"] = dense_stein.stein_residual_dense(system, result)
     if result.tl_term is not None:
-        sio.mmwrite(out / "tl_term.mtx", result.tl_term, precision=17)
+        write_matrix(out / "tl_term.mtx", result.tl_term)
     with open(out / "summary.json", "w", encoding="utf-8") as fh:
         json.dump(summary, fh, indent=2, sort_keys=True)
         fh.write("\n")

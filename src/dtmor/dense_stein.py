@@ -4,10 +4,12 @@ Sylvester equations.
 This is the oracle layer: every low-rank result in the package is checked
 against it at desk scale.  Every finite-horizon quantity (dense, cross and
 projected Gramians and the horizon terms A^tau B) is the defining sum walked
-by :func:`window_sum`; the Krylov solvers use
-:func:`solve_projected_tl` for their infinite-horizon compressed problems,
-and infinite-horizon cross Gramians can be projected onto the same Krylov
-bases.  Sizes are guarded by the dense cap.
+by :func:`window_sum`, so no window Gramian is solved.  At the infinite
+horizon a dense Gramian and the Krylov solvers' compressed problems
+(:func:`solve_projected_tl`) are summed by squared Smith, a general dense
+Stein equation A X A^T - X + W = 0 is :func:`solve_stein_sylvester` with
+B = A, and cross Gramians are solved by a Schur recursion or projected onto
+the Krylov bases.  Sizes are guarded by the dense cap.
 """
 from __future__ import annotations
 
@@ -96,14 +98,6 @@ def psd_factor(P: np.ndarray, tol: float = 1e-14) -> np.ndarray:
     return U[:, keep] * np.sqrt(lam[keep])
 
 
-def _check_square_symmetric(A: np.ndarray, W: np.ndarray) -> None:
-    s = A.shape[0]
-    if A.shape != (s, s):
-        raise DimensionMismatchError(f"coefficient matrix must be square, got {A.shape}")
-    if W.shape != (s, s):
-        raise DimensionMismatchError(f"right-hand side must be {s}x{s}, got {W.shape}")
-
-
 def _solvability_margin(eigs_a: np.ndarray, eigs_b: np.ndarray) -> float:
     """min |1 - alpha*beta| over eigenvalue pairs."""
     prod = np.abs(1.0 - np.outer(eigs_a, eigs_b))
@@ -111,7 +105,8 @@ def _solvability_margin(eigs_a: np.ndarray, eigs_b: np.ndarray) -> float:
 
 
 def solve_stein_sylvester(A: np.ndarray, B: np.ndarray, W: np.ndarray) -> np.ndarray:
-    """Solve A X B^T - X + W = 0 by complex Schur decomposition of both sides.
+    """Solve A X B^T - X + W = 0 by complex Schur decomposition of both sides;
+    with B = A it is the general dense Stein solve, stable or not.
 
     Unique solvability requires alpha*beta != 1 for all eigenvalue pairs;
     violations are reported as :class:`SolvabilityError`.
@@ -139,34 +134,6 @@ def solve_stein_sylvester(A: np.ndarray, B: np.ndarray, W: np.ndarray) -> np.nda
         rhs = -Wt[:, j] - TA @ (X[:, j + 1:] @ TB[j, j + 1:])
         X[:, j] = sla.solve_triangular(TB[j, j] * TA - eye, rhs)
     return (U @ X @ V.T).real
-
-
-def solve_stein_dense(A: np.ndarray, W: np.ndarray) -> np.ndarray:
-    """Solve the Stein equation A X A^T - X + W = 0.
-
-    Uses the squared Smith iteration when A is stable (quadratic
-    convergence, no transforms) and the Schur backend otherwise; both are
-    guarded by the reciprocal-eigenvalue solvability test.  The result is
-    symmetrized when W is symmetric.
-    """
-    A = np.atleast_2d(np.asarray(A, dtype=float))
-    W = np.atleast_2d(np.asarray(W, dtype=float))
-    _check_square_symmetric(A, W)
-    check_dense_cap(A.shape[0], "dense Stein solve")
-
-    eigs = np.linalg.eigvals(A)
-    if _solvability_margin(eigs, eigs) < _SOLVABILITY_TOL:
-        raise SolvabilityError("Stein equation has a reciprocal eigenvalue pair near 1")
-    symmetric = np.allclose(W, W.T, rtol=0.0, atol=1e-12 * max(1.0, float(np.abs(W).max())))
-
-    rho = float(np.max(np.abs(eigs))) if eigs.size else 0.0
-    if rho < 1.0 - 1e-9:
-        X = _smith_squared(A, W)
-    else:
-        X = solve_stein_sylvester(A, A, W)
-    if symmetric:
-        X = 0.5 * (X + X.T)
-    return X
 
 
 def _smith_squared(A: np.ndarray, W: np.ndarray) -> np.ndarray:
@@ -280,7 +247,7 @@ def solve_cross_sylvester(sys: DiscreteLTISystem, rom: DiscreteLTISystem,
         try:
             for j in range(r - 1, -1, -1):
                 rhs = -Wt[:, j] - sys.apply_dynamics(Y[:, j + 1:] @ TB[j, j + 1:])
-                Y[:, j] = _shifted_standard_solve(sys, TB[j, j], rhs)
+                Y[:, j] = sys.pencil_solver(TB[j, j], 1)(rhs)
         except np.linalg.LinAlgError as exc:
             raise SolvabilityError(
                 f"shifted solve in the cross Sylvester recursion is singular "
@@ -298,33 +265,22 @@ def solve_cross_sylvester(sys: DiscreteLTISystem, rom: DiscreteLTISystem,
     return Ymat
 
 
-def _shifted_standard_solve(sys: DiscreteLTISystem, lam: complex, rhs: np.ndarray) -> np.ndarray:
-    """Solve (lam * M^{-1}A - I) x = rhs through the system's pencil solve."""
-    return sys.pencil_solver(lam, 1)(rhs)
+def solve_projected_tl(H: np.ndarray, Bk: np.ndarray) -> np.ndarray:
+    """Galerkin-projected infinite-horizon Stein equation H Y H^T - Y + Bk Bk^T = 0.
 
-
-def solve_projected_tl(H: np.ndarray, Bk: np.ndarray, Fk: np.ndarray | None = None) -> np.ndarray:
-    """Galerkin-projected (time-limited) Stein equation
-    H Y H^T - Y + Bk Bk^T - Fk Fk^T = 0, with the Fk term dropped when absent.
-
-    The infinite-horizon form (Fk absent) requires H stable, since the
-    underlying series diverges otherwise, and is summed by squared Smith.
-    With Fk the equation is solved as given; at a finite window the defining
-    sum (:func:`window_sum` on H and Bk) is its solution and needs no solve.
+    H must be stable, since the underlying series diverges otherwise; the
+    series is summed by squared Smith.  A finite window needs no solve: its
+    projected Gramian is the defining sum, :func:`window_sum` on H and Bk.
     """
     H = np.atleast_2d(np.asarray(H, dtype=float))
     Bk = np.atleast_2d(np.asarray(Bk, dtype=float))
     check_dense_cap(H.shape[0], "projected Stein solve")
-    if Fk is None:
-        rho = float(np.max(np.abs(np.linalg.eigvals(H)))) if H.size else 0.0
-        if rho >= 1.0 - 1e-12:
-            raise SolvabilityError(
-                f"projected infinite-horizon equation with unstable coefficient "
-                f"(spectral radius {rho:.6f})")
-        Y = _smith_squared(H, Bk @ Bk.T)
-    else:
-        Fk = np.atleast_2d(np.asarray(Fk, dtype=float))
-        Y = solve_stein_dense(H, Bk @ Bk.T - Fk @ Fk.T)
+    rho = float(np.max(np.abs(np.linalg.eigvals(H)))) if H.size else 0.0
+    if rho >= 1.0 - 1e-12:
+        raise SolvabilityError(
+            f"projected infinite-horizon equation with unstable coefficient "
+            f"(spectral radius {rho:.6f})")
+    Y = _smith_squared(H, Bk @ Bk.T)
     return 0.5 * (Y + Y.T)
 
 

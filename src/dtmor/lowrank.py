@@ -236,24 +236,16 @@ def _gram_schmidt_step(Q: np.ndarray, P: np.ndarray, X: np.ndarray):
 def next_shift(strategy: ShiftStrategy, state: KrylovState) -> complex:
     """Pick the next rational-Krylov shift.
 
-    Alternating strategy: (-1)^j for shift j = 2, 3, ..., so +1 at the start
-    of every paired step of ``rksm``; adaptive strategy:
-    the unit-circle grid point maximizing the rational node function built
-    from current Ritz values (numerator) and past shifts (denominator, each
-    repeated block-width times).  A complex shift is always followed by its
-    conjugate; with no Ritz data available the adaptive strategy starts
-    at -1.
+    Alternating strategy: +1, the first pole of every paired step of
+    ``rksm``, whose step applies -1 with it.  Adaptive strategy: the
+    unit-circle grid point maximizing the rational node function built from
+    current Ritz values (numerator) and past shifts (denominator, each
+    repeated block-width times); with no Ritz data available it starts at
+    -1.  A complex shift needs no partner here: the walk's step expands it
+    and its conjugate by one complex solve, and records both.
     """
-    prior = state.shifts
-    if prior and abs(prior[-1].imag) > _REAL_SHIFT_TOL:
-        last = prior[-1]
-        pair_done = len(prior) >= 2 and abs(prior[-2] - last.conjugate()) <= 1e-14 * abs(last)
-        if not pair_done:
-            return last.conjugate()
-
     if strategy.kind == "alternating-pm1":
-        j = len(prior) + 2
-        return complex((-1.0) ** j)
+        return complex(1.0)
 
     theta = state.ritz_values()
     if theta is None or theta.size == 0:
@@ -264,7 +256,7 @@ def next_shift(strategy: ShiftStrategy, state: KrylovState) -> complex:
     score = np.zeros(hs)
     for th in theta:
         score += np.log(np.abs(grid - th) + 1e-300)
-    for s_used in prior:
+    for s_used in state.shifts:
         d = np.abs(grid - s_used)
         score -= state.block_width * np.log(d + 1e-300)
         score[d < 1e-12] = -np.inf  # reusing a pole is meaningless

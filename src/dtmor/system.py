@@ -17,7 +17,6 @@ from functools import partial
 from pathlib import Path
 
 import numpy as np
-import scipy.io
 import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
@@ -318,19 +317,6 @@ def _condition_estimate(mat, solve) -> float:
     return float(abs(mat).sum(axis=0).max()) * spla.onenormest(inv, t=1)
 
 
-def build_system(A, B, C, M=None) -> DiscreteLTISystem:
-    """Validate coefficient matrices and assemble a system.
-
-    Raises
-    ------
-    DimensionMismatchError
-        if the shapes are inconsistent.
-    SingularMassMatrixError
-        if M is present but numerically singular.
-    """
-    return DiscreteLTISystem(A, B, C, M)
-
-
 @dataclass(frozen=True)
 class SimulationTrace:
     """Input and output sequences over k = 0..horizon."""
@@ -461,16 +447,23 @@ _MANIFEST_NAME = "manifest.json"
 _MATRIX_FILES = {"A": "A.mtx", "B": "B.mtx", "C": "C.mtx", "M": "M.mtx"}
 
 
+def write_matrix(path, mat) -> None:
+    """Write a dense or sparse matrix as a Matrix Market file, at 17
+    significant digits, which read each double back exactly."""
+    # imported here, not with the module, so that `import dtmor` does not pay
+    # for loading scipy.io's readers and writers: only file I/O needs them
+    import scipy.io
+    scipy.io.mmwrite(path, mat, precision=17)
+
+
 def write_system(sys: DiscreteLTISystem, path, extra_manifest: dict | None = None) -> None:
     """Serialize a system to a directory of Matrix Market files plus manifest."""
     path = Path(path)
     try:
         path.mkdir(parents=True, exist_ok=True)
-        scipy.io.mmwrite(path / _MATRIX_FILES["A"], sys.A, precision=17)
-        scipy.io.mmwrite(path / _MATRIX_FILES["B"], sys.B, precision=17)
-        scipy.io.mmwrite(path / _MATRIX_FILES["C"], sys.C, precision=17)
-        if sys.M is not None:
-            scipy.io.mmwrite(path / _MATRIX_FILES["M"], sys.M, precision=17)
+        for name, mat in zip("ABCM", (sys.A, sys.B, sys.C, sys.M)):
+            if mat is not None:
+                write_matrix(path / _MATRIX_FILES[name], mat)
         manifest = {
             "format": "dtmor-system",
             "version": 1,
@@ -492,6 +485,7 @@ def write_system(sys: DiscreteLTISystem, path, extra_manifest: dict | None = Non
 
 
 def _read_matrix(path: Path):
+    import scipy.io   # imported on first use, as in write_matrix
     try:
         mat = scipy.io.mmread(path)
     except OSError as exc:

@@ -6,7 +6,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from dtmor import DiscreteLTISystem, ExampleSpec, build_system, generate_example
+from dtmor import DiscreteLTISystem, ExampleSpec, generate_example
 
 
 def random_stable_system(seed, n, m=2, p=2, radius=0.9) -> DiscreteLTISystem:
@@ -16,12 +16,12 @@ def random_stable_system(seed, n, m=2, p=2, radius=0.9) -> DiscreteLTISystem:
     A = rng.standard_normal((n, n))
     rho = max(abs(np.linalg.eigvals(A)))
     A *= radius / rho
-    return build_system(A, rng.random((n, m)), rng.random((p, n)))
+    return DiscreteLTISystem(A, rng.random((n, m)), rng.random((p, n)))
 
 
 @pytest.fixture
 def scalar_system():
-    return build_system([[0.5]], [[1.0]], [[1.0]])
+    return DiscreteLTISystem([[0.5]], [[1.0]], [[1.0]])
 
 
 @pytest.fixture

@@ -8,10 +8,10 @@ import oracles
 from conftest import random_stable_system
 from dtmor import (
     BalancingError,
+    DiscreteLTISystem,
     HankelSpectrum,
     adaptive_order,
     balance_dense,
-    build_system,
     export_rom,
     impulse_sequence,
     read_system,
@@ -125,7 +125,7 @@ class TestBalanceDense:
         # transform is the identity up to signs
         A = np.diag([0.6, 0.3])
         B = np.array([[1.0], [0.8]])
-        s = build_system(A, B, B.T.copy())
+        s = DiscreteLTISystem(A, B, B.T.copy())
         P = np.diag(B[:, 0] ** 2 / (1 - np.diag(A) ** 2))
         bal = balance_dense(s, P, P, math.inf)
         assert np.allclose(np.abs(bal.transform), np.eye(2), atol=1e-9)
@@ -179,7 +179,7 @@ class TestBalanceDense:
 
     def test_singular_product_balanced_at_its_rank(self):
         # rank-deficient Q: the pair is balanced at the numerical rank 1
-        s = build_system(np.diag([0.5, 0.4]), np.ones((2, 1)), np.ones((1, 2)))
+        s = DiscreteLTISystem(np.diag([0.5, 0.4]), np.ones((2, 1)), np.ones((1, 2)))
         P, Q = np.eye(2), np.diag([1.0, 0.0])
         bal = balance_dense(s, P, Q, math.inf)
         assert bal.order == 1 and bal.sigma == pytest.approx([1.0], rel=1e-12)

@@ -23,7 +23,6 @@ from dtmor import (
     bound_output_tl,
     bound_theorem32,
     build_bound_report,
-    build_system,
     error_expr_tlbt,
     generate_example,
     impulse_sequence,
@@ -62,7 +61,7 @@ def _lowrank_bt_jacobi():
 
 class TestH2InnerAndNorm:
     def test_nilpotent_second_system(self, scalar_system):
-        s2 = build_system([[0.0]], [[1.0]], [[1.0]])
+        s2 = DiscreteLTISystem([[0.0]], [[1.0]], [[1.0]])
         assert tl_h2_inner(scalar_system, s2, 2) == pytest.approx(1.0, rel=1e-12)
 
     def test_norm_consistency(self, scalar_system):
@@ -80,7 +79,7 @@ class TestH2InnerAndNorm:
         assert got == pytest.approx(ref, rel=1e-10)
 
     def test_zero_output_map(self):
-        s = build_system([[0.5]], [[1.0]], [[0.0]])
+        s = DiscreteLTISystem([[0.5]], [[1.0]], [[0.0]])
         assert tl_h2_norm(s, 5) == 0.0
 
     def test_norm_gramian_path_matches_impulse_sum(self):
@@ -111,7 +110,7 @@ class TestOutputBound:
         assert ob.epsilon <= 1e-6
 
     def test_zero_model_gives_system_norm(self, scalar_system):
-        zero = build_system([[0.0]], [[0.0]], [[0.0]])
+        zero = DiscreteLTISystem([[0.0]], [[0.0]], [[0.0]])
         ob = bound_output_tl(scalar_system, zero, 2)
         assert ob.epsilon == pytest.approx(tl_h2_norm(scalar_system, 2), rel=1e-10)
 
@@ -159,15 +158,15 @@ class TestOutputBound:
         rng = np.random.default_rng(7)
         bad = rng.standard_normal((3, 3))
         bad *= 1.05 / max(abs(np.linalg.eigvals(bad)))
-        rom = build_system(bad, rng.random((3, 2)), rng.random((2, 3)))
+        rom = DiscreteLTISystem(bad, rng.random((3, 2)), rng.random((2, 3)))
         ob = bound_output_tl(s, rom, 15)
         assert np.isfinite(ob.epsilon) and ob.epsilon > 0
 
     def test_direct_sum_fallback_on_reciprocal_pair(self):
         # alpha * beta = 1 between system and model spectra: the matrix
         # equation has no unique solution, the finite-horizon sum still does
-        sys_ = build_system(np.diag([2.0, 0.3]), np.ones((2, 1)), np.ones((1, 2)))
-        rom = build_system([[0.5]], [[1.0]], [[1.0]])
+        sys_ = DiscreteLTISystem(np.diag([2.0, 0.3]), np.ones((2, 1)), np.ones((1, 2)))
+        rom = DiscreteLTISystem([[0.5]], [[1.0]], [[1.0]])
         tau = 6
         ob = bound_output_tl(sys_, rom, tau)
         h = oracles.impulse_seq(sys_.A, sys_.B, sys_.C, tau)
@@ -264,7 +263,7 @@ class TestInfiniteHorizon:
         # decoupled balanced system: truncation error is the dropped mode
         A = np.diag([0.5, 0.2])
         B = np.array([[1.0], [0.5]])
-        s = build_system(A, B, B.T.copy())
+        s = DiscreteLTISystem(A, B, B.T.copy())
         P = np.diag(B[:, 0] ** 2 / (1 - np.diag(A) ** 2))
         bal = balance_dense(s, P, P, math.inf)
         ib = bound_inf_horizon(bal, 1)
@@ -576,7 +575,7 @@ class TestBoundReport:
         s, bal = _balanced(22, 10, 2, 2, 15)
         r = 5
         expr = error_expr_tlbt(bal, r)
-        bsys = build_system(bal.a, bal.b, bal.c)
+        bsys = DiscreteLTISystem(bal.a, bal.b, bal.c)
         ob = bound_output_tl(bsys, bal.reduced_system(r), 15)
         assert ob.epsilon_squared == pytest.approx(expr.value, rel=1e-8)
 

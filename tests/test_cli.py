@@ -10,7 +10,7 @@ import pytest
 import scipy.io
 import scipy.sparse
 
-from dtmor import (ExampleSpec, build_system, generate_example, impulse_sequence,
+from dtmor import (DiscreteLTISystem, ExampleSpec, generate_example, impulse_sequence,
                    read_system, write_system)
 import dtmor.bounds
 import dtmor.cli
@@ -30,7 +30,7 @@ from dtmor.cli import (
 
 
 def _scalar_dir(tmp_path):
-    s = build_system([[0.5]], [[1.0]], [[1.0]])
+    s = DiscreteLTISystem([[0.5]], [[1.0]], [[1.0]])
     write_system(s, tmp_path / "scalar")
     return tmp_path / "scalar"
 
@@ -110,10 +110,15 @@ class TestRunPipeline:
             calls.append((tau, side))
             return real(system, tau, side, cfg)
 
-        def refuse(*args):
-            raise AssertionError("shifted full-order solve in a low-rank run")
+        pencil_solver = dtmor.system.DiscreteLTISystem.pencil_solver
+
+        def unit_pencils_only(self, alpha, beta):
+            # the +-1 walks factor A -+ M; a cross Sylvester recursion would ask (lambda, 1)
+            if alpha != 1 or beta not in (1, -1):
+                raise AssertionError(f"shifted full-order solve ({alpha}, {beta}) in a low-rank run")
+            return pencil_solver(self, alpha, beta)
         monkeypatch.setattr(dtmor.cli, "compute_gramian", counting)
-        monkeypatch.setattr(dtmor.dense_stein, "_shifted_standard_solve", refuse)
+        monkeypatch.setattr(dtmor.system.DiscreteLTISystem, "pencil_solver", unit_pencils_only)
         out = tmp_path / "job"
         code = main(["pipeline", "--kind", "jacobi", "--size", "20", "--inputs", "2",
                      "--outputs", "2", "--seed", "1", "--solver", "rksm-pm1",
@@ -199,15 +204,15 @@ class TestErrorCsv:
         assert [int(r[1]) for r in rows].count(1) == 1  # single window marker
 
     def test_zero_horizon_single_row(self, tmp_path):
-        s = build_system([[0.5]], [[1.0]], [[1.0]])
+        s = DiscreteLTISystem([[0.5]], [[1.0]], [[1.0]])
         text = self._csv(tmp_path, s, {"m": s}, 0, 2)
         lines = text.strip().splitlines()
         assert len(lines) == 2  # header + k=0
         assert float(lines[1].split(",")[2]) == 0.0
 
     def test_nilpotent_model_hand_convolution(self, tmp_path):
-        s = build_system([[0.5]], [[1.0]], [[1.0]])
-        rom = build_system([[0.0]], [[1.0]], [[1.0]])
+        s = DiscreteLTISystem([[0.5]], [[1.0]], [[1.0]])
+        rom = DiscreteLTISystem([[0.0]], [[1.0]], [[1.0]])
         text = self._csv(tmp_path, s, {"m": rom}, 4, 4)
         rows = [line.split(",") for line in text.strip().splitlines()][1:]
         # impulse at k=0: error(k) = |h(k) - hhat(k)|, so 0.5 at k=2
@@ -252,6 +257,29 @@ class TestWriteBundle:
         out2 = self._run(tmp_path, "job2")
         for name in ("report.json", "errors.csv", "summary.csv"):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+    def test_system_path_is_recorded_as_given(self, tmp_path, monkeypatch):
+        # config.system_path is --system as spelled, so a relative and an
+        # absolute spelling of one job differ in that key alone
+        monkeypatch.chdir(tmp_path)
+        assert main(["generate", "--kind", "gauss-seidel", "--size", "4", "--inputs", "2",
+                     "--outputs", "2", "--seed", "5", "--out", "sys"]) == 0
+        outs = {}
+        for spelling in ("sys", str(tmp_path / "sys")):
+            out = tmp_path / f"job{len(outs)}"
+            assert main(["pipeline", "--system", spelling, "--solver", "dense", "--tau", "12",
+                         "--order", "3", "--method", "both", "--out", str(out)]) == 0
+            outs[spelling] = out
+        rel, absolute = outs.values()
+        files = sorted(p.relative_to(rel) for p in rel.rglob("*") if p.is_file())
+        assert files == sorted(p.relative_to(absolute) for p in absolute.rglob("*")
+                               if p.is_file())
+        for name in files:
+            if name != Path("report.json"):
+                assert (rel / name).read_bytes() == (absolute / name).read_bytes(), name
+        docs = [json.loads((out / "report.json").read_text()) for out in (rel, absolute)]
+        assert [doc["config"].pop("system_path") for doc in docs] == list(outs)
+        assert docs[0] == docs[1]
 
     def test_existing_output_needs_force(self, tmp_path):
         self._run(tmp_path, "job")
@@ -785,7 +813,7 @@ class TestMainExitCodes:
     def test_gramian_with_shift_on_an_eigenvalue(self, tmp_path, capsys, storage):
         # the -1 shift hits an eigenvalue of A; dense and sparse storage agree
         A = storage(np.diag([-1.0, 0.5, 0.3]))
-        write_system(build_system(A, np.ones((3, 1)), np.ones((1, 3))), tmp_path / "sys")
+        write_system(DiscreteLTISystem(A, np.ones((3, 1)), np.ones((1, 3))), tmp_path / "sys")
         out = tmp_path / "g"
         assert main(["gramian", "--system", str(tmp_path / "sys"), "--tau", "5",
                      "--solver", "rksm-pm1", "--out", str(out)]) == 0

@@ -9,17 +9,16 @@ import oracles
 from conftest import random_stable_system
 from dtmor import (
     DenseCapError,
+    DiscreteLTISystem,
     ExampleSpec,
     Gramian,
     ShiftStrategy,
     SolvabilityError,
-    build_system,
     generate_example,
     rksm,
     smith_arnoldi,
     solve_cross_sylvester,
     solve_projected_tl,
-    solve_stein_dense,
     solve_stein_sylvester,
     square_root_truncate,
     stein_residual_dense,
@@ -27,46 +26,6 @@ from dtmor import (
 )
 from dtmor.config import DENSE_CAP_ENV
 from dtmor.dense_stein import window_sum
-
-
-class TestSolveSteinDense:
-    def test_scalar_geometric(self):
-        X = solve_stein_dense(np.array([[0.5]]), np.array([[1.0]]))
-        assert X[0, 0] == pytest.approx(4.0 / 3.0, rel=1e-14)
-
-    def test_diagonal_closed_form(self):
-        A = np.diag([0.5, -0.5])
-        B = np.ones((2, 1))
-        X = solve_stein_dense(A, B @ B.T)
-        assert X == pytest.approx(np.array([[4 / 3, 0.8], [0.8, 4 / 3]]), rel=1e-13)
-
-    def test_nilpotent(self):
-        W = np.array([[2.0, 1.0], [1.0, 3.0]])
-        assert solve_stein_dense(np.zeros((2, 2)), W) == pytest.approx(W)
-
-    def test_unstable_but_solvable(self):
-        # eigenvalues 2 and 0.3: no reciprocal pair, Schur backend handles it
-        A = np.diag([2.0, 0.3])
-        W = np.eye(2)
-        X = solve_stein_dense(A, W)
-        assert np.linalg.norm(A @ X @ A.T - X + W) <= 1e-12 * np.linalg.norm(W)
-
-    def test_solvability_violation(self):
-        with pytest.raises(SolvabilityError):
-            solve_stein_dense(np.array([[1.0]]), np.array([[1.0]]))
-
-    def test_size_cap(self, monkeypatch):
-        monkeypatch.setenv(DENSE_CAP_ENV, "4")
-        with pytest.raises(DenseCapError):
-            solve_stein_dense(np.eye(5) * 0.5, np.eye(5))
-
-    def test_symmetry_and_residual_seeded(self):
-        s = random_stable_system(21, 30, 2, 2)
-        Ad = s.A
-        W = s.B @ s.B.T
-        X = solve_stein_dense(Ad, W)
-        assert np.allclose(X, X.T, atol=1e-12 * np.abs(X).max())
-        assert np.linalg.norm(Ad @ X @ Ad.T - X + W) <= 1e-12 * np.linalg.norm(W)
 
 
 class TestSteinSylvester:
@@ -78,6 +37,44 @@ class TestSteinSylvester:
         X = solve_stein_sylvester(A, B, W)
         assert np.linalg.norm(A @ X @ B.T - X + W) <= 1e-12 * np.linalg.norm(W)
 
+    # with B = A it is the general dense Stein solve A X A^T - X + W = 0
+    def test_scalar_geometric(self):
+        X = solve_stein_sylvester(np.array([[0.5]]), np.array([[0.5]]), np.array([[1.0]]))
+        assert X[0, 0] == pytest.approx(4.0 / 3.0, rel=1e-14)
+
+    def test_diagonal_closed_form(self):
+        A = np.diag([0.5, -0.5])
+        B = np.ones((2, 1))
+        X = solve_stein_sylvester(A, A, B @ B.T)
+        assert X == pytest.approx(np.array([[4 / 3, 0.8], [0.8, 4 / 3]]), rel=1e-13)
+
+    def test_nilpotent(self):
+        W = np.array([[2.0, 1.0], [1.0, 3.0]])
+        assert solve_stein_sylvester(np.zeros((2, 2)), np.zeros((2, 2)), W) == pytest.approx(W)
+
+    def test_unstable_but_solvable(self):
+        # eigenvalues 2 and 0.3: no reciprocal pair, so the equation is solvable
+        A = np.diag([2.0, 0.3])
+        W = np.eye(2)
+        X = solve_stein_sylvester(A, A, W)
+        assert np.linalg.norm(A @ X @ A.T - X + W) <= 1e-12 * np.linalg.norm(W)
+
+    def test_solvability_violation(self):
+        with pytest.raises(SolvabilityError):
+            solve_stein_sylvester(np.array([[1.0]]), np.array([[1.0]]), np.array([[1.0]]))
+
+    def test_size_cap(self, monkeypatch):
+        monkeypatch.setenv(DENSE_CAP_ENV, "4")
+        with pytest.raises(DenseCapError):
+            solve_stein_sylvester(np.eye(5) * 0.5, np.eye(5) * 0.5, np.eye(5))
+
+    def test_residual_seeded(self):
+        s = random_stable_system(21, 30, 2, 2)
+        Ad = s.A
+        W = s.B @ s.B.T
+        X = solve_stein_sylvester(Ad, Ad, W)
+        assert np.linalg.norm(Ad @ X @ Ad.T - X + W) <= 1e-12 * np.linalg.norm(W)
+
 
 class TestTlGramianDense:
     def test_scalar_two_terms(self, scalar_system):
@@ -88,8 +85,7 @@ class TestTlGramianDense:
         assert 0.25 * 1.25 - 1.25 + 1.0 - 0.0625 == pytest.approx(0.0, abs=1e-15)
 
     def test_unstable_finite_horizon_exists(self):
-        from dtmor import build_system
-        s = build_system([[1.0]], [[1.0]], [[1.0]])
+        s = DiscreteLTISystem([[1.0]], [[1.0]], [[1.0]])
         pair = tl_gramian_dense(s, 3, "reach")
         assert pair.gramian[0, 0] == pytest.approx(3.0)
         assert pair.tl_term[0, 0] == pytest.approx(1.0)
@@ -101,8 +97,7 @@ class TestTlGramianDense:
         assert np.allclose(pair.tl_term, jacobi_small.apply_dynamics(B0), atol=1e-14)
 
     def test_infinite_on_unstable_raises(self):
-        from dtmor import build_system
-        s = build_system([[1.0]], [[1.0]], [[1.0]])
+        s = DiscreteLTISystem([[1.0]], [[1.0]], [[1.0]])
         with pytest.raises(SolvabilityError):
             tl_gramian_dense(s, math.inf, "reach")
 
@@ -163,8 +158,7 @@ class TestCrossSylvester:
         assert Y[0, 0] == pytest.approx(1.25, rel=1e-12)
 
     def test_nilpotent_reduced_side(self, scalar_system):
-        from dtmor import build_system
-        rom = build_system([[0.0]], [[1.0]], [[1.0]])
+        rom = DiscreteLTISystem([[0.0]], [[1.0]], [[1.0]])
         Y = solve_cross_sylvester(scalar_system, rom, 2, "Y")
         assert Y[0, 0] == pytest.approx(1.0, rel=1e-12)
 
@@ -222,8 +216,8 @@ class TestCrossSylvester:
 
     def test_infinite_horizon_reciprocal_pair_raises(self):
         # 2 * 0.5 = 1: the infinite-horizon equation has no unique solution
-        s = build_system(np.diag([2.0, 0.3]), np.ones((2, 1)), np.ones((1, 2)))
-        rom = build_system([[0.5]], [[1.0]], [[1.0]])
+        s = DiscreteLTISystem(np.diag([2.0, 0.3]), np.ones((2, 1)), np.ones((1, 2)))
+        rom = DiscreteLTISystem([[0.5]], [[1.0]], [[1.0]])
         with pytest.raises(SolvabilityError):
             solve_cross_sylvester(s, rom, math.inf, "Y")
 
@@ -255,8 +249,13 @@ class TestCrossSylvester:
 
 class TestProjectedTl:
     def test_scalar_tl(self):
-        Y = solve_projected_tl(np.array([[0.5]]), np.array([[1.0]]), np.array([[0.25]]))
+        # a window needs no solve: the walked sum solves the projected equation
+        H, Bk = np.array([[0.5]]), np.array([[1.0]])
+        Y, F, _ = window_sum(lambda X: H @ X, Bk, 2)
         assert Y[0, 0] == pytest.approx(1.25, rel=1e-14)
+        assert F[0, 0] == pytest.approx(0.25, rel=1e-14)
+        resid = H @ Y @ H.T - Y + Bk @ Bk.T - F @ F.T
+        assert abs(resid[0, 0]) <= 1e-14 * Y[0, 0]
 
     def test_scalar_infinite(self):
         Y = solve_projected_tl(np.array([[0.5]]), np.array([[1.0]]))
@@ -284,5 +283,5 @@ class TestProjectedTl:
         eigs = np.linalg.eigvals(H)
         margin = float(np.abs(1.0 - np.outer(eigs, eigs)).min())
         assume(margin > 1e-10)
-        ref = solve_projected_tl(H, Bk, Fk)
+        ref = solve_stein_sylvester(H, H, W)
         assert np.linalg.norm(Y - ref) <= 1e-10 * np.linalg.norm(Y) / min(margin, 1.0)

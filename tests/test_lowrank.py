@@ -9,19 +9,18 @@ import oracles
 from conftest import random_stable_system
 from dtmor import (
     ConvergenceError,
+    DiscreteLTISystem,
     ExampleSpec,
     Gramian,
     KrylovState,
     ShiftStrategy,
     SolverConfig,
-    build_system,
     dense_stein,
     generate_example,
     lowrank,
     next_shift,
     rksm,
     smith_arnoldi,
-    solve_projected_tl,
     stein_residual_norm,
     system,
     tl_gramian_dense,
@@ -39,7 +38,7 @@ class TestSmithArnoldi:
         assert a.residual <= 1e-12
 
     def test_unstable_unit_pole(self):
-        s = build_system([[1.0]], [[1.0]], [[1.0]])
+        s = DiscreteLTISystem([[1.0]], [[1.0]], [[1.0]])
         a = smith_arnoldi(s, "reach", 3)
         assert a.matrix()[0, 0] == pytest.approx(3.0, rel=1e-13)
         assert a.tl_term[0, 0] == pytest.approx(1.0, rel=1e-13)
@@ -125,7 +124,7 @@ class TestSmithArnoldi:
 
     @pytest.mark.parametrize("tau", [7, math.inf])
     def test_zero_input_gives_empty_basis(self, tau):
-        s = build_system(np.diag([0.5, -0.3, 0.2]), np.zeros((3, 2)), np.ones((1, 3)))
+        s = DiscreteLTISystem(np.diag([0.5, -0.3, 0.2]), np.zeros((3, 2)), np.ones((1, 3)))
         a = smith_arnoldi(s, "reach", tau)
         assert a.basis.shape == (3, 0) and a.core.shape == (0, 0)
         assert a.residual == 0.0
@@ -176,7 +175,7 @@ class TestRksm:
         assert a.matrix()[0, 0] == pytest.approx(4.0 / 3.0, rel=1e-9)
 
     def test_diagonal_closed_form(self):
-        s = build_system(np.diag([0.5, -0.5]), np.ones((2, 1)), np.ones((1, 2)))
+        s = DiscreteLTISystem(np.diag([0.5, -0.5]), np.ones((2, 1)), np.ones((1, 2)))
         a = rksm(s, "reach", math.inf, cfg=TIGHT)
         assert a.matrix() == pytest.approx(np.array([[4 / 3, 0.8], [0.8, 4 / 3]]), rel=1e-8)
 
@@ -215,8 +214,8 @@ class TestRksm:
     def test_dense_mass_matrix_matches_sparse(self, gs_small):
         # a dense M runs the dense solve closure of the mass factorization
         # and the dense shifted factorizations
-        dense = build_system(gs_small.A.toarray(), gs_small.B, gs_small.C,
-                             gs_small.M.toarray())
+        dense = DiscreteLTISystem(gs_small.A.toarray(), gs_small.B, gs_small.C,
+                                   gs_small.M.toarray())
         tau = 25
         ref = tl_gramian_dense(gs_small, tau, "reach")
         got = tl_gramian_dense(dense, tau, "reach")
@@ -230,8 +229,8 @@ class TestRksm:
     def test_shift_on_an_eigenvalue_dense_matches_sparse(self):
         # the -1 shift hits an eigenvalue; both storages retry it perturbed
         A = np.diag([-1.0, 0.5, 0.3])
-        dense = build_system(A, np.ones((3, 1)), np.ones((1, 3)))
-        sparse = build_system(sp.csr_matrix(A), np.ones((3, 1)), np.ones((1, 3)))
+        dense = DiscreteLTISystem(A, np.ones((3, 1)), np.ones((1, 3)))
+        sparse = DiscreteLTISystem(sp.csr_matrix(A), np.ones((3, 1)), np.ones((1, 3)))
         strategy = ShiftStrategy("alternating-pm1")
         a = rksm(sparse, "reach", 5, strategy)
         b = rksm(dense, "reach", 5, strategy)
@@ -244,7 +243,7 @@ class TestRksm:
 
     @pytest.mark.parametrize("tau", [20, math.inf])
     def test_zero_input_gives_empty_basis(self, tau):
-        s = build_system(np.diag([0.5, -0.3, 0.2]), np.zeros((3, 2)), np.ones((1, 3)))
+        s = DiscreteLTISystem(np.diag([0.5, -0.3, 0.2]), np.zeros((3, 2)), np.ones((1, 3)))
         a = rksm(s, "reach", tau)
         assert a.basis.shape == (3, 0) and a.core.shape == (0, 0)
         assert a.residual == 0.0
@@ -272,7 +271,7 @@ class TestRksm:
             raise AssertionError("projected Stein solve at a finite window")
 
         monkeypatch.setattr(lowrank, "solve_projected_tl", refuse)
-        monkeypatch.setattr(dense_stein, "solve_stein_dense", refuse)
+        monkeypatch.setattr(dense_stein, "solve_stein_sylvester", refuse)
         s = generate_example(ExampleSpec(kind="jacobi", size=20, inputs=2, outputs=2, seed=1))
         for side in ("reach", "obs"):
             a = rksm(s, side, 50, ShiftStrategy(strategy))
@@ -319,7 +318,9 @@ class TestResidualFormula:
         state.projected = np.array([[0.5]])
         state.offspace_dir = np.zeros((1, 0))
         state.offspace_coeff = np.zeros((0, 1))
-        Y = solve_projected_tl(state.projected, np.array([[1.0]]), np.array([[0.25]]))
+        H, Bk = state.projected, np.array([[1.0]])
+        Y, F, _ = dense_stein.window_sum(lambda X: H @ X, Bk, 2)
+        assert np.linalg.norm(H @ Y @ H.T - Y + Bk @ Bk.T - F @ F.T) <= 1e-10
         assert stein_residual_norm(state, Y) <= 1e-10
 
     def test_krylov_state_rejects_unknown_fields(self):
@@ -342,8 +343,9 @@ class TestResidualFormula:
         state.offspace_dir = U
         state.offspace_coeff = U.T @ AQ
         bk = b.T @ s.B
-        fk = np.linalg.matrix_power(state.projected, 2) @ bk
-        Y = solve_projected_tl(state.projected, bk, fk)
+        H = state.projected
+        Y, fk, _ = dense_stein.window_sum(lambda X: H @ X, bk, 2)
+        assert np.linalg.norm(H @ Y @ H.T - Y + bk @ bk.T - fk @ fk.T) <= 1e-10 * np.linalg.norm(Y)
         got = stein_residual_norm(state, Y)
         P = state.basis @ Y @ state.basis.T
         F = state.basis @ fk
@@ -375,12 +377,11 @@ class TestResidualFormula:
 
 class TestNextShift:
     def test_alternating_sequence(self):
-        state = KrylovState(block_width=1)
+        # every paired +-1 step starts at +1, whatever the poles so far
         strat = ShiftStrategy("alternating-pm1")
-        s2 = next_shift(strat, state)
-        state.shifts.append(s2)
-        s3 = next_shift(strat, state)
-        assert s2 == 1.0 and s3 == -1.0
+        for shifts in ([], [1.0, -1.0], [1.0, -1.0, 1.0, -1.0], [1.0]):
+            state = KrylovState(block_width=1, shifts=[complex(z) for z in shifts])
+            assert next_shift(strat, state) == 1.0
 
     def test_adaptive_four_point_grid(self, monkeypatch):
         # |xi-0.5|/|xi-0.9| on {1, i, -1, -i} is maximized at xi = 1
@@ -392,12 +393,16 @@ class TestNextShift:
         assert next_shift(strat, state) == pytest.approx(1.0)
 
     def test_conjugate_pairing_contract(self):
-        state = KrylovState(block_width=1)
-        state.projected = np.array([[0.5]])
-        xi = complex(np.exp(1j * 0.7))
-        state.shifts = [xi]
-        got = next_shift(ShiftStrategy("adaptive-disc"), state)
-        assert got == pytest.approx(xi.conjugate())
+        # the walk expands a complex pole with its conjugate by one solve and
+        # records the conjugate right after it (88 of this solve's 89 poles)
+        s = generate_example(ExampleSpec(kind="jacobi", size=20, inputs=2, outputs=2, seed=1))
+        shifts = rksm(s, "reach", 50, ShiftStrategy("adaptive-disc")).shifts
+        complex_at = [j for j, z in enumerate(shifts) if abs(z.imag) > 1e-14]
+        assert len(complex_at) == 88 and len(shifts) == 89
+        firsts = complex_at[::2]
+        assert complex_at == [j + d for j in firsts for d in (0, 1)]
+        for j in firsts:
+            assert shifts[j + 1] == shifts[j].conjugate()
 
     def test_adaptive_fallback_without_ritz(self):
         state = KrylovState(block_width=1)
@@ -478,12 +483,13 @@ class TestInvariants:
         tau = 8
         a = smith_arnoldi(s, "reach", tau)
         ref = tl_gramian_dense(s, tau, "reach")
-        # lift a fresh projected solve through the returned basis
+        # lift a fresh projected window sum through the returned basis
         Q = a.basis
         H = Q.T @ s.A @ Q
         Bk = Q.T @ s.B
-        Fk = np.linalg.matrix_power(H, tau) @ Bk
-        Y = solve_projected_tl(H, Bk, Fk)
+        Y, Fk, _ = dense_stein.window_sum(lambda X: H @ X, Bk, tau)
+        resid = H @ Y @ H.T - Y + Bk @ Bk.T - Fk @ Fk.T
+        assert np.linalg.norm(resid) <= 1e-9 * np.linalg.norm(Y)
         lifted = Q @ Y @ Q.T
         assert np.linalg.norm(lifted - ref.gramian) <= 1e-9 * np.linalg.norm(ref.gramian)
 
@@ -583,7 +589,7 @@ class TestGrowthBuffers:
                     addresses.append(state.basis.__array_interface__["data"][0])
                 results.append(rksm(s, "reach", tau, ShiftStrategy(kind), TIGHT, observer=observer))
         assert max(map(len, walks)) > 1 and all(len(set(a)) == 1 for a in walks)
-        zero = build_system(np.diag([0.5, -0.3, 0.2]), np.zeros((3, 2)), np.ones((1, 3)))
+        zero = DiscreteLTISystem(np.diag([0.5, -0.3, 0.2]), np.zeros((3, 2)), np.ones((1, 3)))
         results += [rksm(zero, "reach", tau) for tau in (5, math.inf)]
         results += [smith_arnoldi(s, "reach", 12), smith_arnoldi(zero, "reach", 5)]
         assert results[-3].basis.shape == (3, 0)
@@ -754,7 +760,7 @@ class TestTwoReadSteps:
         # walks as many steps (the third pass of two-pass Gram-Schmidt once
         # re-rotated them: 60, 70 and 50 steps at these scales)
         s = generate_example(ExampleSpec(kind="jacobi", size=20, inputs=2, outputs=2, seed=1))
-        steps = {rksm(build_system(s.A, scale * s.B, s.C, s.M), "reach", 50,
+        steps = {rksm(DiscreteLTISystem(s.A, scale * s.B, s.C, s.M), "reach", 50,
                       ShiftStrategy("adaptive-disc")).iterations
                  for scale in (1.0, 1.0 + 2.0 ** -52, 1.0 + 2.0 ** -50)}
         assert len(steps) == 1

@@ -1,6 +1,9 @@
 import ast
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -14,11 +17,11 @@ import dtmor.system
 from dtmor import (
     DenseCapError,
     DimensionMismatchError,
+    DiscreteLTISystem,
     EstimationError,
     ExampleSpec,
     SingularMassMatrixError,
     SystemIOError,
-    build_system,
     generate_example,
     impulse_sequence,
     read_system,
@@ -96,35 +99,35 @@ class TestSpectralRadius:
 
 class TestBuildSystem:
     def test_scalar_construction(self):
-        s = build_system([[0.5]], [[1.0]], [[1.0]])
+        s = DiscreteLTISystem([[0.5]], [[1.0]], [[1.0]])
         assert (s.n, s.m, s.p) == (1, 1, 1)
         assert not s.is_generalized
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatchError):
-            build_system(np.eye(2), np.ones((3, 1)), np.ones((1, 2)))
+            DiscreteLTISystem(np.eye(2), np.ones((3, 1)), np.ones((1, 2)))
 
     def test_generalized_diagonal_mass(self):
-        s = build_system(np.eye(2), [[1.0], [1.0]], [[1.0, 0.0]], M=2 * np.eye(2))
+        s = DiscreteLTISystem(np.eye(2), [[1.0], [1.0]], [[1.0, 0.0]], M=2 * np.eye(2))
         assert (s.n, s.m, s.p) == (2, 1, 1)
         assert s.is_generalized
 
     def test_singular_mass_rejected(self):
         with pytest.raises(SingularMassMatrixError):
-            build_system(np.eye(2), np.ones((2, 1)), np.ones((1, 2)),
-                         M=np.array([[1.0, 0.0], [0.0, 0.0]]))
+            DiscreteLTISystem(np.eye(2), np.ones((2, 1)), np.ones((1, 2)),
+                               M=np.array([[1.0, 0.0], [0.0, 0.0]]))
 
     def test_singular_sparse_mass_rejected(self):
         M = sp.csr_matrix(np.array([[1.0, 1.0], [1.0, 1.0]]))
         with pytest.raises(SingularMassMatrixError):
-            build_system(sp.identity(2, format="csr"), np.ones((2, 1)), np.ones((1, 2)), M=M)
+            DiscreteLTISystem(sp.identity(2, format="csr"), np.ones((2, 1)), np.ones((1, 2)), M=M)
 
     @pytest.mark.parametrize("storage", [np.asarray, sp.csr_matrix])
     def test_numerically_singular_mass_rejected(self, storage):
         # no pivot is exactly zero: the relative pivot rule rejects 1e-17
         with pytest.raises(SingularMassMatrixError, match="numerically singular"):
-            build_system(np.eye(2), np.ones((2, 1)), np.ones((1, 2)),
-                         M=storage(np.diag([1.0, 1e-17])))
+            DiscreteLTISystem(np.eye(2), np.ones((2, 1)), np.ones((1, 2)),
+                               M=storage(np.diag([1.0, 1e-17])))
 
 
     @pytest.mark.parametrize("storage", [np.asarray, sp.csr_matrix])
@@ -135,7 +138,7 @@ class TestBuildSystem:
     def test_ill_conditioned_mass_rejected_in_either_storage(self, storage, M):
         # condition 1e17 with no small pivot in one of the two column orders
         with pytest.raises(SingularMassMatrixError, match="numerically singular"):
-            build_system(np.eye(2), np.ones((2, 1)), np.ones((1, 2)), M=storage(M))
+            DiscreteLTISystem(np.eye(2), np.ones((2, 1)), np.ones((1, 2)), M=storage(M))
 
     @pytest.mark.parametrize("kind", ["jacobi", "gauss-seidel"])
     def test_grid_mass_condition_estimate(self, kind):
@@ -181,7 +184,7 @@ class TestFactorize:
         rng = np.random.default_rng(4)
         A = rng.standard_normal((4, 4))
         M = rng.standard_normal((4, 4)) + 4 * np.eye(4)
-        s = build_system(storage(A), np.ones((4, 1)), np.ones((1, 4)), M=storage(M))
+        s = DiscreteLTISystem(storage(A), np.ones((4, 1)), np.ones((1, 4)), M=storage(M))
         b = rng.standard_normal((4, 2))
         alpha, beta = 0.3 - 0.2j, 1.5
         x = s.pencil_solver(alpha, beta)(b)
@@ -194,7 +197,7 @@ class TestFactorize:
         n = 30
         rng = np.random.default_rng(8)
         A = storage(rng.standard_normal((n, n)))
-        s = build_system(A, np.ones((n, 1)), np.ones((1, n)))
+        s = DiscreteLTISystem(A, np.ones((n, 1)), np.ones((1, n)))
         eye = np.eye(n) if storage is np.asarray else sp.identity(n, format="csr")
         b = rng.standard_normal((n, 2))
         for alpha, beta in ((1.0, 1.0), (0.3 - 0.2j, 1.5)):
@@ -260,15 +263,15 @@ class TestFactorize:
     def test_relative_pivot_rule_under_either_order(self, monkeypatch, M, order):
         orders = self._record_orders(monkeypatch)
         with pytest.raises(SingularMassMatrixError, match="numerically singular"):
-            build_system(np.eye(2), np.ones((2, 1)), np.ones((1, 2)), M=sp.csr_matrix(M))
+            DiscreteLTISystem(np.eye(2), np.ones((2, 1)), np.ones((1, 2)), M=sp.csr_matrix(M))
         assert orders == [order]
 
     @pytest.mark.parametrize("storage", [np.asarray, sp.csr_matrix])
     def test_dual_solves_with_the_one_mass_factor(self, monkeypatch, storage):
         rng = np.random.default_rng(7)
         M = rng.standard_normal((5, 5)) + 5 * np.eye(5)
-        s = build_system(storage(rng.standard_normal((5, 5))), np.ones((5, 2)),
-                         np.ones((1, 5)), M=storage(M))
+        s = DiscreteLTISystem(storage(rng.standard_normal((5, 5))), np.ones((5, 2)),
+                               np.ones((1, 5)), M=storage(M))
 
         def refuse(*args, **kwargs):
             raise AssertionError("mass matrix factored again")
@@ -295,8 +298,8 @@ class TestUnitPencilMemo:
         b = rng.standard_normal((n, 2))
         got = []
         for adjoint_first in (True, False):
-            s = build_system(storage(A), np.ones((n, 1)), np.ones((1, n)),
-                             M=None if M is None else storage(M))
+            s = DiscreteLTISystem(storage(A), np.ones((n, 1)), np.ones((1, n)),
+                                   M=None if M is None else storage(M))
             adj = s.dual()
             if not adjoint_first:
                 s.pencil_solver(1.0, -1.0)
@@ -330,8 +333,8 @@ class TestTransposedMaps:
         n = 6
         A = rng.standard_normal((n, n))
         M = rng.standard_normal((n, n)) + 5 * np.eye(n) if mass else np.eye(n)
-        s = build_system(storage(A), np.ones((n, 2)), np.ones((1, n)),
-                         M=storage(M) if mass else None)
+        s = DiscreteLTISystem(storage(A), np.ones((n, 2)), np.ones((1, n)),
+                               M=storage(M) if mass else None)
         X = rng.standard_normal((n, 3))
         for sys_, Ad, Md in ((s, A, M), (s.dual(), A.T, M.T), (s.dual().dual(), A, M)):
             dyn = np.linalg.solve(Md, Ad)
@@ -517,6 +520,26 @@ def test_only_system_module_knows_sparse_storage():
         if path.name != "system.py":
             names = _module_names(path)
             assert not names & banned, f"{path.name} names {sorted(names & banned)}"
+
+
+def test_only_system_module_knows_matrix_market():
+    # the storage rule: system.py alone writes and reads Matrix Market files
+    # (system.write_matrix, system.read_system)
+    banned = {"mmwrite", "mmread"}
+    for path in _SRC_MODULES:
+        if path.name != "system.py":
+            names = _module_names(path)
+            assert not names & banned, f"{path.name} names {sorted(names & banned)}"
+
+
+def test_importing_the_package_loads_no_matrix_market_reader():
+    # scipy.io is imported by system.py's file I/O on first use, not by `import dtmor`
+    code = ("import sys, dtmor, dtmor.cli\n"
+            "print(sorted(m for m in sys.modules if m.startswith('scipy.io')))")
+    src = str(Path(dtmor.system.__file__).parents[1])
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          check=True, env=dict(os.environ, PYTHONPATH=src))
+    assert done.stdout.strip() == "[]"
 
 
 def test_low_rank_solvers_apply_a_system_through_its_methods():
