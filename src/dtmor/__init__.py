@@ -8,7 +8,7 @@ from .balancing import (
     HankelSpectrum,
     ReducedOrderModel,
     adaptive_order,
-    balance_dense,
+    balance,
     export_rom,
     square_root_truncate,
     stability_certificate,

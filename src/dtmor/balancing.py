@@ -1,6 +1,6 @@
-"""Square-root balanced truncation from Gramian factors, dense balancing
-at the numerical rank, adaptive order selection, and the time-limited
-stability certificate.
+"""Square-root balancing of a Gramian pair at its numerical rank, balanced
+truncation as the leading block of that realization, adaptive order
+selection, and the time-limited stability certificate.
 
 Generalized systems are balanced through their standard form: the factor
 product is weighted by the mass matrix and the resulting reduced model has
@@ -13,13 +13,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import check_dense_cap
 from .dense_stein import psd_factor
 from .exceptions import BalancingError, DimensionMismatchError
-from .system import DiscreteLTISystem, check_horizon, dense_array, write_system
+from .system import DiscreteLTISystem, check_horizon, write_system
 
 _KERNEL_TOL = 1e-12
-_VERIFY_TOL = 1e-8   # relative diagonalization error balance_dense accepts
+_VERIFY_TOL = 1e-8   # relative diagonalization error balance accepts
 
 
 @dataclass(frozen=True)
@@ -64,17 +63,19 @@ class BalancedPartition:
 @dataclass
 class BalancedRealization:
     """Balanced standard-form realization of the numerically nonzero Hankel
-    singular values, with its projectors.
+    singular values of a Gramian pair, with its projectors.
 
-    ``a``, ``b``, ``c`` are the balanced coefficient matrices, ``sigma`` the
-    kept Hankel singular values, and ``tl_b``/``tl_c`` the horizon terms
-    A^tau B and C A^tau of the original system in the balanced coordinates
-    (None at infinite horizon).
+    ``a``, ``b``, ``c`` are the balanced coefficient matrices of order k,
+    ``hsv`` the full Hankel spectrum of the pair (``sigma``, its leading k
+    values, are the kept ones), ``transform`` (k x n) and ``transform_inv``
+    (n x k) the projectors, and ``tl_b``/``tl_c`` the horizon terms A^tau B
+    and C A^tau of the original system in the balanced coordinates: None at
+    infinite horizon, and for a pair given as raw factors, which carry none.
     """
     a: np.ndarray
     b: np.ndarray
     c: np.ndarray
-    sigma: np.ndarray
+    hsv: HankelSpectrum
     transform: np.ndarray
     transform_inv: np.ndarray
     horizon: float
@@ -85,14 +86,24 @@ class BalancedRealization:
     def order(self) -> int:
         return self.a.shape[0]
 
+    @property
+    def sigma(self) -> np.ndarray:
+        return self.hsv.values[:self.order]
+
+    def require_horizon_terms(self, what: str) -> None:
+        """Raise ValueError unless this realization is time-limited with its horizon terms."""
+        if math.isinf(self.horizon) or self.tl_b is None:
+            raise ValueError(f"{what} needs a time-limited balanced realization with its "
+                             f"horizon terms (raw factors carry none), got tau={self.horizon:g}")
+
     def dual(self) -> "BalancedRealization":
-        """Adjoint realization (a^T, c^T, b^T): the same sigma, the projectors
+        """Adjoint realization (a^T, c^T, b^T): the same spectrum, the projectors
         and the horizon terms swapped and transposed.  Its C-side quantities
         are the B-side quantities of this realization."""
         def t(X):
             return None if X is None else X.T.copy()
         return BalancedRealization(
-            a=t(self.a), b=t(self.c), c=t(self.b), sigma=self.sigma,
+            a=t(self.a), b=t(self.c), c=t(self.b), hsv=self.hsv,
             transform=t(self.transform_inv), transform_inv=t(self.transform),
             horizon=self.horizon, tl_b=t(self.tl_c), tl_c=t(self.tl_b))
 
@@ -108,9 +119,24 @@ class BalancedRealization:
             G1=None if self.tl_c is None else self.tl_c[:, :r],
         )
 
-    def reduced_system(self, r: int) -> DiscreteLTISystem:
+    def reduced_system(self, r: int, meta: dict | None = None) -> DiscreteLTISystem:
         part = self.partition(r)
-        return DiscreteLTISystem(part.A11.copy(), part.B1.copy(), part.C1.copy())
+        return DiscreteLTISystem(part.A11.copy(), part.B1.copy(), part.C1.copy(), meta=meta)
+
+    def model(self, r: int, sys: DiscreteLTISystem, method: str | None = None) -> ReducedOrderModel:
+        """The order-r balanced truncation of ``sys``, the system this
+        realization balances: the leading r x r block and the leading r
+        columns of the projectors, copied so that the order-k arrays can be
+        freed."""
+        if not 0 < r <= self.order:
+            raise BalancingError(f"requested order {r} exceeds the numerical rank "
+                                 f"{self.order} of the factor product")
+        meta = {"kind": "reduced", "seed": sys.meta.get("seed"),
+                "generator-version": sys.meta.get("generator-version")}
+        return ReducedOrderModel(
+            system=self.reduced_system(r, meta), projector_v=self.transform_inv[:, :r].copy(),
+            projector_w=self.transform[:r].T.copy(), hsv=self.hsv, r=r, horizon=self.horizon,
+            method=method or ("bt" if math.isinf(self.horizon) else "tlbt"))
 
 
 @dataclass
@@ -136,14 +162,20 @@ class ReducedOrderModel:
         return self.system.spectral_radius()
 
 
-def _as_factor(obj) -> np.ndarray:
-    """The factor of a Gramian (anything with ``factor()``), or a raw factor."""
+def _gramian_side(obj):
+    """The factor Z, the congruence X -> X P X^T and the horizon term of a
+    Gramian P (anything with ``factor()``), or of P = Z Z^T for a raw factor
+    Z, which has no horizon term."""
     if hasattr(obj, "factor"):
-        return obj.factor()
-    arr = np.asarray(obj, dtype=float)
-    if arr.ndim != 2:
+        return obj.factor(), obj.congruence, obj.tl_term
+    Z = np.asarray(obj, dtype=float)
+    if Z.ndim != 2:
         raise DimensionMismatchError("Gramian factor must be a matrix")
-    return arr
+
+    def congruence(X):
+        XZ = X @ Z
+        return XZ @ XZ.T
+    return Z, congruence, None
 
 
 def _fix_svd_signs(U: np.ndarray, V: np.ndarray):
@@ -158,101 +190,77 @@ def _fix_svd_signs(U: np.ndarray, V: np.ndarray):
     return U, V
 
 
-def square_root_truncate(ZP, ZQ, sys: DiscreteLTISystem, tau,
-                         order: int | None = None,
-                         hsv_tol: float | None = None,
-                         method: str | None = None) -> tuple[ReducedOrderModel, HankelSpectrum]:
-    """Square-root balanced truncation from Gramian factors.
+def balance(sys: DiscreteLTISystem, reach, obs, tau=math.inf) -> BalancedRealization:
+    """Square-root balanced realization of the Gramian pair (``reach``,
+    ``obs``) at its numerical rank k.
 
     The Hankel spectrum is the singular-value set of ZQ^T M ZP (M absent
-    means identity); the reduced order is either fixed or the smallest r
-    whose doubled neglected-HSV sum is below hsv_tol.
+    means identity), taken once; every singular value above the kernel
+    threshold is kept, so a non-minimal pair (P_tau has rank at most tau*m)
+    is balanced at rank k (Tombs & Postlethwaite, Int. J. Control 46 (1987)).
+    ``reach`` and ``obs`` are Gramians or their raw factors.  Both
+    diagonalization identities T P T^T = Sigma and (M T^-1)^T Q (M T^-1) =
+    Sigma are checked against each Gramian as stored, at O(n k^2) for a
+    factored one.  At a finite ``tau`` the horizon terms are the Gramians'
+    ``tl_term`` A^tau B and C A^tau in the balanced coordinates; raw factors
+    give none.  Nothing here is dense in n, so no dense cap applies.
     """
-    if (order is None) == (hsv_tol is None):
-        raise ValueError("exactly one of order / hsv_tol must be given")
     horizon = check_horizon(tau)
-    ZP = _as_factor(ZP)
-    ZQ = _as_factor(ZQ)
+    ZP, reach_congruence, F = _gramian_side(reach)
+    ZQ, obs_congruence, G = _gramian_side(obs)
     if ZP.shape[0] != sys.n or ZQ.shape[0] != sys.n:
         raise DimensionMismatchError("factors must have n rows")
     if ZP.shape[1] == 0 or ZQ.shape[1] == 0:
         raise BalancingError("zero Gramian factor")
 
     U, svals, Vt = np.linalg.svd(ZQ.T @ sys.apply_mass(ZP), full_matrices=False)
-    V = Vt.T
-    U, V = _fix_svd_signs(U, V)
-    rank = int(np.sum(svals > _KERNEL_TOL * max(svals[0], 1e-300)))
-    if rank == 0:
+    U, V = _fix_svd_signs(U, Vt.T)
+    k = int(np.sum(svals > _KERNEL_TOL * max(svals[0], 1e-300)))
+    if k == 0:
         raise BalancingError("zero Gramian factor product")
-    spectrum = HankelSpectrum(svals.copy())
 
-    if order is not None:
-        r = int(order)
-        if not 0 < r <= rank:
-            raise BalancingError(
-                f"requested order {r} exceeds the numerical rank {rank} of the factor product")
-    else:
-        r = min(adaptive_order(spectrum, hsv_tol), rank)
-
-    scale = svals[:r] ** -0.5
-    Vproj = ZP @ (V[:, :r] * scale)
-    Wgen = ZQ @ (U[:, :r] * scale)
-    A, B, C = sys.A, sys.B, sys.C
-    Ahat = Wgen.T @ (A @ Vproj)
-    Bhat = Wgen.T @ B
-    Chat = C @ Vproj
-    Wleft = sys.apply_mass(Wgen, trans=True)
-
-    rom_sys = DiscreteLTISystem(Ahat, Bhat, Chat, meta={
-        "kind": "reduced", "seed": sys.meta.get("seed"),
-        "generator-version": sys.meta.get("generator-version")})
-    tag = method or ("bt" if math.isinf(horizon) else "tlbt")
-    rom = ReducedOrderModel(system=rom_sys, projector_v=Vproj, projector_w=Wleft,
-                            hsv=spectrum, r=r, horizon=horizon, method=tag)
-    return rom, spectrum
-
-
-def balance_dense(sys: DiscreteLTISystem, P, Q, tau=math.inf) -> BalancedRealization:
-    """Balanced realization of a dense system at the numerical rank k of its
-    Gramian pair, verified by both diagonalization identities.
-
-    :func:`square_root_truncate` on psd_factor(P) and psd_factor(Q) keeps
-    every Hankel singular value above the kernel threshold of ``reduce``, so
-    a non-minimal pair (P_tau has rank at most tau*m) is balanced at rank k
-    (Tombs & Postlethwaite, Int. J. Control 46 (1987)); ``transform`` and
-    ``transform_inv`` are that model's k x n and n x k projectors.  ``P``
-    and ``Q`` are Gramians or their matrices; a finite ``tau`` needs
-    Gramians: the horizon terms are their ``tl_term`` A^tau B and C A^tau
-    projected into the balanced coordinates.
-    """
-    check_dense_cap(sys.n, "dense balancing")
-    Pm, Qadj = (G.matrix() if hasattr(G, "matrix") else np.asarray(G, dtype=float)
-                for G in (P, Q))
-    # hsv_tol=0 keeps every singular value above the kernel threshold
-    rom, spectrum = square_root_truncate(psd_factor(Pm), psd_factor(Qadj), sys, tau, hsv_tol=0.0)
-    T, Tinv = rom.projector_w.T, rom.projector_v
-    Qm, M = Qadj, None
-    if sys.is_generalized:
-        # the observability-side solution is mass-adjusted; undo it for the
-        # standard coordinates of the identities
-        M = dense_array(sys.M)
-        Qm = M.T @ Qadj @ M
-    svals = spectrum.values[:rom.r]
-    Sig = np.diag(svals)
-    err_p = np.linalg.norm(T @ Pm @ T.T - Sig, 2) / svals[0]
-    err_q = np.linalg.norm(Tinv.T @ Qm @ Tinv - Sig, 2) / svals[0]
+    # each n-row array is dropped once used, so that at most three are live
+    scale = svals[:k] ** -0.5
+    Tinv = ZP @ (V[:, :k] * scale)
+    del ZP
+    Wgen = ZQ @ (U[:, :k] * scale)
+    del ZQ
+    a, b = Wgen.T @ (sys.A @ Tinv), Wgen.T @ sys.B
+    T = sys.apply_mass(Wgen, trans=True).T
+    del Wgen
+    Sig = np.diag(svals[:k])
+    err_p = np.linalg.norm(reach_congruence(T) - Sig, 2) / svals[0]
+    err_q = np.linalg.norm(obs_congruence(sys.apply_mass(Tinv).T) - Sig, 2) / svals[0]
     if max(err_p, err_q) > _VERIFY_TOL:
         raise BalancingError(
             f"balancing verification failed: diagonalization errors {err_p:.2e}, {err_q:.2e}")
 
     tl_b = tl_c = None
-    if not math.isinf(tau):
-        tl_b = T @ P.tl_term
-        G = Q.tl_term.T if M is None else Q.tl_term.T @ M   # C A^tau, standard form
-        tl_c = G @ Tinv
-    bal = rom.system
-    return BalancedRealization(a=bal.A, b=bal.B, c=bal.C, sigma=svals, transform=T,
-                               transform_inv=Tinv, horizon=rom.horizon, tl_b=tl_b, tl_c=tl_c)
+    if not math.isinf(horizon) and F is not None and G is not None:
+        tl_b = T @ F
+        # C A^tau = (G^T M) T^-1 in the standard form, G^T M row-major as a dense
+        # product is: thm31's cancelling horizon residual shows this rounding
+        tl_c = np.ascontiguousarray(sys.apply_mass(G, trans=True).T) @ Tinv
+    return BalancedRealization(a=a, b=b, c=sys.C @ Tinv, hsv=HankelSpectrum(svals),
+                               transform=T, transform_inv=Tinv, horizon=horizon,
+                               tl_b=tl_b, tl_c=tl_c)
+
+
+def square_root_truncate(ZP, ZQ, sys: DiscreteLTISystem, tau,
+                         order: int | None = None,
+                         hsv_tol: float | None = None,
+                         method: str | None = None) -> tuple[ReducedOrderModel, HankelSpectrum]:
+    """Square-root balanced truncation from Gramians or their factors: the
+    leading block of :func:`balance`.
+
+    The reduced order is either fixed or the smallest r whose doubled
+    neglected-HSV sum is below hsv_tol, at most the numerical rank.
+    """
+    if (order is None) == (hsv_tol is None):
+        raise ValueError("exactly one of order / hsv_tol must be given")
+    bal = balance(sys, ZP, ZQ, tau)
+    r = int(order) if order is not None else min(adaptive_order(bal.hsv, hsv_tol), bal.order)
+    return bal.model(r, sys, method), bal.hsv
 
 
 @dataclass(frozen=True)
@@ -279,8 +287,7 @@ def stability_certificate(bal: BalancedRealization, r: int,
     psd_tol relative) and that the pair (A11, Q) is controllable via the
     numerical rank of the reachability matrix of (A11, Q^(1/2)).
     """
-    if bal.tl_b is None:
-        raise ValueError("certificate needs a time-limited balanced realization")
+    bal.require_horizon_terms("the certificate")
     part = bal.partition(r)
     Qc = (part.A12 * part.sigma2) @ part.A12.T + part.B1 @ part.B1.T - part.F1 @ part.F1.T
     Qc = 0.5 * (Qc + Qc.T)
@@ -312,19 +319,9 @@ def stability_certificate(bal: BalancedRealization, r: int,
         consistent=(not holds) or rho < 1.0)
 
 
-def export_rom(rom: ReducedOrderModel, path,
-               certificate: CertificateResult | None = None) -> None:
+def export_rom(rom: ReducedOrderModel, path) -> None:
     """Write a reduced model in the shared system format with a provenance
-    block recording how it was produced (and, when available, the outcome
-    of the stability certificate)."""
-    cert_doc = None
-    if certificate is not None:
-        cert_doc = {
-            "holds": certificate.holds,
-            "q-min-eigenvalue": certificate.q_min_eigenvalue,
-            "reach-rank": certificate.reach_rank,
-            "spectral-radius": certificate.spectral_radius,
-        }
+    block recording how it was produced."""
     write_system(rom.system, path, extra_manifest={
         "provenance": {
             "method": rom.method,
@@ -332,6 +329,5 @@ def export_rom(rom: ReducedOrderModel, path,
             "r": rom.r,
             "hsv-tail": rom.hsv_tail(),
             "spectral-radius": rom.spectral_radius(),
-            "certificate": cert_doc,
         }
     })

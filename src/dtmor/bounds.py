@@ -34,8 +34,8 @@ _NUMERICAL_RADIUS_TOL = 1e-6
 
 
 # ---------------------------------------------------------------------------
-# trace helpers.  A Gramian, dense or low-rank, gives its own trace(C P C^T)
-# as output_trace(C) and its Krylov basis (None when dense) as ``basis``, so
+# trace helpers.  A Gramian, dense or low-rank, gives its own C P C^T as
+# congruence(C) and its Krylov basis (None when dense) as ``basis``, so
 # this module never asks how it is stored.
 
 def _relative_gap(x: float, y: float) -> float:
@@ -58,8 +58,8 @@ def tl_h2_norm(sys: DiscreteLTISystem, tau) -> float:
     """Time-limited h2 norm via the Gramian traces (both sides averaged)."""
     reach = tl_gramian_dense(sys, tau, "reach")
     obs = tl_gramian_dense(sys, tau, "obs")
-    tc = reach.output_trace(sys.C)
-    tb = obs.output_trace(sys.B.T)
+    tc = float(np.trace(reach.congruence(sys.C)))
+    tb = float(np.trace(obs.congruence(sys.B.T)))
     return math.sqrt(abs(0.5 * (tc + tb)))
 
 
@@ -126,7 +126,8 @@ def _inf_horizon_terms(sys: DiscreteLTISystem, rom: DiscreteLTISystem, reach):
         reach = tl_gramian_dense(sys, math.inf, "reach")
     rom_reach = tl_gramian_dense(rom, math.inf, "reach")
     Y = solve_cross_sylvester(sys, rom, math.inf, "Y", reach.basis)
-    return (reach.output_trace(sys.C), rom_reach.output_trace(rom.C),
+    return (float(np.trace(reach.congruence(sys.C))),
+            float(np.trace(rom_reach.congruence(rom.C))),
             -2.0 * float(np.trace(sys.C @ Y @ rom.C.T)))
 
 
@@ -219,7 +220,8 @@ def _balanced_side_terms(bal: BalancedRealization, r: int):
         "coupling": 2.0 * float(np.trace((part.A12 * part.sigma2) @ bal.a[:, r:].T @ Z)),
         "rom_gramian_gap": float(np.trace(part.C1 @ gap @ part.C1.T)),
     }
-    if bal.tl_b is not None:
+    if not math.isinf(tau):
+        bal.require_horizon_terms("the horizon residual")
         S1 = np.diag(part.sigma1)
         Gh = tl_gramian_dense(rom, tau, "obs").tl_term
         terms["tl_residual"] = 2.0 * (float(np.trace(S1 @ part.G1.T @ Gh.T))
@@ -238,8 +240,7 @@ def error_expr_tlbt(bal: BalancedRealization, r: int) -> BalancedErrorExpression
     expressed through the balanced blocks, the neglected singular values,
     and the horizon terms.  Equals the directly summed squared impulse
     error; the equality is the module's central correctness test."""
-    if bal.tl_b is None:
-        raise ValueError("needs a time-limited balanced realization")
+    bal.require_horizon_terms("thm31")
     (c, solves), (b, _) = _balanced_side_terms(bal, r), _balanced_side_terms(bal.dual(), r)
     c_side, b_side = sum(c.values()), sum(b.values())
     return BalancedErrorExpression(
@@ -267,7 +268,7 @@ class InfiniteHorizonBound:
 
 def bound_inf_horizon(bal: BalancedRealization, r: int) -> InfiniteHorizonBound:
     """Infinite-horizon error expression from the balanced blocks."""
-    if bal.tl_b is not None:
+    if not math.isinf(bal.horizon):
         raise ValueError("needs an infinite-horizon balanced realization")
     c, b = _balanced_error_terms(bal, r)
     c_side, b_side = sum(c.values()), sum(b.values())
@@ -522,7 +523,7 @@ def build_bound_report(sys: DiscreteLTISystem, rom, tau, pair=None,
     impulse response sum, which needs no Gramian; at tau = inf from the
     tau = inf pair.
 
-    ``bal``, when given, is the model's own dense balanced realization.  A
+    ``bal``, when given, is the model's own balanced realization.  A
     time-limited one adds the exact expression thm31 and, with
     ``constants_method``, the Theorem-3.2 bound.  An infinite-horizon one
     gives the infinite-horizon error norm and its upper variant from the
@@ -533,7 +534,7 @@ def build_bound_report(sys: DiscreteLTISystem, rom, tau, pair=None,
     tau = check_horizon(tau)
     rsys = rom.system
     rho = rom.spectral_radius()
-    balanced_inf = bal is not None and bal.tl_b is None
+    balanced_inf = bal is not None and math.isinf(bal.horizon)
     uses_pair = math.isinf(tau) or (
         not balanced_inf and rho < 1.0 and sys.spectral_radius() < 1.0)
     reach = obs = None
@@ -551,7 +552,7 @@ def build_bound_report(sys: DiscreteLTISystem, rom, tau, pair=None,
         inf_error = str(exc)
 
     thm31 = thm32 = constants = None
-    if bal is not None and bal.tl_b is not None:
+    if bal is not None and not balanced_inf:
         thm31 = error_expr_tlbt(bal, rom.r)
         if constants_method:
             constants = (asymptotic_constants(bal.a, constants_method),

@@ -496,12 +496,13 @@ def _cmd_bounds(args) -> int:
     if args.constants and not args.balanced_expressions:
         raise ConfigError("--constants needs --balanced-expressions")
     pair = gramian_pairs(system, JobConfig(solver="dense"))
-    # the Hankel spectrum of the model's own method, as `reduce` computes it
-    rom = replace(reduce_model(system, method, args.tau, pair, order=rom_sys.n), system=rom_sys)
-    bal = None
-    if args.balanced_expressions:
-        bal = balancing.balance_dense(system, *pair(rom.horizon), rom.horizon)
-    report = bounds_mod.build_bound_report(system, rom, args.tau, pair, bal=bal,
+    # one balancing of the model's own pair gives its Hankel spectrum, as
+    # `reduce` computes it, and the balanced expressions' realization
+    horizon = math.inf if method == "bt" else args.tau
+    bal = balancing.balance(system, *pair(horizon), horizon)
+    rom = replace(bal.model(rom_sys.n, system, method), system=rom_sys)
+    report = bounds_mod.build_bound_report(system, rom, args.tau, pair,
+                                           bal=bal if args.balanced_expressions else None,
                                            constants_method=args.constants)
     text = report.to_json() + "\n"
     if args.out:

@@ -41,7 +41,7 @@ class Gramian:
     fields: ``deflated_columns`` counts candidate basis directions dropped as
     numerically dependent during the build, ``offspace_fallbacks`` the
     residual evaluations whose off-space factor needed the full QR.  Other
-    modules use :meth:`matrix`, :meth:`factor`, :meth:`output_trace` and
+    modules use :meth:`matrix`, :meth:`factor`, :meth:`congruence` and
     ``basis`` only, so no other module needs to know how it is stored.
     """
     basis: np.ndarray | None
@@ -81,13 +81,13 @@ class Gramian:
         Z = psd_factor(self.core)
         return Z if self.basis is None else self.basis @ Z
 
-    def output_trace(self, C: np.ndarray) -> float:
-        """trace(C P C^T), through the basis when there is one.  On the
+    def congruence(self, C: np.ndarray) -> np.ndarray:
+        """C P C^T, through the basis when there is one.  On the
         observability side P is the reachability Gramian of the adjoint
         system, whose C is B^T (the mass-adjusted Gramian makes the original
         B correct here)."""
         CQ = C if self.basis is None else C @ self.basis
-        return float(np.trace(CQ @ self.core @ CQ.T))
+        return CQ @ self.core @ CQ.T
 
 
 def psd_factor(P: np.ndarray, tol: float = 1e-14) -> np.ndarray:

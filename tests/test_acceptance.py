@@ -16,7 +16,7 @@ from dtmor import (
     ShiftStrategy,
     SolverConfig,
     asymptotic_constants,
-    balance_dense,
+    balance,
     bound_inf_horizon,
     bound_output_tl,
     bound_theorem32,
@@ -145,8 +145,8 @@ def test_criterion_04_theorem31_exactness():
     for seed in range(30):
         n, m, p, tau = 6, 3, 3, 10
         s = random_stable_system(seed, n, m, p, radius=0.75)
-        bal = balance_dense(s, tl_gramian_dense(s, tau, "reach"),
-                            tl_gramian_dense(s, tau, "obs"), tau)
+        bal = balance(s, tl_gramian_dense(s, tau, "reach"),
+                      tl_gramian_dense(s, tau, "obs"), tau)
         for r in sorted({n // 2, n - 1, n}):
             expr = error_expr_tlbt(bal, r)
             if r == n:
@@ -224,8 +224,8 @@ def test_criterion_06_theorem32_dominance_and_decay():
         s = random_stable_system(6000 + seed, 10, 3, 3, radius=0.8)
         tau = 12
         try:
-            bal = balance_dense(s, tl_gramian_dense(s, tau, "reach"),
-                                tl_gramian_dense(s, tau, "obs"), tau)
+            bal = balance(s, tl_gramian_dense(s, tau, "reach"),
+                          tl_gramian_dense(s, tau, "obs"), tau)
         except BalancingError:
             continue
         r = 4 + (done % 2) * 2
@@ -243,8 +243,8 @@ def test_criterion_06_theorem32_dominance_and_decay():
         s = random_stable_system(6500 + i, 12, 3, 3, radius=0.6)
 
         def tl_part(t):
-            bal = balance_dense(s, tl_gramian_dense(s, t, "reach"),
-                                tl_gramian_dense(s, t, "obs"), t)
+            bal = balance(s, tl_gramian_dense(s, t, "reach"),
+                          tl_gramian_dense(s, t, "obs"), t)
             cf = asymptotic_constants(bal.a, "eigen")
             cr = asymptotic_constants(bal.partition(6).A11, "eigen")
             return bound_theorem32(bal, 6, t, (cf, cr)).j_tl_term, cf.rate
@@ -261,7 +261,7 @@ def test_criterion_06_theorem32_dominance_and_decay():
         tau_star = int(math.ceil(math.log(1e-8) / math.log(rho)))
         ri = tl_gramian_dense(s, math.inf, "reach")
         oi = tl_gramian_dense(s, math.inf, "obs")
-        bal_inf = balance_dense(s, ri, oi)
+        bal_inf = balance(s, ri, oi)
         r = 5
         rom, _ = square_root_truncate(ri, oi, s, math.inf, order=r, method="bt")
         eq9 = math.sqrt(bound_inf_horizon(bal_inf, r).value_sq)
@@ -277,8 +277,8 @@ def test_criterion_07_stability_certificate():
     for i in range(50):
         s = random_stable_system(7000 + i, 10, 2, 2, radius=0.9)
         try:
-            bal = balance_dense(s, tl_gramian_dense(s, 20, "reach"),
-                                tl_gramian_dense(s, 20, "obs"), 20)
+            bal = balance(s, tl_gramian_dense(s, 20, "reach"),
+                          tl_gramian_dense(s, 20, "obs"), 20)
         except BalancingError:
             continue
         for r in (2, 4, 6, 8):

@@ -9,12 +9,19 @@ from conftest import random_stable_system
 from dtmor import (
     BalancingError,
     DiscreteLTISystem,
+    ExampleSpec,
     HankelSpectrum,
+    ShiftStrategy,
     adaptive_order,
-    balance_dense,
+    balance,
+    bound_inf_horizon,
+    build_bound_report,
+    error_expr_tlbt,
     export_rom,
+    generate_example,
     impulse_sequence,
     read_system,
+    rksm,
     square_root_truncate,
     stability_certificate,
     tl_gramian_dense,
@@ -26,7 +33,7 @@ def _balanced(seed, n, m, p, tau, radius=0.8):
     s = random_stable_system(seed, n, m, p, radius)
     reach = tl_gramian_dense(s, tau, "reach")
     obs = tl_gramian_dense(s, tau, "obs")
-    return s, balance_dense(s, reach, obs, tau)
+    return s, balance(s, reach, obs, tau)
 
 
 class TestSquareRootTruncate:
@@ -114,9 +121,9 @@ class TestSquareRootTruncate:
 
 class TestBalanceDense:
     def test_scalar(self, scalar_system):
-        bal = balance_dense(scalar_system,
-                            tl_gramian_dense(scalar_system, 2, "reach"),
-                            tl_gramian_dense(scalar_system, 2, "obs"), 2)
+        bal = balance(scalar_system,
+                      tl_gramian_dense(scalar_system, 2, "reach"),
+                      tl_gramian_dense(scalar_system, 2, "obs"), 2)
         assert bal.sigma[0] == pytest.approx(1.25, rel=1e-12)
         assert bal.transform[0, 0] == pytest.approx(1.0, rel=1e-12)
 
@@ -127,7 +134,7 @@ class TestBalanceDense:
         B = np.array([[1.0], [0.8]])
         s = DiscreteLTISystem(A, B, B.T.copy())
         P = np.diag(B[:, 0] ** 2 / (1 - np.diag(A) ** 2))
-        bal = balance_dense(s, P, P, math.inf)
+        bal = balance(s, psd_factor(P), psd_factor(P), math.inf)
         assert np.allclose(np.abs(bal.transform), np.eye(2), atol=1e-9)
 
     def test_diagonalization_identities(self):
@@ -181,7 +188,7 @@ class TestBalanceDense:
         # rank-deficient Q: the pair is balanced at the numerical rank 1
         s = DiscreteLTISystem(np.diag([0.5, 0.4]), np.ones((2, 1)), np.ones((1, 2)))
         P, Q = np.eye(2), np.diag([1.0, 0.0])
-        bal = balance_dense(s, P, Q, math.inf)
+        bal = balance(s, psd_factor(P), psd_factor(Q), math.inf)
         assert bal.order == 1 and bal.sigma == pytest.approx([1.0], rel=1e-12)
         T, Ti = bal.transform, bal.transform_inv
         assert T.shape == (1, 2) and Ti.shape == (2, 1)
@@ -191,7 +198,7 @@ class TestBalanceDense:
         # a zero Gramian, and Gramians with orthogonal ranges, leave nothing to balance
         for P0, Q0 in ((P, np.zeros((2, 2))), (Q, np.diag([0.0, 1.0]))):
             with pytest.raises(BalancingError):
-                balance_dense(s, P0, Q0, math.inf)
+                balance(s, psd_factor(P0), psd_factor(Q0), math.inf)
 
     def test_hsv_tail_vs_frequency_grid(self):
         # twice the neglected HSV sum dominates the error transfer norm on a
@@ -212,11 +219,80 @@ class TestBalanceDense:
             assert worst <= bound + 1e-12
 
 
+def _grid_pair(kind, size, solver, tau):
+    """An example grid with m = p = 2, seed 1, and its Gramian pair at tau
+    by the dense solve or the rational Krylov solve with +-1 poles."""
+    s = generate_example(ExampleSpec(kind, size, 2, 2, 1))
+    if solver == "dense":
+        return s, tl_gramian_dense(s, tau, "reach"), tl_gramian_dense(s, tau, "obs")
+    shifts = ShiftStrategy("alternating-pm1")
+    return s, rksm(s, "reach", tau, shifts), rksm(s, "obs", tau, shifts)
+
+
+def _diagonalization_errors(s, reach, obs, bal):
+    """Relative errors of T P T^T = Sigma and (M T^-1)^T Q (M T^-1) = Sigma,
+    taken in factored form through each Gramian's congruence."""
+    Sig = np.diag(bal.sigma)
+    return (np.linalg.norm(reach.congruence(bal.transform) - Sig, 2) / bal.sigma[0],
+            np.linalg.norm(obs.congruence(s.apply_mass(bal.transform_inv).T) - Sig, 2)
+            / bal.sigma[0])
+
+
+class TestBalance:
+    @pytest.mark.parametrize("solver", ["dense", "rksm-pm1"])
+    @pytest.mark.parametrize("tau", [50, math.inf])
+    def test_model_is_the_leading_block(self, solver, tau):
+        s, reach, obs = _grid_pair("gauss-seidel", 12, solver, tau)
+        bal = balance(s, reach, obs, tau)
+        r = 6
+        rom, spectrum = square_root_truncate(reach, obs, s, tau, order=r)
+        for got, ref in ((rom.system.A, bal.a[:r, :r]), (rom.system.B, bal.b[:r]),
+                         (rom.system.C, bal.c[:, :r]),
+                         (rom.projector_v, bal.transform_inv[:, :r]),
+                         (rom.projector_w, bal.transform[:r].T)):
+            assert np.array_equal(got, ref)
+        assert np.array_equal(spectrum.values, bal.hsv.values)
+        assert max(_diagonalization_errors(s, reach, obs, bal)) <= 1e-8
+
+    @pytest.mark.parametrize("tau", [50, math.inf])
+    def test_low_rank_pair_balances_like_the_dense_pair(self, tau):
+        s, dense_reach, dense_obs = _grid_pair("gauss-seidel", 20, "dense", tau)
+        _, reach, obs = _grid_pair("gauss-seidel", 20, "rksm-pm1", tau)
+        dense, low = balance(s, dense_reach, dense_obs, tau), balance(s, reach, obs, tau)
+        assert np.max(np.abs(low.sigma[:10] - dense.sigma[:10]) / dense.sigma[:10]) <= 1e-6
+        h_dense = impulse_sequence(dense.reduced_system(10), 50)
+        h_low = impulse_sequence(low.reduced_system(10), 50)
+        assert np.linalg.norm(h_low - h_dense) <= 1e-10 * np.linalg.norm(h_dense)
+
+    def test_low_rank_pair_past_the_dense_cap(self, monkeypatch):
+        s, reach, obs = _grid_pair("jacobi", 40, "rksm-pm1", 50)
+        monkeypatch.setenv("DTMOR_DENSE_CAP", "100")
+        bal = balance(s, reach, obs, 50)
+        assert s.n == 1600 and 10 <= bal.order < 100
+        assert max(_diagonalization_errors(s, reach, obs, bal)) <= 1e-8
+        assert bal.tl_b.shape == (bal.order, 2) and bal.tl_c.shape == (2, bal.order)
+
+    def test_raw_factors_at_a_window_carry_no_horizon_terms(self):
+        # a realization is time-limited by its horizon, not by its horizon
+        # terms: one balanced from raw factors over a window is not read as
+        # tau = inf, and what needs its horizon terms says so
+        s = random_stable_system(13, 10, 2, 2)
+        reach, obs = tl_gramian_dense(s, 20, "reach"), tl_gramian_dense(s, 20, "obs")
+        bal = balance(s, psd_factor(reach.matrix()), psd_factor(obs.matrix()), 20)
+        assert bal.horizon == 20 and bal.tl_b is None and bal.tl_c is None
+        rom, _ = square_root_truncate(reach, obs, s, 20, order=4)
+        for call in (lambda: error_expr_tlbt(bal, 4), lambda: stability_certificate(bal, 4),
+                     lambda: bound_inf_horizon(bal, 4),
+                     lambda: build_bound_report(s, rom, 20, bal=bal)):
+            with pytest.raises(ValueError):
+                call()
+
+
 class TestStabilityCertificate:
     def test_scalar_certificate_holds(self, scalar_system):
-        bal = balance_dense(scalar_system,
-                            tl_gramian_dense(scalar_system, 2, "reach"),
-                            tl_gramian_dense(scalar_system, 2, "obs"), 2)
+        bal = balance(scalar_system,
+                      tl_gramian_dense(scalar_system, 2, "reach"),
+                      tl_gramian_dense(scalar_system, 2, "obs"), 2)
         cert = stability_certificate(bal, 1)
         assert cert.holds and cert.spectral_radius < 1.0 and cert.consistent
 
@@ -234,8 +310,8 @@ class TestStabilityCertificate:
         for seed in range(25):
             s = random_stable_system(1200 + seed, 10, 2, 2, radius=0.9)
             try:
-                bal = balance_dense(s, tl_gramian_dense(s, 20, "reach"),
-                                    tl_gramian_dense(s, 20, "obs"), 20)
+                bal = balance(s, tl_gramian_dense(s, 20, "reach"),
+                              tl_gramian_dense(s, 20, "obs"), 20)
             except BalancingError:
                 continue
             for r in (4, 6):
@@ -268,17 +344,3 @@ class TestRomExport:
         prov = manifest["provenance"]
         assert prov["method"] == "tlbt" and prov["r"] == 4 and prov["tau"] == 12
         assert prov["hsv-tail"] >= 0.0
-        assert prov["certificate"] is None
-
-    def test_export_with_certificate(self, tmp_path):
-        s = random_stable_system(13, 10, 2, 2)
-        reach = tl_gramian_dense(s, 12, "reach")
-        obs = tl_gramian_dense(s, 12, "obs")
-        bal = balance_dense(s, reach, obs, 12)
-        cert = stability_certificate(bal, 4)
-        rom, _ = square_root_truncate(reach, obs, s, 12, order=4)
-        export_rom(rom, tmp_path / "rom", certificate=cert)
-        import json
-        prov = json.loads((tmp_path / "rom" / "manifest.json").read_text())["provenance"]
-        assert prov["certificate"]["holds"] == cert.holds
-        assert prov["certificate"]["spectral-radius"] == pytest.approx(cert.spectral_radius)

@@ -18,7 +18,7 @@ from dtmor import (
     SolverConfig,
     HankelSpectrum,
     asymptotic_constants,
-    balance_dense,
+    balance,
     bound_inf_horizon,
     bound_output_tl,
     bound_theorem32,
@@ -36,15 +36,15 @@ from dtmor import (
 )
 from dtmor import bounds
 from dtmor.bounds import _balanced_error_terms
-from dtmor.dense_stein import solve_cross_sylvester, solve_projected_tl
+from dtmor.dense_stein import psd_factor, solve_cross_sylvester, solve_projected_tl
 
 SQRT2P1 = 1.0 + math.sqrt(2.0)
 
 
 def _balanced(seed, n, m, p, tau, radius=0.8):
     s = random_stable_system(seed, n, m, p, radius)
-    bal = balance_dense(s, tl_gramian_dense(s, tau, "reach"),
-                        tl_gramian_dense(s, tau, "obs"), tau)
+    bal = balance(s, tl_gramian_dense(s, tau, "reach"),
+                  tl_gramian_dense(s, tau, "obs"), tau)
     return s, bal
 
 
@@ -242,7 +242,7 @@ class TestInfiniteHorizon:
                                          outputs=2, seed=1))
         reach = tl_gramian_dense(s, math.inf, "reach")
         obs = tl_gramian_dense(s, math.inf, "obs")
-        bal = balance_dense(s, reach, obs)
+        bal = balance(s, reach, obs)
         assert bal.order < s.n
         rom, _ = square_root_truncate(reach, obs, s, math.inf, order=10, method="bt")
         Ad, Bd, C = oracles.dense_standard(s)
@@ -265,7 +265,7 @@ class TestInfiniteHorizon:
         B = np.array([[1.0], [0.5]])
         s = DiscreteLTISystem(A, B, B.T.copy())
         P = np.diag(B[:, 0] ** 2 / (1 - np.diag(A) ** 2))
-        bal = balance_dense(s, P, P, math.inf)
+        bal = balance(s, psd_factor(P), psd_factor(P), math.inf)
         ib = bound_inf_horizon(bal, 1)
         ref = oracles.h2_error_sq(bal.a, bal.b, bal.c,
                                   bal.a[:1, :1], bal.b[:1], bal.c[:, :1], 4000)
@@ -286,9 +286,9 @@ class TestTlbtErrorExpression:
         assert error_expr_tlbt(bal, 8).value <= 1e-9
 
     def test_scalar_residual_cancels_at_full_order(self, scalar_system):
-        bal = balance_dense(scalar_system,
-                            tl_gramian_dense(scalar_system, 4, "reach"),
-                            tl_gramian_dense(scalar_system, 4, "obs"), 4)
+        bal = balance(scalar_system,
+                      tl_gramian_dense(scalar_system, 4, "reach"),
+                      tl_gramian_dense(scalar_system, 4, "obs"), 4)
         expr = error_expr_tlbt(bal, 1)
         assert abs(expr.residual_term) <= 1e-12
         assert expr.value <= 1e-12
@@ -311,8 +311,8 @@ class TestTlbtErrorExpression:
         s = random_stable_system(14, 10, 2, 2, radius=0.7)
         vals = []
         for tau in (8, 16, 32):
-            bal = balance_dense(s, tl_gramian_dense(s, tau, "reach"),
-                                tl_gramian_dense(s, tau, "obs"), tau)
+            bal = balance(s, tl_gramian_dense(s, tau, "reach"),
+                          tl_gramian_dense(s, tau, "obs"), tau)
             vals.append(abs(error_expr_tlbt(bal, 5).residual_term))
         assert vals[1] <= vals[0] * (0.7 ** 8) * 1.1 + 1e-14
         assert vals[2] <= vals[1] * (0.7 ** 16) * 1.1 + 1e-14
@@ -356,8 +356,8 @@ class TestBalancedErrorTermsBSide:
         else:
             s = generate_example(ExampleSpec(kind="gauss-seidel", size=6, inputs=2,
                                              outputs=2, seed=1))
-        bal = balance_dense(s, tl_gramian_dense(s, tau, "reach"),
-                            tl_gramian_dense(s, tau, "obs"), tau)
+        bal = balance(s, tl_gramian_dense(s, tau, "reach"),
+                      tl_gramian_dense(s, tau, "obs"), tau)
         k = bal.order
         for r in (k // 2, k):
             ref = _explicit_b_side(bal, r)
@@ -464,8 +464,8 @@ class TestTheorem32:
         # still dominate
         s = random_stable_system(8006, 16, 2, 2, radius=0.97)
         tau, r = 8, 6
-        bal = balance_dense(s, tl_gramian_dense(s, tau, "reach"),
-                            tl_gramian_dense(s, tau, "obs"), tau)
+        bal = balance(s, tl_gramian_dense(s, tau, "reach"),
+                      tl_gramian_dense(s, tau, "obs"), tau)
         cr = asymptotic_constants(bal.partition(r).A11, "eigen")
         assert cr.rate >= 1.0  # the instance is chosen for this
         cf = asymptotic_constants(bal.a, "eigen")
@@ -480,7 +480,7 @@ class TestTheorem32:
         s = random_stable_system(8006, 16, 2, 2, radius=0.97)
         tau, r = 8, 6
         reach, obs = tl_gramian_dense(s, tau, "reach"), tl_gramian_dense(s, tau, "obs")
-        bal = balance_dense(s, reach, obs, tau)
+        bal = balance(s, reach, obs, tau)
         rom, _ = square_root_truncate(reach, obs, s, tau, order=r)
         calls = {"solve_cross_sylvester": 0, "tl_gramian_dense": 0}
         for name in calls:
@@ -522,7 +522,7 @@ class TestBoundReport:
         reach = tl_gramian_dense(s, tau, "reach")
         obs = tl_gramian_dense(s, tau, "obs")
         rom, _ = square_root_truncate(reach, obs, s, tau, order=4)
-        bal = balance_dense(s, reach, obs, tau)
+        bal = balance(s, reach, obs, tau)
         inf_reach = tl_gramian_dense(s, math.inf, "reach")
         inf_obs = tl_gramian_dense(s, math.inf, "obs")
         report = build_bound_report(s, rom, tau, lambda t: (inf_reach, inf_obs), bal=bal,
@@ -560,7 +560,7 @@ class TestBoundReport:
         unstable = random_stable_system(8006, 16, 2, 2, radius=0.97)
         unstable_tlbt = reduce(unstable, 8, "tlbt")
         assert tlbt.spectral_radius() < 1.0 <= unstable_tlbt.spectral_radius()
-        bal = balance_dense(s, *counted(s)[0](math.inf))
+        bal = balance(s, *counted(s)[0](math.inf))
         for system, rom, tau, rom_bal, asks in ((s, bt, math.inf, None, 1),
                                                 (s, tlbt, 20, None, 1),
                                                 (unstable, unstable_tlbt, 8, None, 0),

@@ -12,6 +12,7 @@ import scipy.sparse
 
 from dtmor import (DiscreteLTISystem, ExampleSpec, generate_example, impulse_sequence,
                    read_system, write_system)
+import dtmor.balancing
 import dtmor.bounds
 import dtmor.cli
 import dtmor.dense_stein
@@ -638,6 +639,25 @@ class TestMainExitCodes:
                      "--rom", str(tmp_path / "rom"), "--out", str(tmp_path / "rep.json")])
         capsys.readouterr()
         assert code == 3
+
+    def test_bounds_balances_the_model_pair_once(self, tmp_path, capsys, monkeypatch):
+        # the Hankel tail and the balanced expressions come from one balancing
+        source = ["--kind", "gauss-seidel", "--size", "6", "--inputs", "2",
+                  "--outputs", "2", "--seed", "3"]
+        assert main(["reduce", *source, "--tau", "20", "--order", "4", "--solver", "dense",
+                     "--out", str(tmp_path / "rom")]) == 0
+        calls = []
+
+        def counted(*args, _real=dtmor.balancing.balance):
+            calls.append(args[-1])
+            return _real(*args)
+        monkeypatch.setattr(dtmor.balancing, "balance", counted)
+        assert main(["bounds", *source, "--rom", str(tmp_path / "rom"), "--tau", "20",
+                     "--balanced-expressions", "--constants", "eigen",
+                     "--out", str(tmp_path / "rep.json")]) == 0
+        capsys.readouterr()
+        assert calls == [20]
+        assert json.loads((tmp_path / "rep.json").read_text())["thm31"]["value"] >= 0
 
     def test_reduce_and_bounds_roundtrip(self, tmp_path, capsys):
         assert main(["generate", "--kind", "random-stable", "--size", "10",

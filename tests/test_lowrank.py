@@ -448,7 +448,8 @@ class TestTruncateFactor:
         for g in (a, d):
             Z = g.factor()
             assert np.linalg.norm(Z @ Z.T - P) <= 1e-12 * np.linalg.norm(P)
-        assert a.output_trace(s.C) == pytest.approx(d.output_trace(s.C), rel=1e-12)
+        assert np.trace(a.congruence(s.C)) == pytest.approx(np.trace(d.congruence(s.C)),
+                                                             rel=1e-12)
 
     def test_residual_still_small_after_truncation(self):
         s = random_stable_system(61, 40, 2, 2)

@@ -555,7 +555,7 @@ def test_low_rank_solvers_apply_a_system_through_its_methods():
 
 def test_only_the_solver_modules_name_a_gramian_type():
     # the Gramian rule: how a Gramian is stored is known by dense_stein and
-    # lowrank only; other modules use its factor(), matrix(), output_trace(C)
+    # lowrank only; other modules use its factor(), matrix(), congruence(C)
     # and basis
     banned = {"Gramian", "GramianApprox", "DenseGramianPair"}
     for path in _SRC_MODULES:

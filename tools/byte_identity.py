@@ -9,8 +9,10 @@ fixed BLAS thread count.  The set covers every solver: ``pipeline --method
 both`` with ``dense``, ``rksm-pm1``, ``smith`` and ``rksm-disc``, ``bounds
 --balanced-expressions`` on the dense job's two models, and ``gramian`` with
 ``dense``, ``smith`` and ``rksm-disc``.  The script prints each file that
-differs or exists in one tree only and exits 1 if there is any, 0 if every
-file is identical, and 2 if a command fails.  ``--keep DIR`` writes the
+differs or exists in one tree only, with the largest relative difference
+between its numbers where the text around them is the same ("structure
+differs" otherwise), and exits 1 if there is any, 0 if every file is
+identical, and 2 if a command fails.  ``--keep DIR`` writes the
 outputs to DIR/parent and DIR/change instead of a temporary directory.
 """
 from __future__ import annotations
@@ -18,6 +20,7 @@ from __future__ import annotations
 import argparse
 import filecmp
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -69,6 +72,25 @@ def differing(a: Path, b: Path) -> list[str]:
                           and filecmp.cmp(a / f, b / f, shallow=False)))
 
 
+_NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
+
+
+def number_difference(a: Path, b: Path) -> str:
+    """The largest relative difference |x - y| / max(|x|, |y|) between the
+    numbers of two text files whose text around the numbers is the same, or
+    'structure differs'."""
+    try:
+        text_a, text_b = a.read_text(encoding="utf-8"), b.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError):
+        return "structure differs"
+    if _NUMBER.split(text_a) != _NUMBER.split(text_b):
+        return "structure differs"
+    worst = max((abs(x - y) / max(abs(x), abs(y))
+                 for x, y in zip(map(float, _NUMBER.findall(text_a)),
+                                 map(float, _NUMBER.findall(text_b))) if x != y), default=0.0)
+    return f"largest relative difference {worst:.1e}"
+
+
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("parent", type=Path)
@@ -80,9 +102,10 @@ def main() -> int:
         run_tree(args.parent, root / "parent")
         run_tree(args.change, root / "change")
         files = sum(1 for p in (root / "parent").rglob("*") if p.is_file())
-        diffs = differing(root / "parent", root / "change")
-    for name in diffs:
-        print(f"differs: {name}")
+        diffs = {name: number_difference(root / "parent" / name, root / "change" / name)
+                 for name in differing(root / "parent", root / "change")}
+    for name, detail in diffs.items():
+        print(f"differs: {name} ({detail})")
     print(f"{len(COMMANDS)} commands, {files} files, {len(diffs)} differ")
     return 1 if diffs else 0
 
