@@ -18,7 +18,6 @@ from .bounds import (
     BoundReport,
     OutputErrorBound,
     asymptotic_constants,
-    bound_inf_horizon,
     bound_output_tl,
     bound_theorem32,
     build_bound_report,

@@ -7,12 +7,14 @@ upper bound driven by matrix-power envelopes, and the doubled
 neglected-HSV sum.
 
 The output bound over a finite window is the impulse-response sum of the
-error system, which has no cancellation and needs no Gramian.  The trace
-expressions (infinite horizon, and the balanced-realization expressions) are
-evaluated from both the reachability and the observability side; following
-the computing recipe used throughout, the two sides are averaged and an
-absolute value is applied before square roots, with the raw sides and the
-largest term kept for cancellation diagnostics.
+error system, which has no cancellation and needs no Gramian.  Every trace
+expression (the infinite-horizon output bound, the TL h2 norm, and the
+balanced error expression over a realization's own horizon: thm31 at a
+window, the BT expression at infinite horizon) is evaluated from both the
+reachability and the observability side by one rule, :func:`_two_sided`:
+the two sides are averaged and an absolute value is applied before square
+roots, with the raw sides, their relative gap and the cancellation ratio
+kept for diagnostics.
 """
 from __future__ import annotations
 
@@ -38,8 +40,15 @@ _NUMERICAL_RADIUS_TOL = 1e-6
 # congruence(C) and its Krylov basis (None when dense) as ``basis``, so
 # this module never asks how it is stored.
 
-def _relative_gap(x: float, y: float) -> float:
-    return abs(x - y) / max(abs(x), abs(y), 1e-300)
+def _two_sided(c_terms, b_terms):
+    """The one evaluation of a trace expression from its C-side and B-side
+    terms: (value, c, b, gap, cancellation), where c and b are the side
+    sums, value |(c + b) / 2|, gap their relative gap and cancellation the
+    largest term's magnitude over value."""
+    c, b = sum(c_terms), sum(b_terms)
+    value = abs(0.5 * (c + b))
+    cancellation = max(abs(t) for t in (*c_terms, *b_terms)) / max(value, 1e-300)
+    return value, c, b, abs(c - b) / max(abs(c), abs(b), 1e-300), cancellation
 
 
 # ---------------------------------------------------------------------------
@@ -58,9 +67,8 @@ def tl_h2_norm(sys: DiscreteLTISystem, tau) -> float:
     """Time-limited h2 norm via the Gramian traces (both sides averaged)."""
     reach = tl_gramian_dense(sys, tau, "reach")
     obs = tl_gramian_dense(sys, tau, "obs")
-    tc = float(np.trace(reach.congruence(sys.C)))
-    tb = float(np.trace(obs.congruence(sys.B.T)))
-    return math.sqrt(abs(0.5 * (tc + tb)))
+    return math.sqrt(_two_sided([float(np.trace(reach.congruence(sys.C)))],
+                                [float(np.trace(obs.congruence(sys.B.T)))])[0])
 
 
 # ---------------------------------------------------------------------------
@@ -111,11 +119,6 @@ class OutputErrorBound:
         return self.epsilon * self.input_energy(u)
 
 
-def _cancellation(terms, value_sq: float) -> float:
-    """Largest trace term's magnitude over the squared norm it sums to."""
-    return max(abs(t) for t in terms) / max(value_sq, 1e-300)
-
-
 def _inf_horizon_terms(sys: DiscreteLTISystem, rom: DiscreteLTISystem, reach):
     """The C-side terms trace(C P C^T), trace(Chat Phat Chat^T) and
     -2 trace(C Y Chat^T) of the infinite-horizon squared error norm.  P is
@@ -164,15 +167,12 @@ def bound_output_tl(sys: DiscreteLTISystem, rom: DiscreteLTISystem, tau,
             raise ValueError(f"the tau=inf bound needs infinite-horizon Gramians, "
                              f"got a {gram.side} Gramian at tau={gram.horizon:g}")
     low_rank = any(gram is not None and gram.basis is not None for gram in (reach, obs))
-    c_terms = _inf_horizon_terms(sys, rom, reach)
-    b_terms = _inf_horizon_terms(sys.dual(), rom.dual(), obs)
-    tc, tb = sum(c_terms), sum(b_terms)
-    eps_sq = abs(0.5 * (tc + tb))
+    eps_sq, tc, tb, gap, cancellation = _two_sided(
+        _inf_horizon_terms(sys, rom, reach), _inf_horizon_terms(sys.dual(), rom.dual(), obs))
     return OutputErrorBound(
-        epsilon=math.sqrt(eps_sq), horizon=math.inf,
-        trace_c_side=tc, trace_b_side=tb, sides_relative_gap=_relative_gap(tc, tb),
-        backend="low-rank" if low_rank else "dense",
-        cancellation=_cancellation(c_terms + b_terms, eps_sq))
+        epsilon=math.sqrt(eps_sq), horizon=math.inf, trace_c_side=tc, trace_b_side=tb,
+        sides_relative_gap=gap, backend="low-rank" if low_rank else "dense",
+        cancellation=cancellation)
 
 
 # ---------------------------------------------------------------------------
@@ -181,14 +181,26 @@ def bound_output_tl(sys: DiscreteLTISystem, rom: DiscreteLTISystem, tau,
 @dataclass
 class BalancedErrorExpression:
     """Both evaluations of the squared error norm of a truncated balanced
-    system, with the per-term breakdown (averaged over the two sides)."""
+    system over the realization's own horizon, with the per-term breakdown
+    (averaged over the two sides).  At a window it is thm31, whose
+    ``residual_term`` is the horizon residual (C-side form); at infinite
+    horizon it is the BT expression, with ``residual_term`` None and
+    ``upper_sq`` the simplified upper variant (the ROM-Gramian gap term
+    dropped, valid because that term is nonpositive for stable systems)."""
     value: float
     c_side: float
     b_side: float
-    residual_term: float          # time-limited residual term, C-side form
+    residual_term: float | None
     terms: dict
     sides_relative_gap: float
+    cancellation: float
+    upper_sq: float | None
     c_solves: tuple = field(default=(), repr=False, compare=False)   # Z, P^ - Sigma1, Gh of the C side
+    backend = "dense"
+
+    @property
+    def epsilon_squared(self) -> float:
+        return self.value
 
 
 def _rom_gramian_gap(part, rom: DiscreteLTISystem, tau) -> np.ndarray:
@@ -208,8 +220,11 @@ def _balanced_side_terms(bal: BalancedRealization, r: int):
     the cross Gramian Z and the ROM-Gramian gap P^ - Sigma1, plus the
     horizon residual when ``bal`` is time-limited.  They sum to the squared
     norm.  Returns the terms and the solves they took: Z, the gap and the
-    model's obs horizon term (Chat Ahat^tau)^T (None at infinite horizon)."""
+    model's obs horizon term (Chat Ahat^tau)^T (None at infinite horizon).
+    A window realization without its horizon terms raises ValueError."""
     tau = bal.horizon
+    if not math.isinf(tau):
+        bal.require_horizon_terms("the balanced error expression")
     part = bal.partition(r)
     rom = bal.reduced_system(r)
     Z = solve_cross_sylvester(DiscreteLTISystem(bal.a, bal.b, bal.c), rom, tau, "Z")
@@ -221,7 +236,6 @@ def _balanced_side_terms(bal: BalancedRealization, r: int):
         "rom_gramian_gap": float(np.trace(part.C1 @ gap @ part.C1.T)),
     }
     if not math.isinf(tau):
-        bal.require_horizon_terms("the horizon residual")
         S1 = np.diag(part.sigma1)
         Gh = tl_gramian_dense(rom, tau, "obs").tl_term
         terms["tl_residual"] = 2.0 * (float(np.trace(S1 @ part.G1.T @ Gh.T))
@@ -229,56 +243,23 @@ def _balanced_side_terms(bal: BalancedRealization, r: int):
     return terms, (Z, gap, Gh)
 
 
-def _balanced_error_terms(bal: BalancedRealization, r: int) -> tuple[dict, dict]:
-    """C-side and B-side terms of truncating ``bal`` at order r; the B side
-    is the C side of the adjoint realization ``bal.dual()``."""
-    return _balanced_side_terms(bal, r)[0], _balanced_side_terms(bal.dual(), r)[0]
-
-
 def error_expr_tlbt(bal: BalancedRealization, r: int) -> BalancedErrorExpression:
-    """Exact squared TL error norm of time-limited balanced truncation,
-    expressed through the balanced blocks, the neglected singular values,
-    and the horizon terms.  Equals the directly summed squared impulse
-    error; the equality is the module's central correctness test."""
-    bal.require_horizon_terms("thm31")
+    """Exact squared error norm of truncating ``bal`` at order r over its own
+    horizon, expressed through the balanced blocks, the neglected singular
+    values and, at a window, the horizon terms (thm31); at infinite horizon
+    it is the BT expression with its upper variant.  Equals the directly
+    summed squared impulse error; the equality is the module's central
+    correctness test.  The B side is the C side of ``bal.dual()``."""
     (c, solves), (b, _) = _balanced_side_terms(bal, r), _balanced_side_terms(bal.dual(), r)
-    c_side, b_side = sum(c.values()), sum(b.values())
+    value, c_side, b_side, gap, cancellation = _two_sided(c.values(), b.values())
+    upper = None
+    if math.isinf(bal.horizon):
+        upper = _two_sided([c["neglected_block"], c["coupling"]],
+                           [b["neglected_block"], b["coupling"]])[0]
     return BalancedErrorExpression(
-        value=abs(0.5 * (c_side + b_side)), c_side=c_side, b_side=b_side,
-        residual_term=c["tl_residual"],
+        value=value, c_side=c_side, b_side=b_side, residual_term=c.get("tl_residual"),
         terms={name: 0.5 * (c[name] + b[name]) for name in c},
-        sides_relative_gap=_relative_gap(c_side, b_side), c_solves=solves)
-
-
-@dataclass
-class InfiniteHorizonBound:
-    """Squared infinite-horizon h2 error norm of balanced truncation and
-    its simplified upper variant (the ROM-Gramian gap term dropped, valid
-    because that term is nonpositive for stable systems)."""
-    value_sq: float
-    upper_sq: float
-    sides_relative_gap: float
-    cancellation: float
-    backend = "dense"
-
-    @property
-    def epsilon_squared(self) -> float:
-        return self.value_sq
-
-
-def bound_inf_horizon(bal: BalancedRealization, r: int) -> InfiniteHorizonBound:
-    """Infinite-horizon error expression from the balanced blocks."""
-    if not math.isinf(bal.horizon):
-        raise ValueError("needs an infinite-horizon balanced realization")
-    c, b = _balanced_error_terms(bal, r)
-    c_side, b_side = sum(c.values()), sum(b.values())
-    upper = 0.5 * ((c["neglected_block"] + c["coupling"])
-                   + (b["neglected_block"] + b["coupling"]))
-    value_sq = abs(0.5 * (c_side + b_side))
-    return InfiniteHorizonBound(
-        value_sq=value_sq, upper_sq=abs(upper),
-        sides_relative_gap=_relative_gap(c_side, b_side),
-        cancellation=_cancellation([*c.values(), *b.values()], value_sq))
+        sides_relative_gap=gap, cancellation=cancellation, upper_sq=upper, c_solves=solves)
 
 
 # ---------------------------------------------------------------------------
@@ -315,6 +296,12 @@ def numerical_radius(A) -> float:
         best = max(best, new_best)
 
 
+def _pow_or_zero(x: float, tau) -> float:
+    if math.isinf(tau):
+        return 0.0 if x < 1.0 else math.inf
+    return x ** float(tau)
+
+
 @dataclass(frozen=True)
 class AsymptoticConstants:
     """One-sided envelope ||A^k||_2 <= scale * rate^k."""
@@ -323,9 +310,7 @@ class AsymptoticConstants:
     method: str
 
     def power_bound(self, k: float) -> float:
-        if math.isinf(k):
-            return 0.0 if self.rate < 1.0 else math.inf
-        return self.scale * self.rate ** k
+        return self.scale * _pow_or_zero(self.rate, k)
 
 
 def asymptotic_constants(A, method: str = "eigen") -> AsymptoticConstants:
@@ -362,12 +347,6 @@ class Theorem32Bound:
     j_tl_term: float
     total: float
     path: str                      # 'asymptotic' or 'explicit'
-
-
-def _pow_or_zero(x: float, tau) -> float:
-    if math.isinf(tau):
-        return 0.0 if x < 1.0 else math.inf
-    return x ** float(tau)
 
 
 def bound_theorem32(bal: BalancedRealization, r: int, tau,
@@ -440,8 +419,9 @@ class BoundReport:
 
     ``prop23`` is the general output bound over ``tau``.  ``inf_horizon`` is
     the infinite-horizon error norm: from the balanced blocks
-    (:class:`InfiniteHorizonBound`), the trace form (:class:`OutputErrorBound`),
-    or None, then with the message of a failed solve in ``inf_horizon_error``.
+    (:class:`BalancedErrorExpression` of an infinite-horizon realization),
+    the trace form (:class:`OutputErrorBound`), or None, then with the
+    message of a failed solve in ``inf_horizon_error``.
     ``thm31``, ``thm32`` and the envelope ``constants`` (full, reduced) that
     thm32 used come from a time-limited balanced realization.
     """
@@ -451,7 +431,7 @@ class BoundReport:
     rom_spectral_radius: float
     hsv_tail: float
     prop23: OutputErrorBound
-    inf_horizon: InfiniteHorizonBound | OutputErrorBound | None = None
+    inf_horizon: BalancedErrorExpression | OutputErrorBound | None = None
     inf_horizon_error: str | None = None
     thm31: BalancedErrorExpression | None = None
     thm32: Theorem32Bound | None = None
@@ -545,7 +525,7 @@ def build_bound_report(sys: DiscreteLTISystem, rom, tau, pair=None,
     inf, inf_error = (prop23 if math.isinf(tau) else None), None
     try:
         if balanced_inf:
-            inf = bound_inf_horizon(bal, rom.r)
+            inf = error_expr_tlbt(bal, rom.r)
         elif uses_pair and inf is None:
             inf = bound_output_tl(sys, rsys, math.inf, reach, obs)
     except SolvabilityError as exc:

@@ -17,7 +17,6 @@ from dtmor import (
     SolverConfig,
     asymptotic_constants,
     balance,
-    bound_inf_horizon,
     bound_output_tl,
     bound_theorem32,
     build_bound_report,
@@ -264,7 +263,7 @@ def test_criterion_06_theorem32_dominance_and_decay():
         bal_inf = balance(s, ri, oi)
         r = 5
         rom, _ = square_root_truncate(ri, oi, s, math.inf, order=r, method="bt")
-        eq9 = math.sqrt(bound_inf_horizon(bal_inf, r).value_sq)
+        eq9 = math.sqrt(error_expr_tlbt(bal_inf, r).value)
         eps = bound_output_tl(s, rom.system, tau_star).epsilon
         worst = max(worst, abs(eps - eq9) / eq9)
     assert worst <= 1e-6, f"limit deviation {worst:.3e}"

@@ -14,7 +14,6 @@ from dtmor import (
     ShiftStrategy,
     adaptive_order,
     balance,
-    bound_inf_horizon,
     build_bound_report,
     error_expr_tlbt,
     export_rom,
@@ -282,7 +281,6 @@ class TestBalance:
         assert bal.horizon == 20 and bal.tl_b is None and bal.tl_c is None
         rom, _ = square_root_truncate(reach, obs, s, 20, order=4)
         for call in (lambda: error_expr_tlbt(bal, 4), lambda: stability_certificate(bal, 4),
-                     lambda: bound_inf_horizon(bal, 4),
                      lambda: build_bound_report(s, rom, 20, bal=bal)):
             with pytest.raises(ValueError):
                 call()

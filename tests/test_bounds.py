@@ -19,7 +19,6 @@ from dtmor import (
     HankelSpectrum,
     asymptotic_constants,
     balance,
-    bound_inf_horizon,
     bound_output_tl,
     bound_theorem32,
     build_bound_report,
@@ -35,7 +34,7 @@ from dtmor import (
     tl_h2_norm,
 )
 from dtmor import bounds
-from dtmor.bounds import _balanced_error_terms
+from dtmor.bounds import _balanced_side_terms
 from dtmor.dense_stein import psd_factor, solve_cross_sylvester, solve_projected_tl
 
 SQRT2P1 = 1.0 + math.sqrt(2.0)
@@ -223,16 +222,16 @@ class TestOutputBound:
 class TestInfiniteHorizon:
     def test_full_order_zero(self):
         s, bal = _balanced(9, 8, 2, 2, math.inf)
-        ib = bound_inf_horizon(bal, 8)
-        assert ib.value_sq <= 1e-10
+        ib = error_expr_tlbt(bal, 8)
+        assert ib.value <= 1e-10
 
     def test_matches_impulse_sum(self):
         s, bal = _balanced(10, 10, 2, 2, math.inf, radius=0.75)
         r = 5
-        ib = bound_inf_horizon(bal, r)
+        ib = error_expr_tlbt(bal, r)
         ref = oracles.h2_error_sq(bal.a, bal.b, bal.c,
                                   bal.a[:r, :r], bal.b[:r], bal.c[:, :r], 2000)
-        assert ib.value_sq == pytest.approx(ref, rel=1e-9)
+        assert ib.value == pytest.approx(ref, rel=1e-9)
 
     def test_rank_deficient_grid_matches_impulse_sum(self):
         # Gauss-Seidel N=20 (n=400), m=p=2, seed 1, BT at r=10: the pair is
@@ -248,7 +247,7 @@ class TestInfiniteHorizon:
         Ad, Bd, C = oracles.dense_standard(s)
         r = rom.system
         ref = oracles.h2_error_sq(Ad, Bd, C, r.A, r.B, r.C, 3000)
-        assert bound_inf_horizon(bal, 10).value_sq == pytest.approx(ref, rel=1e-8)
+        assert error_expr_tlbt(bal, 10).value == pytest.approx(ref, rel=1e-8)
 
     def test_upper_variant_dominates(self):
         for seed in range(15):
@@ -256,8 +255,8 @@ class TestInfiniteHorizon:
                 _, bal = _balanced(1500 + seed, 10, 2, 2, math.inf, radius=0.85)
             except Exception:
                 continue
-            ib = bound_inf_horizon(bal, 5)
-            assert ib.upper_sq >= ib.value_sq - 1e-12 * max(ib.upper_sq, 1.0)
+            ib = error_expr_tlbt(bal, 5)
+            assert ib.upper_sq >= ib.value - 1e-12 * max(ib.upper_sq, 1.0)
 
     def test_two_state_diagonal(self):
         # decoupled balanced system: truncation error is the dropped mode
@@ -266,10 +265,29 @@ class TestInfiniteHorizon:
         s = DiscreteLTISystem(A, B, B.T.copy())
         P = np.diag(B[:, 0] ** 2 / (1 - np.diag(A) ** 2))
         bal = balance(s, psd_factor(P), psd_factor(P), math.inf)
-        ib = bound_inf_horizon(bal, 1)
+        ib = error_expr_tlbt(bal, 1)
         ref = oracles.h2_error_sq(bal.a, bal.b, bal.c,
                                   bal.a[:1, :1], bal.b[:1], bal.c[:, :1], 4000)
-        assert ib.value_sq == pytest.approx(ref, rel=1e-10)
+        assert ib.value == pytest.approx(ref, rel=1e-10)
+
+    def test_balanced_expression_over_an_infinite_horizon_is_the_bt_expression(self):
+        # error_expr_tlbt evaluates over the realization's own horizon: at
+        # tau = inf it has no horizon residual and carries the upper variant
+        s = generate_example(ExampleSpec(kind="gauss-seidel", size=6, inputs=2,
+                                         outputs=2, seed=1))
+        bal = balance(s, tl_gramian_dense(s, math.inf, "reach"),
+                      tl_gramian_dense(s, math.inf, "obs"))
+        r = 4
+        expr = error_expr_tlbt(bal, r)
+        assert expr.residual_term is None and expr.upper_sq >= expr.value
+        rom = bal.reduced_system(r)
+        Ad, Bd, C = oracles.dense_standard(s)
+        ref = oracles.h2_error_sq(Ad, Bd, C, rom.A, rom.B, rom.C, 3000)
+        assert expr.value == pytest.approx(ref, rel=1e-8)
+
+    def test_window_expression_has_no_upper_variant(self):
+        _, bal = _balanced(12, 10, 2, 2, 20)
+        assert error_expr_tlbt(bal, 6).upper_sq is None
 
 
     def test_lowrank_gramians_match_dense_oracle(self):
@@ -361,7 +379,7 @@ class TestBalancedErrorTermsBSide:
         k = bal.order
         for r in (k // 2, k):
             ref = _explicit_b_side(bal, r)
-            _, b = _balanced_error_terms(bal, r)
+            b = _balanced_side_terms(bal.dual(), r)[0]
             assert sorted(b) == sorted(ref)
             scale = max(abs(v) for v in ref.values())
             for name, value in ref.items():
@@ -433,7 +451,7 @@ class TestTheorem32:
         c = AsymptoticConstants(1.0, 1.0, "eigen")
         t32 = bound_theorem32(bal, 4, math.inf, (c, c))
         assert t32.path == "explicit"
-        assert t32.total >= bound_inf_horizon(bal, 4).value_sq
+        assert t32.total >= error_expr_tlbt(bal, 4).value
 
     def test_tau_must_match_the_balancing_horizon(self):
         # the tau = inf gap is solved from the balanced Lyapunov equation, which

@@ -684,6 +684,25 @@ class TestMainExitCodes:
         assert doc["inf_horizon"]["upper_sq"] >= doc["inf_horizon"]["value_sq"] * (1 - 1e-9)
         capsys.readouterr()
 
+    def test_bounds_bt_balanced_expression_is_error_expr_tlbt(self, tmp_path, capsys):
+        # a BT model's balanced inf_horizon is error_expr_tlbt of the dense
+        # tau = inf pair's balancing, bit for bit
+        source = ["--kind", "gauss-seidel", "--size", "6", "--inputs", "2",
+                  "--outputs", "2", "--seed", "1"]
+        assert main(["reduce", *source, "--tau", "20", "--method", "bt", "--order", "4",
+                     "--solver", "dense", "--out", str(tmp_path / "rom")]) == 0
+        assert main(["bounds", *source, "--rom", str(tmp_path / "rom"), "--tau", "20",
+                     "--balanced-expressions", "--out", str(tmp_path / "rep.json")]) == 0
+        capsys.readouterr()
+        inf = json.loads((tmp_path / "rep.json").read_text())["inf_horizon"]
+        s = generate_example(ExampleSpec(kind="gauss-seidel", size=6, inputs=2,
+                                         outputs=2, seed=1))
+        pair = dtmor.cli.gramian_pairs(s, JobConfig(solver="dense"))
+        expr = dtmor.bounds.error_expr_tlbt(dtmor.balancing.balance(s, *pair(math.inf)), 4)
+        assert (inf["value_sq"], inf["upper_sq"], inf["sides_relative_gap"],
+                inf["cancellation"]) == (expr.value, expr.upper_sq, expr.sides_relative_gap,
+                                         expr.cancellation)
+
     def test_bounds_balanced_expressions_on_rank_deficient_window(self, tmp_path, capsys):
         # desk-scale Gauss-Seidel grid: tau*m = 100 < n = 400, so the window
         # pair is balanced at its numerical rank

@@ -5,15 +5,18 @@ their outputs byte for byte.
 
 Each tree runs the commands as ``python -m dtmor`` from its own ``src/``,
 with ``OPENBLAS_NUM_THREADS=1``, since outputs are byte-identical only at a
-fixed BLAS thread count.  The set covers every solver: ``pipeline --method
-both`` with ``dense``, ``rksm-pm1``, ``smith`` and ``rksm-disc``, ``bounds
---balanced-expressions`` on the dense job's two models, and ``gramian`` with
-``dense``, ``smith`` and ``rksm-disc``.  The script prints each file that
-differs or exists in one tree only, with the largest relative difference
-between its numbers where the text around them is the same ("structure
-differs" otherwise), and exits 1 if there is any, 0 if every file is
-identical, and 2 if a command fails.  ``--keep DIR`` writes the
-outputs to DIR/parent and DIR/change instead of a temporary directory.
+fixed BLAS thread count.  The twelve commands cover every solver:
+``pipeline --method both`` with ``dense``, ``rksm-pm1``, ``smith`` and
+``rksm-disc``, ``bounds --balanced-expressions`` on the dense job's two
+models, ``gramian`` with ``dense``, ``smith`` and ``rksm-disc``, and the
+tau = inf jobs: ``pipeline --tau inf --method bt`` with ``rksm-pm1`` and
+``dense``, and ``bounds --tau inf --balanced-expressions`` on the dense BT
+model.  The script prints each file that differs or exists in one tree
+only, with the largest relative difference between its numbers where the
+text around them is the same ("structure differs" otherwise), and exits 1
+if there is any, 0 if every file is identical, and 2 if a command fails.
+``--keep DIR`` writes the outputs to DIR/parent and DIR/change instead of
+a temporary directory.
 """
 from __future__ import annotations
 
@@ -47,6 +50,12 @@ COMMANDS = [
      "--solver", "smith", "--out", "gramian-smith"],
     ["gramian", "--kind", "jacobi", "--size", "20", "--tau", "inf",
      "--solver", "rksm-disc", "--out", "gramian-rksm-disc"],
+    ["pipeline", "--kind", "jacobi", "--size", "20", "--solver", "rksm-pm1",
+     "--tau", "inf", "--method", "bt", "--order", "10", "--out", "inf-rksm-pm1"],
+    ["pipeline", "--kind", "gauss-seidel", "--size", "12", "--solver", "dense",
+     "--tau", "inf", "--method", "bt", "--order", "6", "--out", "inf-dense"],
+    ["bounds", "--kind", "gauss-seidel", "--size", "12", "--rom", "inf-dense/rom_bt",
+     "--tau", "inf", "--balanced-expressions", "--out", "bounds_inf.json"],
 ]
 
 

@@ -6,7 +6,7 @@ never reaches.
 In one process, with ``OPENBLAS_NUM_THREADS=1`` and the package imported
 from this tree's own ``src/``, it runs under ``sys.settrace``:
 
-- the nine ``COMMANDS`` of ``tools/byte_identity.py``, each as
+- the twelve ``COMMANDS`` of ``tools/byte_identity.py``, each as
   ``python -m dtmor`` would run it, in a temporary directory;
 - ``generate``, ``reduce --solver rksm-pm1 --hsv-tol`` and ``simulate`` on
   a written system;
