@@ -48,7 +48,6 @@ from .exceptions import (
 )
 from .lowrank import (
     ConvergenceRecord,
-    KrylovState,
     ShiftStrategy,
     SolverConfig,
     next_shift,

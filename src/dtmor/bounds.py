@@ -309,9 +309,6 @@ class AsymptoticConstants:
     rate: float
     method: str
 
-    def power_bound(self, k: float) -> float:
-        return self.scale * _pow_or_zero(self.rate, k)
-
 
 def asymptotic_constants(A, method: str = "eigen") -> AsymptoticConstants:
     """Envelope constants for powers of A.

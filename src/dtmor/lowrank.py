@@ -11,8 +11,7 @@ which one evaluation gives the exact Gramian and horizon term.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
-from typing import Callable
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -76,52 +75,6 @@ class ConvergenceRecord:
     residual: float | None
     tl_term_change: float | None
     shift: complex | None
-
-
-@dataclass(slots=True)
-class KrylovState:
-    """Bookkeeping of a running (rational) Arnoldi process.
-
-    ``basis`` has orthonormal columns; ``dynamics`` applies the standard-form
-    state map A (M^{-1}A of a generalized system) as (X, trans=False) -> A X,
-    or A^T X with ``trans``, like ``DiscreteLTISystem.apply_dynamics``;
-    ``projected`` is basis^T A basis for a leading block of the basis,
-    extended to the whole basis by :meth:`current_projected` where it is read
-    (evaluations, and the Ritz values of adaptive shifts); ``offspace_dir``
-    and ``offspace_coeff`` are U and C in G = A basis - basis @ projected =
-    U C, the part of A*basis that leaves the subspace, which is what the
-    compressed residual formula consumes.  U has about block-width columns,
-    and neither A*basis nor G is stored, so ``basis`` is the only array with
-    n rows and k columns.  Inside a solver's walk it is a view of the written
-    columns of the walk's reservation, which no returned Gramian keeps.
-    """
-    block_width: int
-    basis: np.ndarray | None = None
-    dynamics: Callable[..., np.ndarray] | None = None
-    projected: np.ndarray = field(default_factory=lambda: np.zeros((0, 0)))
-    offspace_dir: np.ndarray | None = None
-    offspace_coeff: np.ndarray | None = None
-    shifts: list = field(default_factory=list)
-
-    def current_projected(self) -> np.ndarray:
-        """Extend ``projected`` to the whole basis and return it; with Q = [Q0, Q1]
-        split at its order, it gains Q0^T A Q1, Q1^T A Q1 and (Q0^T A^T Q1)^T,
-        so A is applied to the new columns alone, once forward and once
-        transposed."""
-        Q, H = self.basis, self.projected
-        h = H.shape[0]
-        if Q is not None and h < Q.shape[1]:
-            Q0, Q1 = Q[:, :h], Q[:, h:]
-            AQ1 = self.dynamics(Q1)
-            right, corner = _thin_product(Q0.T, AQ1), Q1.T @ AQ1
-            del AQ1
-            below = _thin_product(Q0.T, self.dynamics(Q1, trans=True)).T
-            self.projected = np.block([[H, right], [below, corner]])
-        return self.projected
-
-    def ritz_values(self) -> np.ndarray | None:
-        H = self.current_projected()
-        return np.linalg.eigvals(H) if H.size else None
 
 
 def _shift_solver(work: DiscreteLTISystem, s: complex):
@@ -233,32 +186,30 @@ def _gram_schmidt_step(Q: np.ndarray, P: np.ndarray, X: np.ndarray):
     return finished, pending, core
 
 
-def next_shift(strategy: ShiftStrategy, state: KrylovState) -> complex:
+def next_shift(strategy: ShiftStrategy, walk: _Walk) -> complex:
     """Pick the next rational-Krylov shift.
 
     Alternating strategy: +1, the first pole of every paired step of
     ``rksm``, whose step applies -1 with it.  Adaptive strategy: the
     unit-circle grid point maximizing the rational node function built from
-    current Ritz values (numerator) and past shifts (denominator, each
-    repeated block-width times); with no Ritz data available it starts at
-    -1.  A complex shift needs no partner here: the walk's step expands it
-    and its conjugate by one complex solve, and records both.
+    the walk's current Ritz values (numerator) and past shifts (denominator,
+    each repeated block-width times).  A complex shift needs no partner
+    here: the walk's step expands it and its conjugate by one complex solve,
+    and records both.
     """
     if strategy.kind == "alternating-pm1":
         return complex(1.0)
 
-    theta = state.ritz_values()
-    if theta is None or theta.size == 0:
-        return complex(-1.0)
+    theta = walk.ritz_values()
     hs = _SHIFT_GRID
     grid = np.exp(2j * np.pi * np.arange(1, hs + 1) / hs)
     # log-domain evaluation of prod |xi - theta_i| / prod |xi - s_j|^m
     score = np.zeros(hs)
     for th in theta:
         score += np.log(np.abs(grid - th) + 1e-300)
-    for s_used in state.shifts:
+    for s_used in walk.shifts:
         d = np.abs(grid - s_used)
-        score -= state.block_width * np.log(d + 1e-300)
+        score -= walk.block_width * np.log(d + 1e-300)
         score[d < 1e-12] = -np.inf  # reusing a pole is meaningless
     best = grid[int(np.argmax(score))]
     if abs(best.imag) <= _REAL_SHIFT_TOL:
@@ -266,29 +217,27 @@ def next_shift(strategy: ShiftStrategy, state: KrylovState) -> complex:
     return complex(best)
 
 
-def stein_residual_norm(state: KrylovState, core: np.ndarray, offspace_term=None) -> float:
-    """2-norm of the Stein residual for the Galerkin solution ``core``,
-    evaluated from the rank-2m compressed form.
+def stein_residual_norm(Q: np.ndarray, H: np.ndarray, U: np.ndarray, C: np.ndarray,
+                        core: np.ndarray, offspace_term=None) -> float:
+    """2-norm of the Stein residual for the Galerkin solution ``core`` on the
+    orthonormal basis Q, evaluated from the rank-2m compressed form.
 
-    With G = (I - QQ^T) A Q factored as U S, the residual equals
-    [U, w] [[S Y S^T, I], [I, 0]] [U, w]^T for w = Q H Y S^T, so its norm
-    is read off a small QR factorization.  ``offspace_term`` (f, g) is a
-    horizon term F = Q f + U g with a part off the basis (a polynomial
-    walk's): then w = Q (H Y S^T - f g^T) and the corner is S Y S^T - g g^T.
+    H = Q^T A Q, and U C is a factor of G = (I - QQ^T) A Q with orthonormal
+    U; the residual equals [U, w] [[C Y C^T, I], [I, 0]] [U, w]^T for
+    w = Q H Y C^T, so its norm is read off a small QR factorization.
+    ``offspace_term`` (f, g) is a horizon term F = Q f + U g with a part off
+    the basis (a polynomial walk's): then w = Q (H Y C^T - f g^T) and the
+    corner is C Y C^T - g g^T.
     """
-    if state.basis is None or state.projected is None:
-        raise ValueError("state has no basis/projected data")
-    U = state.offspace_dir
-    Cf = state.offspace_coeff
-    if U is None or U.shape[1] == 0:
+    if U.shape[1] == 0:
         return 0.0
-    if Cf.shape[1] != core.shape[0]:
-        raise ValueError("state and core dimensions disagree")
-    cross, corner = state.current_projected() @ (core @ Cf.T), Cf @ core @ Cf.T
+    if C.shape[1] != core.shape[0]:
+        raise ValueError("basis and core dimensions disagree")
+    cross, corner = H @ (core @ C.T), C @ core @ C.T
     if offspace_term is not None:
         f, g = offspace_term
         cross, corner = cross - f @ g.T, corner - g @ g.T
-    w = _thin_product(state.basis, cross)
+    w = _thin_product(Q, cross)
     k = U.shape[1]
     inner = np.block([
         [corner, np.eye(k)],
@@ -357,40 +306,73 @@ def truncate_factor(approx: Gramian, tol: float = RANK_TOL) -> Gramian:
 
 class _Walk:
     """A block rational Krylov walk of one side of a system from its
-    orthonormalized input map: Q in a Fortran-ordered reservation, the
-    pending block (Q's next columns, projected once), and in ``state`` Q, H
-    and the poles.  A step expands each pole from its continuation block by
-    the pole's pencil solve, or for a pole at infinity by the dynamics
-    itself, so poles at infinity span the polynomial block Krylov space
-    (Berljafa & Güttel, SIAM J. Matrix Anal. Appl. 36 (2015)).
+    orthonormalized input map, and all of its state.  A step expands each
+    pole from its continuation block by the pole's pencil solve, or for a
+    pole at infinity by the dynamics itself, so poles at infinity span the
+    polynomial block Krylov space (Berljafa & Güttel, SIAM J. Matrix Anal.
+    Appl. 36 (2015)).
 
-    The reservation, n x min(n, m ``blocks``) for m the input map's width,
-    is allocated once; Q is written into it in place, never regrown or
-    copied.  Only written pages are resident, but all of it is address
-    space (128 MB at n = 10^4 for ``rksm``'s defaults and m = 2).
+    ``basis`` is Q, orthonormal, a view of the written columns of a
+    Fortran-ordered reservation, n x min(n, m ``blocks``) for m the input
+    map's width.  The reservation is allocated once; Q is written into it
+    in place, never regrown or copied.  Only written pages are resident,
+    but all of it is address space (128 MB at n = 10^4 for ``rksm``'s
+    defaults and m = 2), and no returned Gramian keeps it.  ``pending`` is
+    Q's next block, projected once.  ``projected`` is H = Q^T A Q for a
+    leading block of Q, extended to all of it by :meth:`current_projected`
+    where it is read; ``offspace_dir`` and ``offspace_coeff`` are U and C in
+    G = A Q - Q H = U C, set by :meth:`factor_offspace`; ``shifts`` are the
+    poles so far.  A is applied by the side's ``apply_dynamics``, and
+    neither A Q nor G is stored, so Q is the walk's only array with n rows
+    and k columns; the slots keep a second one from being added unseen.
     """
+    __slots__ = ("work", "side", "B0", "buf", "basis", "block_width", "pending",
+                 "projected", "offspace_dir", "offspace_coeff", "shifts",
+                 "solvers", "newest", "deflated", "fallbacks")
 
     def __init__(self, sys: DiscreteLTISystem, side: str, blocks: int):
         self.work, self.side = sys.side(side), side
         self.B0 = self.work.input_map()
         q1, _ = _orth_columns(self.B0)
         self.buf = np.empty((self.work.n, min(self.work.n, blocks * self.work.m)), order="F")
-        self.state = KrylovState(q1.shape[1], basis=self.buf[:, :0], dynamics=self.work.apply_dynamics)
+        self.basis, self.block_width = self.buf[:, :0], q1.shape[1]
         self.append(q1)
         self.pending = np.zeros((self.work.n, 0))
+        self.projected = np.zeros((0, 0))
+        self.offspace_dir = self.offspace_coeff = None
+        self.shifts: list = []
         self.solvers: dict = {}   # pole -> its solve
         self.newest: dict = {}    # pole of the last grown step -> (that step's new block, its core columns)
         self.deflated = self.fallbacks = 0
+
+    def current_projected(self) -> np.ndarray:
+        """Extend ``projected`` to the whole basis and return it; with Q = [Q0, Q1]
+        split at its order, it gains Q0^T A Q1, Q1^T A Q1 and (Q0^T A^T Q1)^T,
+        so A is applied to the new columns alone, once forward and once
+        transposed."""
+        Q, H, dynamics = self.basis, self.projected, self.work.apply_dynamics
+        h = H.shape[0]
+        if h < Q.shape[1]:
+            Q0, Q1 = Q[:, :h], Q[:, h:]
+            AQ1 = dynamics(Q1)
+            right, corner = _thin_product(Q0.T, AQ1), Q1.T @ AQ1
+            del AQ1
+            below = _thin_product(Q0.T, dynamics(Q1, trans=True)).T
+            self.projected = np.block([[H, right], [below, corner]])
+        return self.projected
+
+    def ritz_values(self) -> np.ndarray:
+        return np.linalg.eigvals(self.current_projected())
 
     def expand(self, pole):
         """The pole's candidate columns: its solve continued from the pole's own
         newest directions (the left singular vectors of its columns of the last
         Gram-Schmidt core), or from the newest basis columns for a new pole."""
-        self.state.shifts.append(pole)
+        self.shifts.append(pole)
         if pole not in self.solvers:
             self.solvers[pole] = (self.work.apply_dynamics if pole == math.inf
                                   else _shift_solver(self.work, pole))
-        Q = self.state.basis
+        Q = self.basis
         if pole in self.newest:
             block, part = self.newest[pole]
             start = block @ np.linalg.svd(part, full_matrices=False)[0]
@@ -401,7 +383,7 @@ class _Walk:
             return np.real(g)
         # one complex solve yields the whole conjugate pair as two real
         # columns; mark the conjugate shift as consumed
-        self.state.shifts.append(pole.conjugate())
+        self.shifts.append(pole.conjugate())
         return np.hstack([g.real, g.imag])
 
     def step(self, poles) -> bool:
@@ -418,14 +400,14 @@ class _Walk:
 
     def append(self, X):
         """Write X into the reservation after Q's columns."""
-        k = self.state.basis.shape[1]
+        k = self.basis.shape[1]
         self.buf[:, k:k + X.shape[1]] = X
-        self.state.basis = self.buf[:, :k + X.shape[1]]
+        self.basis = self.buf[:, :k + X.shape[1]]
 
     def grow(self, X):
         """Append the finished pending block to Q, make X, projected once, the
         pending block, and return X's core."""
-        done, nb, core = _gram_schmidt_step(self.state.basis, self.pending, X)
+        done, nb, core = _gram_schmidt_step(self.basis, self.pending, X)
         self.deflated += self.pending.shape[1] + X.shape[1] - done.shape[1] - nb.shape[1]
         self.append(done)
         self.pending = nb
@@ -439,21 +421,20 @@ class _Walk:
     def project(self):
         """Finish the pending block; return H and Q^T B."""
         self.finish()
-        return self.state.current_projected(), _thin_product(self.state.basis.T, self.B0)
+        return self.current_projected(), _thin_product(self.basis.T, self.B0)
 
     def factor_offspace(self):
-        """Factor G = A Q - Q H = U C into ``state``, after :meth:`project`;
-        returns U and C."""
-        st = self.state
-        st.offspace_dir, st.offspace_coeff, fell_back = _offspace_factor(
-            st.basis, st.dynamics, st.projected, self.work.m)
+        """Factor G = A Q - Q H = U C into ``offspace_dir`` and
+        ``offspace_coeff``, after :meth:`project`; returns U and C."""
+        self.offspace_dir, self.offspace_coeff, fell_back = _offspace_factor(
+            self.basis, self.work.apply_dynamics, self.projected, self.work.m)
         self.fallbacks += fell_back
-        return st.offspace_dir, st.offspace_coeff
+        return self.offspace_dir, self.offspace_coeff
 
     def gramian(self, core, tl_term, horizon, **stats) -> Gramian:
         """Q core Q^T with the walk's poles and counts, truncated."""
         return truncate_factor(Gramian(
-            self.state.basis, core, tl_term, self.side, horizon, shifts=list(self.state.shifts),
+            self.basis, core, tl_term, self.side, horizon, shifts=list(self.shifts),
             deflated_columns=self.deflated, offspace_fallbacks=self.fallbacks, **stats))
 
 
@@ -479,7 +460,7 @@ def smith_arnoldi(sys: DiscreteLTISystem, side: str, tau,
     for k in range(1, steps):
         grew = walk.step([math.inf])
         records.append(ConvergenceRecord(
-            k, walk.state.basis.shape[1] + walk.pending.shape[1], None, None, math.inf))
+            k, walk.basis.shape[1] + walk.pending.shape[1], None, None, math.inf))
         if not grew:
             break
     H, Bk = walk.project()
@@ -487,10 +468,9 @@ def smith_arnoldi(sys: DiscreteLTISystem, side: str, tau,
     Y += X @ X.T   # the sum's last term, with X = H^{tau-1} Q^T B
     Fhat = H @ X
     U, C = walk.factor_offspace()
-    g = C @ X
-    res = stein_residual_norm(walk.state, Y, (Fhat, g)) / max(
+    g, Q = C @ X, walk.basis
+    res = stein_residual_norm(Q, H, U, C, Y, (Fhat, g)) / max(
         _gap_norm(np.vstack([Bk, np.zeros_like(g)]), np.vstack([Fhat, g])), 1e-300)
-    Q = walk.state.basis
     records.append(ConvergenceRecord(steps, Q.shape[1], res, None, None))
     return walk.gramian(Y, _thin_product(Q, Fhat) + U @ g, tau, iterations=steps,
                         residual=res, records=records)
@@ -517,20 +497,20 @@ def rksm(sys: DiscreteLTISystem, side: str, tau,
     For tau = inf the projected equation is solved by
     :func:`solve_projected_tl`.
 
-    ``observer``, when given, is called as observer(state, core, tl_term,
-    absolute_residual) at every evaluation; it exists for diagnostics and
-    verification harnesses.  ``state.basis`` (a view of the reservation, with
-    room for the 2m columns of each of ``cfg.max_iterations`` steps) is the
-    walk's only array with n rows: A Q is not kept, and ``state.dynamics``
-    applies A where it is needed.
+    The walk is one object, a :class:`_Walk` whose reservation has room
+    for the 2m columns of each of ``cfg.max_iterations`` steps.
+    ``observer``, when given, is called as observer(walk, core, tl_term,
+    absolute_residual) at every evaluation, after the off-space factor; it
+    exists for diagnostics and verification harnesses, which read the
+    walk's ``basis``, ``projected``, ``offspace_dir``, ``offspace_coeff``
+    and ``shifts``.
     """
     tau = check_horizon(tau)
     shifts = shifts or ShiftStrategy()
     cfg = cfg or SolverConfig()
     finite = not math.isinf(tau)
     walk = _Walk(sys, side, 1 + 2 * cfg.max_iterations)   # a step adds at most 2m columns
-    state = walk.state
-    if state.basis.shape[1] == 0:
+    if walk.basis.shape[1] == 0:
         z = np.zeros((walk.work.n, walk.work.m)) if finite else None
         return walk.gramian(np.zeros((0, 0)), z, tau, iterations=0, residual=0.0)
 
@@ -539,16 +519,16 @@ def rksm(sys: DiscreteLTISystem, side: str, tau,
     for k in range(1, cfg.max_iterations + 1):
         if shifts.kind == "adaptive-disc":
             walk.finish()   # the pole reads the Ritz values of H over every built column
-        s = next_shift(shifts, state)
+        s = next_shift(shifts, walk)
         grew = walk.step([s, -s] if shifts.kind == "alternating-pm1" else [s])   # a +-1 step applies both
         evaluate = (k % cfg.cadence == 0) or (k == cfg.max_iterations) or not grew
         if not evaluate:
             records.append(ConvergenceRecord(
-                k, state.basis.shape[1] + walk.pending.shape[1], None, None, s))
+                k, walk.basis.shape[1] + walk.pending.shape[1], None, None, s))
             continue
 
         H, Bk = walk.project()
-        Q, Fhat = state.basis, None
+        Q, Fhat = walk.basis, None
         if finite:
             Fhat = Bk
             for _ in range(int(tau)):   # the horizon term alone, as window_sum walks it
@@ -572,11 +552,10 @@ def rksm(sys: DiscreteLTISystem, side: str, tau,
                     raise BreakdownError("basis saturated with unsolvable projected problem")
                 continue
 
-        walk.factor_offspace()
-        res_abs = stein_residual_norm(state, Y)
+        res_abs = stein_residual_norm(Q, H, *walk.factor_offspace(), Y)
         res = res_abs / max(_gap_norm(Bk, Fhat), 1e-300)
         if observer is not None:
-            observer(state, Y, None if Fhat is None else _thin_product(Q, Fhat), res_abs)
+            observer(walk, Y, None if Fhat is None else _thin_product(Q, Fhat), res_abs)
         records.append(ConvergenceRecord(k, Q.shape[1], res, fF, s))
 
         if res <= cfg.tol:

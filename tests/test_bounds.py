@@ -413,7 +413,7 @@ class TestAsymptoticConstants:
         c = asymptotic_constants(A, method)
         X = A.copy()
         for k in range(1, 101):
-            assert np.linalg.norm(X, 2) <= c.power_bound(k) * (1 + 1e-12)
+            assert np.linalg.norm(X, 2) <= c.scale * c.rate ** k * (1 + 1e-12)
             X = X @ A
 
     def test_numerical_radius_of_sparse_equals_dense_copy(self):

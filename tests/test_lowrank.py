@@ -12,7 +12,6 @@ from dtmor import (
     DiscreteLTISystem,
     ExampleSpec,
     Gramian,
-    KrylovState,
     ShiftStrategy,
     SolverConfig,
     dense_stein,
@@ -313,42 +312,33 @@ class TestResidualFormula:
                 assert abs(exact - got) <= 1e-8 * exact + 1e-12
 
     def test_exact_solution_gives_zero(self, scalar_system):
-        state = KrylovState(block_width=1)
-        state.basis = np.array([[1.0]])
-        state.projected = np.array([[0.5]])
-        state.offspace_dir = np.zeros((1, 0))
-        state.offspace_coeff = np.zeros((0, 1))
-        H, Bk = state.projected, np.array([[1.0]])
+        Q, H, Bk = np.array([[1.0]]), np.array([[0.5]]), np.array([[1.0]])
         Y, F, _ = dense_stein.window_sum(lambda X: H @ X, Bk, 2)
         assert np.linalg.norm(H @ Y @ H.T - Y + Bk @ Bk.T - F @ F.T) <= 1e-10
-        assert stein_residual_norm(state, Y) <= 1e-10
+        assert stein_residual_norm(Q, H, np.zeros((1, 0)), np.zeros((0, 1)), Y) <= 1e-10
 
-    def test_krylov_state_rejects_unknown_fields(self):
-        # slots: a field the state does not declare raises instead of being added
-        state = KrylovState(block_width=1)
+    def test_walk_rejects_unknown_fields(self, scalar_system):
+        # slots: an attribute the walk does not declare, such as a second
+        # n-row array like A Q, raises instead of being added
+        walk = lowrank._Walk(scalar_system, "reach", 1)
         with pytest.raises(AttributeError):
-            state.image = np.zeros((1, 1))
+            walk.image = np.zeros((1, 1))
 
     def test_scalar_one_step_matches_hand_residual(self):
         # 2-state system, 1-dim basis: residual must equal the assembled one
         s = random_stable_system(52, 2, 1, 1)
         Ad = s.A
         b = s.B / np.linalg.norm(s.B)
-        state = KrylovState(block_width=1)
-        state.basis = b
         AQ = Ad @ b
-        state.projected = b.T @ Ad @ b
-        G = AQ - state.basis @ state.projected
+        H = b.T @ Ad @ b
+        G = AQ - b @ H
         U, _ = np.linalg.qr(G)
-        state.offspace_dir = U
-        state.offspace_coeff = U.T @ AQ
         bk = b.T @ s.B
-        H = state.projected
         Y, fk, _ = dense_stein.window_sum(lambda X: H @ X, bk, 2)
         assert np.linalg.norm(H @ Y @ H.T - Y + bk @ bk.T - fk @ fk.T) <= 1e-10 * np.linalg.norm(Y)
-        got = stein_residual_norm(state, Y)
-        P = state.basis @ Y @ state.basis.T
-        F = state.basis @ fk
+        got = stein_residual_norm(b, H, U, U.T @ AQ, Y)
+        P = b @ Y @ b.T
+        F = b @ fk
         R = Ad @ P @ Ad.T - P + s.B @ s.B.T - F @ F.T
         assert got == pytest.approx(np.linalg.norm(R, 2), rel=1e-10)
 
@@ -359,38 +349,39 @@ class TestResidualFormula:
         s = random_stable_system(53, 30, 2, 2)
         tau = 4
         Q, _ = np.linalg.qr(np.hstack([np.linalg.matrix_power(s.A, j) @ s.B for j in range(tau)]))
-        state = KrylovState(block_width=2, basis=Q, projected=Q.T @ s.A @ Q)
-        H = state.projected
+        H = Q.T @ s.A @ Q
         U = np.linalg.svd(s.A @ Q - Q @ H)[0][:, :2]   # G has rank m = 2
-        state.offspace_dir, state.offspace_coeff = U, U.T @ (s.A @ Q)
+        C = U.T @ (s.A @ Q)
         Bk = Q.T @ s.B
         Y, X, _ = dense_stein.window_sum(lambda Z: H @ Z, Bk, tau - 1)
         Y += X @ X.T
         f = H @ X
-        for g in (state.offspace_coeff @ X, np.random.default_rng(5).standard_normal((U.shape[1], 2))):
+        for g in (C @ X, np.random.default_rng(5).standard_normal((U.shape[1], 2))):
             F = Q @ f + U @ g
             P = Q @ Y @ Q.T
             R = s.A @ P @ s.A.T - P + s.B @ s.B.T - F @ F.T
-            got = stein_residual_norm(state, Y, (f, g))
+            got = stein_residual_norm(Q, H, U, C, Y, (f, g))
             assert got == pytest.approx(np.linalg.norm(R, 2), rel=1e-10)
 
 
 class TestNextShift:
-    def test_alternating_sequence(self):
+    @staticmethod
+    def walk(sys, shifts):
+        walk = lowrank._Walk(sys, "reach", 1)   # A = 0.5 on one state, so H = [[0.5]]
+        walk.shifts = [complex(z) for z in shifts]
+        return walk
+
+    def test_alternating_sequence(self, scalar_system):
         # every paired +-1 step starts at +1, whatever the poles so far
         strat = ShiftStrategy("alternating-pm1")
         for shifts in ([], [1.0, -1.0], [1.0, -1.0, 1.0, -1.0], [1.0]):
-            state = KrylovState(block_width=1, shifts=[complex(z) for z in shifts])
-            assert next_shift(strat, state) == 1.0
+            assert next_shift(strat, self.walk(scalar_system, shifts)) == 1.0
 
-    def test_adaptive_four_point_grid(self, monkeypatch):
+    def test_adaptive_four_point_grid(self, monkeypatch, scalar_system):
         # |xi-0.5|/|xi-0.9| on {1, i, -1, -i} is maximized at xi = 1
         monkeypatch.setattr(lowrank, "_SHIFT_GRID", 4)
-        state = KrylovState(block_width=1)
-        state.projected = np.array([[0.5]])
-        state.shifts = [complex(0.9)]
         strat = ShiftStrategy("adaptive-disc")
-        assert next_shift(strat, state) == pytest.approx(1.0)
+        assert next_shift(strat, self.walk(scalar_system, [0.9])) == pytest.approx(1.0)
 
     def test_conjugate_pairing_contract(self):
         # the walk expands a complex pole with its conjugate by one solve and
@@ -404,16 +395,9 @@ class TestNextShift:
         for j in firsts:
             assert shifts[j + 1] == shifts[j].conjugate()
 
-    def test_adaptive_fallback_without_ritz(self):
-        state = KrylovState(block_width=1)
-        assert next_shift(ShiftStrategy("adaptive-disc"), state) == -1.0
-
-    def test_used_grid_points_masked(self, monkeypatch):
+    def test_used_grid_points_masked(self, monkeypatch, scalar_system):
         monkeypatch.setattr(lowrank, "_SHIFT_GRID", 4)
-        state = KrylovState(block_width=1)
-        state.projected = np.array([[0.5]])
-        state.shifts = [complex(1.0)]
-        got = next_shift(ShiftStrategy("adaptive-disc"), state)
+        got = next_shift(ShiftStrategy("adaptive-disc"), self.walk(scalar_system, [1.0]))
         assert got != pytest.approx(1.0)
 
 
@@ -558,8 +542,8 @@ class TestGrowthBuffers:
 
         def filled():
             walk = walks.pop()
-            assert walk.buf.flags.f_contiguous and np.shares_memory(walk.state.basis, walk.buf)
-            return walk.state.basis.shape[1], walk.buf.shape
+            assert walk.buf.flags.f_contiguous and np.shares_memory(walk.basis, walk.buf)
+            return walk.basis.shape[1], walk.buf.shape
         s = generate_example(ExampleSpec(kind="jacobi", size=20, inputs=2, outputs=2, seed=1))
         with pytest.raises(ConvergenceError):
             rksm(s, "reach", 50, ShiftStrategy("alternating-pm1"), SolverConfig(max_iterations=10))
@@ -742,14 +726,14 @@ class TestTwoReadSteps:
         # the Ritz values that pick a pole come from H over the whole basis,
         # the newest block included
         s = generate_example(ExampleSpec(kind="gauss-seidel", size=12, inputs=2, outputs=2, seed=1))
-        ritz, seen = lowrank.KrylovState.ritz_values, []
+        ritz, seen = lowrank._Walk.ritz_values, []
 
-        def recorded(state):
-            values = ritz(state)
-            seen.append((state.basis.shape[1], state.projected.shape[0]))
+        def recorded(walk):
+            values = ritz(walk)
+            seen.append((walk.basis.shape[1], walk.projected.shape[0]))
             return values
 
-        monkeypatch.setattr(lowrank.KrylovState, "ritz_values", recorded)
+        monkeypatch.setattr(lowrank._Walk, "ritz_values", recorded)
         a = rksm(s, "reach", 30, ShiftStrategy("adaptive-disc"))
         assert len(seen) == a.iterations
         built = [2] + [r.basis_columns for r in a.records[:-1]]
