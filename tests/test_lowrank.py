@@ -395,6 +395,16 @@ class TestNextShift:
         for j in firsts:
             assert shifts[j + 1] == shifts[j].conjugate()
 
+    def test_adaptive_first_pole_reads_start_block(self, monkeypatch, scalar_system):
+        # a new walk already holds its start block, so the first pole comes
+        # from the Ritz value of H = q1^T A q1 = 0.5: |xi - 0.5| on
+        # {1, i, -1, -i} is maximized at xi = -1
+        monkeypatch.setattr(lowrank, "_SHIFT_GRID", 4)
+        walk = lowrank._Walk(scalar_system, "reach", 1)
+        assert walk.projected.shape == (0, 0)
+        assert next_shift(ShiftStrategy("adaptive-disc"), walk) == pytest.approx(-1.0)
+        np.testing.assert_allclose(walk.projected, [[0.5]])
+
     def test_used_grid_points_masked(self, monkeypatch, scalar_system):
         monkeypatch.setattr(lowrank, "_SHIFT_GRID", 4)
         got = next_shift(ShiftStrategy("adaptive-disc"), self.walk(scalar_system, [1.0]))
